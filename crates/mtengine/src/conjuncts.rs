@@ -10,9 +10,9 @@
 //!
 //! It also owns the *compiled* predicate forms a scan evaluates per row
 //! ([`CompiledPred`], produced by the executor's predicate compiler) and
-//! their **column kernels**: [`eval_vectorized`] applies one compiled
+//! their **column kernels**: [`eval_vectorized_range`] applies one compiled
 //! predicate to a whole [`ColumnBucket`] column at a time, narrowing a
-//! [`Selection`] bitmap, so columnar scans touch only the predicate columns
+//! [`Selection`] bitmap, so bucket scans touch only the predicate columns
 //! and materialize full rows for the surviving row ids alone.
 
 use std::cmp::Ordering;
@@ -300,7 +300,7 @@ pub fn map_columns(expr: &Expr, subst: &mut dyn FnMut(&ColumnRef) -> Option<Expr
 /// One conjunct of a scan filter, pre-lowered for per-row evaluation. All
 /// variants except [`CompiledPred::Generic`] are pure value comparisons:
 /// `Send + Sync`, no engine access — the forms parallel scans may evaluate
-/// on worker threads and columnar scans may evaluate as column kernels.
+/// on worker threads and bucket scans may evaluate as column kernels.
 #[derive(Debug, Clone)]
 pub enum CompiledPred {
     /// `column <cmp> constant` with a pre-resolved column index.
@@ -529,7 +529,7 @@ pub fn like_match(text: &str, pattern: &str) -> bool {
 
 /// A selection bitmap over the rows of one bucket: bit set ⇒ the row is still
 /// selected. Kernels narrow the selection predicate by predicate; the
-/// surviving row ids are the ones a columnar scan materializes.
+/// surviving row ids are the ones a bucket scan materializes.
 #[derive(Debug, Clone)]
 pub struct Selection {
     words: Vec<u64>,
@@ -643,15 +643,8 @@ pub fn dict_filter_bitmap(pred: &CompiledPred, dict: &[Arc<str>]) -> Vec<bool> {
         .collect()
 }
 
-/// Apply one fast compiled predicate to a columnar bucket, column-at-a-time,
-/// narrowing `sel` to the rows that satisfy it. Equivalent to
-/// [`eval_vectorized_range`] at offset 0 over the whole bucket.
-pub fn eval_vectorized(pred: &CompiledPred, bucket: &ColumnBucket, sel: &mut Selection) -> u64 {
-    eval_vectorized_range(pred, bucket, 0, sel)
-}
-
 /// Apply one fast compiled predicate to the row range
-/// `[offset, offset + sel.len())` of a columnar bucket, narrowing `sel`
+/// `[offset, offset + sel.len())` of a bucket, narrowing `sel`
 /// (whose bit `i` stands for bucket row `offset + i`) to the rows that
 /// satisfy it. Morsel workers evaluate their row range this way without
 /// copying columns. Returns the number of rows evaluated *in code space*
@@ -667,8 +660,8 @@ pub fn eval_vectorized(pred: &CompiledPred, bucket: &ColumnBucket, sel: &mut Sel
 /// mirror [`Value::compare`] exactly for their (column type, constant type)
 /// pair; string kernels and every other combination fall back to a
 /// per-value loop — the string fallbacks chase heap pointers, and
-/// [`fast_pred_value`] is the same code as the row path — so columnar and
-/// row scans are result-identical by construction. NULL slots follow the
+/// [`fast_pred_value`] is the same code as the row path — so bucket and
+/// loose-row scans are result-identical by construction. NULL slots follow the
 /// row path's three-valued semantics: they never satisfy a comparison, IN,
 /// LIKE, BETWEEN or NOT BETWEEN (the comparison is UNKNOWN and UNKNOWN rows
 /// are filtered, see [`between_matches`]).
@@ -1089,12 +1082,17 @@ mod tests {
         assert!(fast_pred_value(&null_lo, &Value::Int(11)));
     }
 
-    /// Every kernel must agree with the row-path evaluation of the same
-    /// predicate over the same values — including NULLs, type promotions
-    /// and the Mixed fallback.
+    /// The same rows stored three ways — a dictionary-encoded bucket, a plain
+    /// bucket and the loose row store of an unpartitioned table — must yield
+    /// identical survivors for every fast predicate form. The loose store
+    /// evaluates [`fast_filter_matches`] per row and is the reference; the
+    /// buckets run the column kernels. Covers NULLs (three-valued logic: a
+    /// NULL satisfies neither polarity), NaN, type promotion, incomparable
+    /// constants, mixed-type and NaN bounds (generic fallback), the empty
+    /// string, and string order through the sorted dictionary.
     #[test]
-    fn vectorized_kernels_match_row_path() {
-        use crate::table::ColumnBucket;
+    fn kernels_match_the_loose_row_reference() {
+        use crate::table::{ColumnBucket, Table};
 
         let rows: Vec<Vec<Value>> = vec![
             vec![Value::Int(1), Value::Float(0.05), Value::str("MAIL")],
@@ -1103,81 +1101,90 @@ mod tests {
             vec![Value::Int(-3), Value::Float(0.061), Value::Null],
             vec![Value::Int(100), Value::Float(-1.0), Value::str("MAILBOX")],
             // NaN is UNKNOWN in every comparison: filtered by BETWEEN and
-            // NOT BETWEEN alike, on both layouts.
+            // NOT BETWEEN alike, on every layout.
             vec![Value::Int(7), Value::Float(f64::NAN), Value::str("AIR")],
+            vec![Value::Int(2), Value::Float(0.5), Value::str("")],
+            vec![Value::Int(3), Value::Float(0.06), Value::str("MAIL")],
         ];
-        let mut bucket = ColumnBucket::new(3);
+        let mut dict = ColumnBucket::with_dictionary(3);
+        let mut plain = ColumnBucket::new(3);
+        let mut loose = Table::new("t", vec!["a".into(), "b".into(), "s".into()]);
         for r in &rows {
-            bucket.push_row(r);
+            dict.push_row(r);
+            plain.push_row(r);
+            loose.push_row(r.clone()).unwrap();
         }
+        // Otherwise the dictionary leg silently degenerates to the plain one.
+        assert!(dict.column(2).is_dict() && !plain.column(2).is_dict());
+        assert_eq!(loose.loose_rows().len(), rows.len());
+
+        let compare = |idx, op, value| CompiledPred::Compare { idx, op, value };
+        let between = |idx, lo, hi, negated| CompiledPred::Between {
+            idx,
+            lo,
+            hi,
+            negated,
+        };
+        let in_set = |negated| CompiledPred::InSet {
+            idx: 2,
+            values: vec![Value::str("MAIL"), Value::str("SHIP")],
+            negated,
+        };
+        let like = |pattern: &str, negated| CompiledPred::Like {
+            idx: 2,
+            pattern: Arc::new(LikePattern::new(pattern)),
+            negated,
+        };
+        let key_set = |idx, keys: Vec<Value>| CompiledPred::KeySet {
+            idx,
+            set: Arc::new(keys.into_iter().collect()),
+        };
         let preds = vec![
-            CompiledPred::Compare {
-                idx: 0,
-                op: BinaryOperator::Lt,
-                value: Value::Int(24),
-            },
+            compare(0, BinaryOperator::Lt, Value::Int(24)),
             // Int column vs Float constant promotes, like Value::compare.
-            CompiledPred::Compare {
-                idx: 0,
-                op: BinaryOperator::GtEq,
-                value: Value::Float(0.5),
-            },
-            CompiledPred::Between {
-                idx: 1,
-                lo: Value::Float(0.05),
-                hi: Value::Float(0.07),
-                negated: false,
-            },
-            // Typed negated BETWEEN: NULL rows must survive, like the row
-            // path (inside = false, flipped by `negated`).
-            CompiledPred::Between {
-                idx: 1,
-                lo: Value::Float(0.05),
-                hi: Value::Float(0.07),
-                negated: true,
-            },
+            compare(0, BinaryOperator::GtEq, Value::Float(0.5)),
+            compare(2, BinaryOperator::Eq, Value::str("MAIL")),
+            compare(2, BinaryOperator::NotEq, Value::str("MAIL")),
+            // String order (through the sorted dictionary on the dict leg).
+            compare(2, BinaryOperator::Lt, Value::str("MAILZ")),
+            // Incomparable constant: UNKNOWN for every row.
+            compare(2, BinaryOperator::Eq, Value::Int(5)),
+            between(1, Value::Float(0.05), Value::Float(0.07), false),
+            between(1, Value::Float(0.05), Value::Float(0.07), true),
             // Mixed-type bounds take the generic fallback.
-            CompiledPred::Between {
-                idx: 1,
-                lo: Value::Int(0),
-                hi: Value::Float(0.065),
-                negated: true,
-            },
+            between(1, Value::Int(0), Value::Float(0.065), true),
             // A NaN bound makes the comparison UNKNOWN for every row; the
             // kernel must defer to the generic fallback and agree.
-            CompiledPred::Between {
-                idx: 1,
-                lo: Value::Float(f64::NAN),
-                hi: Value::Float(1.0),
-                negated: true,
-            },
-            // Typed negated BETWEEN on the Int column (NULL at row 2).
-            CompiledPred::Between {
-                idx: 0,
-                lo: Value::Int(0),
-                hi: Value::Int(50),
-                negated: true,
-            },
-            CompiledPred::InSet {
-                idx: 2,
-                values: vec![Value::str("MAIL"), Value::str("SHIP")],
-                negated: false,
-            },
-            CompiledPred::Like {
-                idx: 2,
-                pattern: Arc::new(LikePattern::new("MAIL%")),
-                negated: false,
-            },
+            between(1, Value::Float(f64::NAN), Value::Float(1.0), true),
+            between(0, Value::Int(0), Value::Int(50), true),
+            between(2, Value::str("AIR"), Value::str("MAILZ"), false),
+            between(2, Value::str("AIR"), Value::str("MAILZ"), true),
+            in_set(false),
+            in_set(true),
+            like("MAIL%", false),
+            like("MAIL%", true),
+            // Empty pattern matches only the empty string.
+            like("", false),
+            key_set(0, vec![Value::Int(7), Value::Int(24)]),
+            key_set(2, vec![Value::str("AIR"), Value::str("")]),
         ];
         for pred in &preds {
-            let mut sel = Selection::all(rows.len());
-            eval_vectorized(pred, &bucket, &mut sel);
-            let mut kernel_hits = Vec::new();
-            sel.for_each(|i| kernel_hits.push(i));
-            let row_hits: Vec<usize> = (0..rows.len())
-                .filter(|&i| fast_pred_matches(pred, &rows[i]))
+            let reference: Vec<usize> = (0..rows.len())
+                .filter(|&i| {
+                    fast_filter_matches(std::slice::from_ref(pred), &loose.loose_rows()[i])
+                })
                 .collect();
-            assert_eq!(kernel_hits, row_hits, "kernel disagrees for {pred:?}");
+            for (label, bucket) in [("dict", &dict), ("plain", &plain)] {
+                let mut sel = Selection::all(rows.len());
+                let code_space_rows = eval_vectorized_range(pred, bucket, 0, &mut sel);
+                let mut hits = Vec::new();
+                sel.for_each(|i| hits.push(i));
+                assert_eq!(hits, reference, "{label} kernel disagrees for {pred:?}");
+                // Code space engages exactly on dictionary-encoded columns.
+                let on_dict_column = label == "dict" && pred.column_index() == Some(2);
+                let expected = if on_dict_column { rows.len() as u64 } else { 0 };
+                assert_eq!(code_space_rows, expected, "{label}: {pred:?}");
+            }
         }
     }
 
@@ -1267,7 +1274,7 @@ mod tests {
         for bucket in [&plain, &dict] {
             for pred in &preds {
                 let mut whole = Selection::all(n);
-                eval_vectorized(pred, bucket, &mut whole);
+                eval_vectorized_range(pred, bucket, 0, &mut whole);
                 let mut whole_hits = Vec::new();
                 whole.for_each(|i| whole_hits.push(i));
                 for &(start, end) in &ranges {
@@ -1286,108 +1293,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    /// The dictionary code-space kernels must agree with the row path for
-    /// every fast predicate form — including NULLs, empty strings, negated
-    /// variants and non-string constants (UNKNOWN comparisons).
-    #[test]
-    fn dict_kernels_match_row_path() {
-        use crate::table::ColumnBucket;
-
-        let rows: Vec<Vec<Value>> = vec![
-            vec![Value::Int(1), Value::str("MAIL")],
-            vec![Value::Int(2), Value::Null],
-            vec![Value::Int(3), Value::str("")],
-            vec![Value::Int(4), Value::str("SHIP")],
-            vec![Value::Int(5), Value::str("MAILBOX")],
-            vec![Value::Int(6), Value::str("AIR")],
-            vec![Value::Int(7), Value::str("MAIL")],
-        ];
-        let mut bucket = ColumnBucket::with_dictionary(2);
-        for r in &rows {
-            bucket.push_row(r);
-        }
-        // The string column must actually be dictionary-encoded, otherwise
-        // this test silently degenerates to the plain Str kernels.
-        assert!(bucket.column(1).is_dict());
-        let preds = vec![
-            CompiledPred::Compare {
-                idx: 1,
-                op: BinaryOperator::Eq,
-                value: Value::str("MAIL"),
-            },
-            CompiledPred::Compare {
-                idx: 1,
-                op: BinaryOperator::NotEq,
-                value: Value::str("MAIL"),
-            },
-            // String order through the sorted dictionary.
-            CompiledPred::Compare {
-                idx: 1,
-                op: BinaryOperator::Lt,
-                value: Value::str("MAILZ"),
-            },
-            // Incomparable constant: UNKNOWN for every row, like the row path.
-            CompiledPred::Compare {
-                idx: 1,
-                op: BinaryOperator::Eq,
-                value: Value::Int(5),
-            },
-            CompiledPred::InSet {
-                idx: 1,
-                values: vec![Value::str("MAIL"), Value::str("SHIP")],
-                negated: false,
-            },
-            CompiledPred::InSet {
-                idx: 1,
-                values: vec![Value::str("MAIL"), Value::str("SHIP")],
-                negated: true,
-            },
-            CompiledPred::Between {
-                idx: 1,
-                lo: Value::str("AIR"),
-                hi: Value::str("MAILZ"),
-                negated: false,
-            },
-            CompiledPred::Between {
-                idx: 1,
-                lo: Value::str("AIR"),
-                hi: Value::str("MAILZ"),
-                negated: true,
-            },
-            CompiledPred::Like {
-                idx: 1,
-                pattern: Arc::new(LikePattern::new("MAIL%")),
-                negated: false,
-            },
-            CompiledPred::Like {
-                idx: 1,
-                pattern: Arc::new(LikePattern::new("MAIL%")),
-                negated: true,
-            },
-            // Empty pattern matches only the empty string.
-            CompiledPred::Like {
-                idx: 1,
-                pattern: Arc::new(LikePattern::new("")),
-                negated: false,
-            },
-        ];
-        for pred in &preds {
-            let mut sel = Selection::all(rows.len());
-            let dict_rows = eval_vectorized(pred, &bucket, &mut sel);
-            assert_eq!(
-                dict_rows,
-                rows.len() as u64,
-                "dict kernel did not engage for {pred:?}"
-            );
-            let mut kernel_hits = Vec::new();
-            sel.for_each(|i| kernel_hits.push(i));
-            let row_hits: Vec<usize> = (0..rows.len())
-                .filter(|&i| fast_pred_matches(pred, &rows[i]))
-                .collect();
-            assert_eq!(kernel_hits, row_hits, "dict kernel disagrees for {pred:?}");
         }
     }
 

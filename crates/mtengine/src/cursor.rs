@@ -9,10 +9,10 @@
 //!   sub-query-free [`Plan::Filter`]s over one [`Plan::SeqScan`]), the
 //!   cursor walks the scan's selected partition buckets directly, evaluating
 //!   the pushed predicates per row and projecting qualifying rows into the
-//!   output batch. Only one batch of rows is resident at any time; columnar
-//!   buckets materialize rows solely for predicate survivors (fast
-//!   predicates read just their own column first). Peak memory is
-//!   `O(batch)` instead of `O(result)`.
+//!   output batch. Only one batch of rows is resident at any time; buckets
+//!   materialize rows solely for predicate survivors (fast predicates read
+//!   just their own column first). Peak memory is `O(batch)` instead of
+//!   `O(result)`.
 //! * **Materialized** — every other plan shape (sorts, aggregations, joins,
 //!   DISTINCT, sub-queries) executes once through the regular executor on
 //!   the first fetch and the cursor then drains the buffered rows in
@@ -44,7 +44,7 @@ use crate::conjuncts::{dict_filter_bitmap, fast_pred_value, CompiledPred};
 use crate::error::{EngineError, EngineErrorKind, Result};
 use crate::exec::{Env, Executor};
 use crate::plan::{Plan, Project, SeqScan};
-use crate::table::{Bucket, ColumnVec, Row, SharedRow, Snapshot};
+use crate::table::{ColumnBucket, ColumnVec, Row, SharedRow, Snapshot};
 use crate::{Engine, Value};
 
 /// Default number of rows per cursor batch.
@@ -320,7 +320,7 @@ impl Engine {
 /// (bucket, row) position, evaluate pushed predicates and filter stages per
 /// row, project, and stop as soon as the batch is full or the LIMIT is
 /// reached. Fast predicates read only their own column, so non-qualifying
-/// rows of columnar buckets are never materialized.
+/// bucket rows are never materialized.
 fn fetch_streaming(
     executor: &Executor,
     engine: &Engine,
@@ -393,7 +393,7 @@ fn fetch_streaming(
     // Selected buckets in key order — the same deterministic order on every
     // batch (BTreeMap iteration), which is what makes (bucket, row) a
     // resumable position.
-    let selected: Vec<(i64, &Bucket)> = match prune_keys {
+    let selected: Vec<(i64, &ColumnBucket)> = match prune_keys {
         Some(keys) => view
             .partitions()
             .filter(|(k, _)| keys.contains(k))
@@ -429,11 +429,11 @@ fn fetch_streaming(
         // check fast predicates column-wise *before* materializing; the
         // remaining (interpreted) conjuncts run on the materialized row.
         let (row, remaining) = if pos.bucket < selected.len() {
-            let (key, bucket) = selected[pos.bucket];
+            let (key, cols) = selected[pos.bucket];
             // A pinned cursor only walks the prefix of the bucket that was
             // visible at its snapshot epoch (appends are strictly ordered,
             // so the watermark prefix *is* the snapshot content).
-            let visible = view.visible_bucket_len(key).min(bucket.len());
+            let visible = view.visible_bucket_len(key).min(cols.len());
             if pos.row >= visible {
                 pos.bucket += 1;
                 pos.row = 0;
@@ -443,34 +443,24 @@ fn fetch_streaming(
             // dictionaries once (per-row checks below compare codes), and
             // note once whether materializing decodes any dictionary.
             if pos.dict_bitmaps.as_ref().map(|b| b.bucket) != Some(pos.bucket) {
-                let (bitmaps, has_dict) = match bucket.as_columns() {
-                    Some(cols) => (
-                        bucket_filter
-                            .iter()
-                            .map(|pred| {
-                                pred.column_index()
-                                    .and_then(|idx| match cols.column(idx).data() {
-                                        ColumnVec::Dict(d) => {
-                                            Some(dict_filter_bitmap(pred, d.dict()))
-                                        }
-                                        _ => None,
-                                    })
-                            })
-                            .collect(),
-                        cols.dict_column_count() > 0,
-                    ),
-                    None => (vec![None; bucket_filter.len()], false),
-                };
                 pos.dict_bitmaps = Some(BucketDict {
                     bucket: pos.bucket,
-                    bitmaps,
-                    has_dict,
+                    bitmaps: bucket_filter
+                        .iter()
+                        .map(|pred| {
+                            pred.column_index()
+                                .and_then(|idx| match cols.column(idx).data() {
+                                    ColumnVec::Dict(d) => Some(dict_filter_bitmap(pred, d.dict())),
+                                    _ => None,
+                                })
+                        })
+                        .collect(),
+                    has_dict: cols.dict_column_count() > 0,
                 });
             }
             let i = pos.row;
             pos.row += 1;
             visited += 1;
-            let reader = bucket.reader();
             let Some(dict) = pos.dict_bitmaps.as_ref() else {
                 return Err(EngineError::new(
                     "cursor dictionary state missing after bucket entry",
@@ -485,11 +475,6 @@ fn fetch_streaming(
                 };
                 match bitmaps.get(pi).and_then(Option::as_ref) {
                     Some(bitmap) => {
-                        let Some(cols) = bucket.as_columns() else {
-                            return Err(EngineError::new(
-                                "dictionary bitmap resolved on a non-columnar bucket",
-                            ));
-                        };
                         let col = cols.column(idx);
                         dict_rows += 1;
                         let hit = !col.is_null(i)
@@ -502,18 +487,16 @@ fn fetch_streaming(
                         }
                     }
                     None => {
-                        if !fast_pred_value(pred, &reader.value(i, idx)) {
+                        if !fast_pred_value(pred, &cols.value(i, idx)) {
                             continue 'produce;
                         }
                     }
                 }
             }
-            let row = reader.materialize(i);
-            if matches!(bucket, Bucket::Columnar(_)) {
-                materialized += 1;
-                if dict.has_dict {
-                    dict_rows += 1;
-                }
+            let row = cols.materialize(i);
+            materialized += 1;
+            if dict.has_dict {
+                dict_rows += 1;
             }
             let remaining: Vec<&CompiledPred> =
                 bucket_filter.iter().filter(|p| !p.is_fast()).collect();

@@ -9,25 +9,25 @@
 //! share row storage with the base tables instead of deep-cloning it.
 //!
 //! [`Plan::SeqScan`] evaluates its pushed conjuncts *during* the scan
-//! (non-qualifying rows are never copied), skips partition buckets its
-//! `ttid = k` / `ttid IN (...)` pruning predicates exclude, and — when
-//! [`crate::EngineConfig::parallel_scan`] (or its `MT_THREADS` execution-time
-//! override) allows — runs *morsel-driven*: the selected buckets are split
-//! into fixed-size row-range morsels ([`crate::EngineConfig::morsel_rows`])
-//! pulled by a scoped worker pool, each worker running the whole filter per
-//! morsel — column kernels first, interpreted conjuncts on the
-//! late-materialized survivors — and the per-morsel outputs merge in morsel
-//! order, so the result is bit-identical to a serial scan. When the scan
-//! feeds a `HashAggregate` directly, workers additionally fold their morsel
-//! into a *partial aggregate state*; the partial states merge in morsel
-//! order on the coordinator, parallelizing scan→filter→aggregate end to end.
-//! Buckets stored in the columnar layout
-//! ([`crate::EngineConfig::columnar_scan`]) are scanned *vectorized*: the
-//! compiled predicates run as column kernels over a selection bitmap
-//! (see [`crate::conjuncts::eval_vectorized`]) and only the qualifying row
-//! ids are late-materialized into [`SharedRow`]s. Uncorrelated sub-queries
-//! are evaluated once per query and cached; sub-query *plans* are cached
-//! even for correlated sub-queries, which are re-executed per outer row.
+//! (non-qualifying rows are never copied) and skips partition buckets its
+//! `ttid = k` / `ttid IN (...)` pruning predicates exclude. Every bucket is
+//! scanned by one routine, `Executor::scan_range`: the compiled predicates
+//! run as column kernels over a selection bitmap
+//! (see [`crate::conjuncts::eval_vectorized_range`]), only the qualifying row
+//! ids are late-materialized into [`SharedRow`]s, and interpreted conjuncts
+//! run on those survivors. A serial scan calls it once per bucket over the
+//! whole visible prefix. When [`crate::EngineConfig::parallel_scan`] (or its
+//! `MT_THREADS` execution-time override) allows, the scan runs
+//! *morsel-driven* instead: the selected buckets are split into
+//! fixed-size row ranges pulled by a scoped worker pool, each worker
+//! calls the same routine per morsel, and the per-morsel outputs merge in
+//! morsel order, so the result is bit-identical to a serial scan. When the
+//! scan feeds a `HashAggregate` directly, workers additionally fold their
+//! morsel into a *partial aggregate state*; the partial states merge in
+//! morsel order on the coordinator, parallelizing scan→filter→aggregate end
+//! to end. Uncorrelated sub-queries are evaluated once per query and cached;
+//! sub-query *plans* are cached even for correlated sub-queries, which are
+//! re-executed per outer row.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
@@ -39,13 +39,13 @@ use mtsql::ast::*;
 use mtsql::visit::contains_subquery;
 
 use crate::conjuncts::{
-    between_matches, eval_vectorized, eval_vectorized_range, fast_filter_matches,
-    fast_pred_matches, flip_comparison, has_columns, CompiledPred, Selection,
+    between_matches, eval_vectorized_range, fast_filter_matches, fast_pred_matches,
+    flip_comparison, has_columns, CompiledPred, Selection,
 };
 use crate::error::{err, EngineError, Result};
 use crate::plan::{HashAggregate, JoinVariant, Plan, Planner, Project, SeqScan, SortKey};
 use crate::schema::Schema;
-use crate::table::{Bucket, BucketRead, Row, SharedRow, Snapshot};
+use crate::table::{ColumnBucket, Row, SharedRow, Snapshot};
 use crate::value::{add_months, civil_from_days, parse_date, Value};
 use crate::Engine;
 
@@ -78,14 +78,8 @@ pub(crate) fn effective_parallel_budget(config: &crate::EngineConfig) -> usize {
         .unwrap_or(config.parallel_scan)
 }
 
-/// The configured morsel size, with `0` falling back to the default.
-pub(crate) fn morsel_rows(config: &crate::EngineConfig) -> usize {
-    if config.morsel_rows == 0 {
-        crate::DEFAULT_MORSEL_ROWS
-    } else {
-        config.morsel_rows
-    }
-}
+/// Rows per morsel — the unit of work the pool's workers pull.
+pub(crate) const MORSEL_ROWS: usize = 4096;
 
 /// Number of workers a scan over `total_rows` split into `morsel_count`
 /// morsels uses under a parallel budget — `1` means serial. Shared by the
@@ -115,17 +109,16 @@ struct Morsel {
     end: usize,
 }
 
-/// Split the selected buckets into fixed-size row-range morsels, in bucket
+/// Split the selected buckets into [`MORSEL_ROWS`]-row ranges, in bucket
 /// order. Morsels of one bucket are contiguous and ascending, so merging
 /// per-morsel outputs in morsel order reproduces the serial row order
 /// exactly.
-fn build_morsels(selected: &[(&Bucket, usize)], step: usize) -> Vec<Morsel> {
-    let step = step.max(1);
+fn build_morsels(selected: &[(&ColumnBucket, usize)]) -> Vec<Morsel> {
     let mut morsels = Vec::new();
     for (bucket, &(_, visible)) in selected.iter().enumerate() {
         let mut start = 0;
         while start < visible {
-            let end = (start + step).min(visible);
+            let end = (start + MORSEL_ROWS).min(visible);
             morsels.push(Morsel { bucket, start, end });
             start = end;
         }
@@ -135,9 +128,8 @@ fn build_morsels(selected: &[(&Bucket, usize)], step: usize) -> Vec<Morsel> {
 
 /// The number of morsels [`build_morsels`] would produce, without building
 /// them (serial-path bail-out sizing).
-fn morsel_count(selected: &[(&Bucket, usize)], step: usize) -> usize {
-    let step = step.max(1);
-    selected.iter().map(|&(_, v)| v.div_ceil(step)).sum()
+fn morsel_count(selected: &[(&ColumnBucket, usize)]) -> usize {
+    selected.iter().map(|&(_, v)| v.div_ceil(MORSEL_ROWS)).sum()
 }
 
 /// Run `work` over every morsel on a pool of `threads` scoped workers.
@@ -224,23 +216,14 @@ where
     Ok(results)
 }
 
-/// Per-bucket state of [`Executor::repeated_bucket_rows`]: how many times
-/// the bucket was scanned vectorized, or its once-materialized rows.
-enum BucketScanState {
-    /// Scanned this many times so far, still on the vectorized path.
-    Scanned(u32),
-    /// Materialized on the third scan; shared by every scan after.
-    Rows(Rc<Vec<SharedRow>>),
-}
-
 /// Per-scan accounting fed into the engine counters afterwards.
 #[derive(Debug, Default, Clone, Copy)]
 struct ScanTally {
-    /// Rows visited (row loops) or covered by column kernels.
+    /// Rows visited (loose-row loops) or covered by column kernels.
     visited: u64,
     /// Rows whose predicates were evaluated column-at-a-time.
     vectorized: u64,
-    /// Rows late-materialized from columnar buckets after qualifying.
+    /// Rows late-materialized from buckets after qualifying.
     materialized: u64,
     /// Rows processed through dictionary code space (per-predicate code
     /// kernels, code-space grouping, dictionary-decoding materializations).
@@ -275,7 +258,7 @@ fn select_buckets<'t>(
     table: &'t crate::table::Table,
     prune_keys: &Option<std::collections::BTreeSet<i64>>,
     snapshot: Option<&Snapshot>,
-) -> (Vec<(&'t Bucket, usize)>, u64, u64) {
+) -> (Vec<(&'t ColumnBucket, usize)>, u64, u64) {
     let view = table.read_at(snapshot);
     match prune_keys {
         Some(keys) => {
@@ -292,7 +275,7 @@ fn select_buckets<'t>(
             (selected, scanned, pruned)
         }
         None => {
-            let selected: Vec<(&Bucket, usize)> = view
+            let selected: Vec<(&ColumnBucket, usize)> = view
                 .partitions()
                 .map(|(k, b)| (b, view.visible_bucket_len(k).min(b.len())))
                 .collect();
@@ -302,45 +285,32 @@ fn select_buckets<'t>(
     }
 }
 
-/// Scan the first `visible` rows of one bucket with a filter of *fast*
-/// predicates only. Pure (no engine access). Row buckets run the per-row
-/// compiled filter; columnar buckets run the predicates as column kernels
-/// over a selection bitmap and materialize the surviving row ids.
-fn scan_bucket_fast(
-    bucket: &Bucket,
-    visible: usize,
+/// Run the fast predicates of `filter` as column kernels over rows `range`
+/// of one bucket. Returns the surviving selection (bit `i` stands for bucket
+/// row `range.start + i`) and the range's accounting, with every survivor
+/// already charged as late-materialized — each caller builds exactly those
+/// rows. Pure (no engine access).
+fn kernel_select(
+    cols: &ColumnBucket,
+    range: &std::ops::Range<usize>,
     filter: &[CompiledPred],
-    out: &mut Vec<SharedRow>,
-) -> ScanTally {
-    let mut tally = ScanTally::default();
-    match bucket {
-        Bucket::Rows(rows) => {
-            let rows = &rows[..visible.min(rows.len())];
-            tally.visited = rows.len() as u64;
-            for row in rows {
-                if fast_filter_matches(filter, row) {
-                    out.push(SharedRow::clone(row));
-                }
-            }
-        }
-        Bucket::Columnar(cols) => {
-            let visible = visible.min(cols.len());
-            let mut sel = Selection::all(visible);
-            for pred in filter {
-                tally.dict += eval_vectorized(pred, cols, &mut sel);
-            }
-            tally.visited = visible as u64;
-            tally.vectorized = visible as u64;
-            tally.materialized = sel.count() as u64;
-            if cols.dict_column_count() > 0 {
-                // Qualifying rows decode their dictionary columns while
-                // materializing.
-                tally.dict += tally.materialized;
-            }
-            sel.for_each(|i| out.push(cols.materialize(i)));
-        }
+) -> (Selection, ScanTally) {
+    let mut sel = Selection::all(range.len());
+    let mut tally = ScanTally {
+        visited: range.len() as u64,
+        vectorized: range.len() as u64,
+        ..ScanTally::default()
+    };
+    for pred in filter.iter().filter(|p| p.is_fast()) {
+        tally.dict += eval_vectorized_range(pred, cols, range.start, &mut sel);
     }
-    tally
+    tally.materialized = sel.count() as u64;
+    if cols.dict_column_count() > 0 {
+        // Qualifying rows decode their dictionary columns while
+        // materializing.
+        tally.dict += tally.materialized;
+    }
+    (sel, tally)
 }
 
 /// A materialized intermediate result. Rows are shared with their producers;
@@ -390,15 +360,6 @@ pub struct Executor<'e> {
     plan_cache: RefCell<HashMap<String, Rc<Plan>>>,
     /// LIKE patterns precompiled once per pattern text instead of once per row.
     like_cache: RefCell<HashMap<String, Arc<LikePattern>>>,
-    /// Columnar buckets this executor has scanned before, keyed by bucket
-    /// address (stable for the executor's lifetime — it borrows the engine).
-    /// Scans of the same bucket are counted; from the third scan on the
-    /// bucket's rows are materialized once and shared, so correlated
-    /// sub-queries that re-scan the same bucket per outer row pay the
-    /// columnar row-construction cost only once while queries scanning a
-    /// bucket once or twice keep the fully vectorized, late-materializing
-    /// path.
-    bucket_row_cache: RefCell<HashMap<usize, BucketScanState>>,
     /// `true` while the executor detected an escape to an outer row during the
     /// currently executing sub-query (conservative correlation detection).
     correlation_witness: Cell<bool>,
@@ -427,7 +388,6 @@ impl<'e> Executor<'e> {
             subquery_cache: RefCell::new(HashMap::new()),
             plan_cache: RefCell::new(HashMap::new()),
             like_cache: RefCell::new(HashMap::new()),
-            bucket_row_cache: RefCell::new(HashMap::new()),
             correlation_witness: Cell::new(false),
             snapshot: None,
         }
@@ -445,44 +405,6 @@ impl<'e> Executor<'e> {
     /// invisible).
     pub(crate) fn pin_txn_snapshot(&mut self, floor: u64, own: Arc<BTreeSet<u64>>) {
         self.snapshot = Some(Snapshot::Txn { floor, own });
-    }
-
-    /// Materialized rows of a columnar bucket this executor scans
-    /// *repeatedly*. The first two scans return `None` (stay vectorized — a
-    /// query that scans a bucket once or twice with selective filters must
-    /// not pay full materialization); the third scan materializes every row
-    /// once (the returned flag is `true` exactly then, so the caller charges
-    /// those constructions to the `late_materialized` counter); later scans
-    /// reuse the rows for free. Three-or-more scans of one bucket within a
-    /// single query only arise from per-outer-row re-execution of correlated
-    /// sub-queries, where the rescan count dwarfs the one-time build.
-    fn repeated_bucket_rows(
-        &self,
-        cols: &crate::table::ColumnBucket,
-        visible: usize,
-    ) -> Option<(Rc<Vec<SharedRow>>, bool)> {
-        let key = cols as *const crate::table::ColumnBucket as usize;
-        let mut cache = self.bucket_row_cache.borrow_mut();
-        match cache.entry(key).or_insert(BucketScanState::Scanned(0)) {
-            BucketScanState::Rows(rows) => Some((Rc::clone(rows), false)),
-            BucketScanState::Scanned(prior) if *prior < 2 => {
-                *prior += 1;
-                None
-            }
-            slot => {
-                // The visible bound is stable for the executor's lifetime
-                // (the engine is borrowed for the whole query and the
-                // snapshot never changes), so caching the bounded prefix is
-                // safe.
-                let rows = Rc::new(
-                    (0..visible.min(cols.len()))
-                        .map(|i| cols.materialize(i))
-                        .collect::<Vec<_>>(),
-                );
-                *slot = BucketScanState::Rows(Rc::clone(&rows));
-                Some((rows, true))
-            }
-        }
     }
 
     /// The compiled form of a LIKE pattern, cached per executor.
@@ -777,29 +699,25 @@ impl<'e> Executor<'e> {
     }
 
     /// Code-space grouping: when the aggregation input is a base-table scan
-    /// over columnar buckets whose group keys are plain columns with at
-    /// least one dictionary-encoded among them, perform the scan and the
-    /// grouping in one pass — per bucket, rows map their group through a
-    /// small `codes -> group` memo (one key *evaluation* per distinct code
+    /// whose group keys are plain columns with at least one
+    /// dictionary-encoded among them, perform the scan and the grouping in
+    /// one pass — per bucket, rows map their group through a small
+    /// `codes -> group` memo (one key *evaluation* per distinct code
     /// combination instead of one per row; Q1's `l_returnflag, l_linestatus`
     /// hashes two `u32`s per row instead of two strings).
     ///
     /// Returns `None` (deferring to the standard path) whenever any piece
-    /// does not fit: non-column group keys, row-layout tables, interpreted
-    /// conjuncts (their error/UDF evaluation order must stay identical to
-    /// the hybrid scan), no dictionary-encoded group column anywhere, or a
-    /// scan large enough to fan out to worker threads — this path scans
-    /// serially, and losing the parallel fan-out would cost more than
-    /// per-row key hashing saves, so such scans keep the standard
-    /// scan-then-group pipeline. Buckets whose group columns were demoted
-    /// below the scan still group correctly — they evaluate key values per
-    /// row, same as the standard path — and buckets this executor re-scans
-    /// repeatedly (correlated sub-queries) switch to the shared
-    /// once-materialized row cache ([`Executor::repeated_bucket_rows`]),
-    /// same as the standard path. Results are identical to the standard
-    /// path by construction: rows are visited in bucket order, groups keep
-    /// first-seen order, and the memoized key values are exactly the
-    /// column values.
+    /// does not fit: non-column group keys, interpreted conjuncts (their
+    /// error/UDF evaluation order must stay identical to the hybrid scan),
+    /// no dictionary-encoded group column anywhere, or a scan large enough
+    /// to fan out to worker threads — this path scans serially, and losing
+    /// the parallel fan-out would cost more than per-row key hashing saves,
+    /// so such scans keep the standard scan-then-group pipeline. Buckets
+    /// whose group columns were demoted below the scan still group correctly
+    /// — they evaluate key values per row, same as the standard path.
+    /// Results are identical to the standard path by construction: rows are
+    /// visited in bucket order, groups keep first-seen order, and the
+    /// memoized key values are exactly the column values.
     fn try_group_on_codes(
         &self,
         agg: &HashAggregate,
@@ -815,9 +733,6 @@ impl<'e> Executor<'e> {
         let Ok(table) = self.engine.database().table(&scan.table) else {
             return Ok(None);
         };
-        if !table.is_columnar() {
-            return Ok(None);
-        }
         let mut group_cols: Vec<usize> = Vec::with_capacity(agg.group_exprs.len());
         for e in &agg.group_exprs {
             match e {
@@ -845,10 +760,9 @@ impl<'e> Executor<'e> {
 
         let (selected, buckets_scanned, buckets_pruned) =
             select_buckets(table, &prune_keys, self.snapshot.as_ref());
-        let any_dict_group = selected.iter().any(|&(b, _)| {
-            b.as_columns()
-                .is_some_and(|c| group_cols.iter().any(|&g| c.column(g).is_dict()))
-        });
+        let any_dict_group = selected
+            .iter()
+            .any(|&(c, _)| group_cols.iter().any(|&g| c.column(g).is_dict()));
         if !any_dict_group {
             return Ok(None);
         }
@@ -857,10 +771,9 @@ impl<'e> Executor<'e> {
         // `try_parallel_aggregate` declined for sub-query reasons, at least
         // its scan pools), and this one-pass grouping scan runs serially.
         let total_rows: usize = selected.iter().map(|&(_, v)| v).sum();
-        let step = morsel_rows(&self.engine.config());
         if scan_worker_count(
             effective_parallel_budget(&self.engine.config()),
-            morsel_count(&selected, step),
+            morsel_count(&selected),
             total_rows,
         ) > 1
         {
@@ -892,53 +805,9 @@ impl<'e> Executor<'e> {
             }
         };
 
-        for &(bucket, visible) in &selected {
-            let Bucket::Columnar(cols) = bucket else {
-                // Defensive: columnar tables only hold columnar buckets, but
-                // a row bucket would group correctly by value regardless.
-                for row in bucket.iter_rows().take(visible) {
-                    tally.visited += 1;
-                    if !fast_filter_matches(&bucket_filter, &row) {
-                        continue;
-                    }
-                    let key: Vec<Value> = group_cols.iter().map(|&g| row[g].clone()).collect();
-                    let g = group_of(key, &mut group_index, &mut keys, &mut members);
-                    members[g].push(rows.len());
-                    rows.push(row);
-                }
-                continue;
-            };
-            // Participate in the repeated-scan row cache (PR 3): a bucket
-            // this executor re-scans per outer row (correlated sub-queries)
-            // switches to its once-materialized rows instead of
-            // re-vectorizing — grouping then evaluates key values per
-            // cached row, exactly like the standard path over cached rows.
-            if let Some((cached, freshly_built)) = self.repeated_bucket_rows(cols, visible) {
-                tally.visited += cached.len() as u64;
-                if freshly_built {
-                    tally.materialized += cached.len() as u64;
-                }
-                for row in cached.iter() {
-                    if !fast_filter_matches(&bucket_filter, row) {
-                        continue;
-                    }
-                    let key: Vec<Value> = group_cols.iter().map(|&g| row[g].clone()).collect();
-                    let g = group_of(key, &mut group_index, &mut keys, &mut members);
-                    members[g].push(rows.len());
-                    rows.push(SharedRow::clone(row));
-                }
-                continue;
-            }
-            let visible = visible.min(cols.len());
-            let mut sel = Selection::all(visible);
-            for pred in &bucket_filter {
-                tally.dict += eval_vectorized(pred, cols, &mut sel);
-            }
-            tally.visited += visible as u64;
-            tally.vectorized += visible as u64;
-            if cols.dict_column_count() > 0 {
-                tally.dict += sel.count() as u64;
-            }
+        for &(cols, visible) in &selected {
+            let (sel, bucket_tally) = kernel_select(cols, &(0..visible), &bucket_filter);
+            tally.absorb(bucket_tally);
             let all_dict = group_cols.iter().all(|&g| cols.column(g).is_dict());
             if all_dict {
                 // Code-space grouping: one key evaluation per distinct code
@@ -973,7 +842,6 @@ impl<'e> Executor<'e> {
                     };
                     members[g].push(rows.len());
                     rows.push(cols.materialize(i));
-                    tally.materialized += 1;
                     tally.dict += 1;
                 });
             } else {
@@ -987,7 +855,6 @@ impl<'e> Executor<'e> {
                     let g = group_of(key, &mut group_index, &mut keys, &mut members);
                     members[g].push(rows.len());
                     rows.push(cols.materialize(i));
-                    tally.materialized += 1;
                 });
             }
         }
@@ -1068,7 +935,7 @@ impl<'e> Executor<'e> {
         let (selected, buckets_scanned, buckets_pruned) =
             select_buckets(table, &prune_keys, self.snapshot.as_ref());
         let total: usize = selected.iter().map(|&(_, v)| v).sum();
-        let morsels = build_morsels(&selected, morsel_rows(&self.engine.config()));
+        let morsels = build_morsels(&selected);
         let threads = scan_worker_count(budget, morsels.len(), total);
         if threads <= 1 {
             return Ok(None);
@@ -1158,7 +1025,6 @@ impl<'e> Executor<'e> {
         self.engine
             .note_vectorized(tally.vectorized, tally.materialized);
         self.engine.note_dict_kernel_rows(tally.dict);
-        self.engine.note_parallel_scan();
         self.engine
             .note_morsel_scan(morsels.len() as u64, threads as u64);
         self.engine.note_partial_agg_merges(merges);
@@ -1197,7 +1063,7 @@ impl<'e> Executor<'e> {
     }
 
     /// Scan one morsel and fold its qualifying rows into a partial
-    /// aggregation state. Columnar buckets whose group columns are all
+    /// aggregation state. Buckets whose group columns are all
     /// dictionary-encoded (under an all-fast filter) group through a
     /// per-morsel `codes -> group` memo, exactly like the serial code-space
     /// path; everything else evaluates the group keys per row. Aggregate
@@ -1206,7 +1072,7 @@ impl<'e> Executor<'e> {
     /// morsel size, not the scan size.
     fn agg_morsel_partial(
         &self,
-        bucket: &Bucket,
+        cols: &ColumnBucket,
         morsel: Morsel,
         filter: &[CompiledPred],
         agg: &HashAggregate,
@@ -1215,22 +1081,15 @@ impl<'e> Executor<'e> {
     ) -> Result<AggPartial> {
         let mut partial = AggPartial::with_aggregates(agg.aggregates.len());
         let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-        if let (Bucket::Columnar(cols), Some(gcols)) = (bucket, group_cols) {
+        let range = morsel.start..morsel.end;
+        if let Some(gcols) = group_cols {
             let all_dict = !gcols.is_empty() && gcols.iter().all(|&g| cols.column(g).is_dict());
             if all_dict && filter.iter().all(CompiledPred::is_fast) {
-                let Morsel { start, end, .. } = morsel;
-                let mut sel = Selection::all(end - start);
-                for pred in filter {
-                    partial.tally.dict += eval_vectorized_range(pred, cols, start, &mut sel);
-                }
-                partial.tally.visited = (end - start) as u64;
-                partial.tally.vectorized = (end - start) as u64;
-                if cols.dict_column_count() > 0 {
-                    partial.tally.dict += sel.count() as u64;
-                }
+                let (sel, tally) = kernel_select(cols, &range, filter);
+                partial.tally = tally;
                 let mut memo: HashMap<Vec<u32>, usize> = HashMap::new();
                 let mut survivors: Vec<usize> = Vec::with_capacity(sel.count());
-                sel.for_each(|i| survivors.push(start + i));
+                sel.for_each(|i| survivors.push(range.start + i));
                 for i in survivors {
                     let codes: Vec<u32> = gcols
                         .iter()
@@ -1247,7 +1106,6 @@ impl<'e> Executor<'e> {
                         })
                         .collect();
                     let row = cols.materialize(i);
-                    partial.tally.materialized += 1;
                     partial.tally.dict += 1;
                     let g = match memo.get(&codes) {
                         Some(&g) => g,
@@ -1272,7 +1130,7 @@ impl<'e> Executor<'e> {
         // Generic: scan the morsel (hybrid filter included), then group by
         // evaluated key values.
         let mut rows_buf: Vec<SharedRow> = Vec::new();
-        partial.tally = self.scan_morsel(bucket, morsel, filter, schema, &mut rows_buf)?;
+        partial.tally = self.scan_range(cols, range, filter, schema, None, &mut rows_buf)?;
         for row in rows_buf {
             let env = Env {
                 schema,
@@ -1319,24 +1177,22 @@ impl<'e> Executor<'e> {
 
     /// Execute one base-table scan: skip partition buckets the plan's pruning
     /// keys exclude, evaluate the pushed filter per visited row (vectorized
-    /// for columnar buckets), and share (rather than copy) every qualifying
-    /// row.
+    /// inside buckets), and share (rather than copy) every qualifying row.
     fn exec_scan(&self, scan: &SeqScan, outer: Option<&Env>) -> Result<Relation> {
         let table = self.engine.database().table(&scan.table)?;
         let prune_keys = self.effective_prune_keys(scan, table.partition_column());
 
-        let mut rows: Vec<SharedRow> = Vec::new();
         let mut tally = ScanTally::default();
         let (selected, buckets_scanned, buckets_pruned) =
             select_buckets(table, &prune_keys, self.snapshot.as_ref());
         let bucket_filter = self.compile_bucket_filter(scan, prune_keys.is_some());
-        self.scan_buckets(
+        let mut rows = self.scan_buckets(
             &selected,
             &bucket_filter,
             &scan.schema,
             outer,
-            &mut rows,
             &mut tally,
+            |_, rows, _| Ok(rows),
         )?;
 
         // Loose rows carry arbitrary partition keys, so the full pushed
@@ -1416,257 +1272,112 @@ impl<'e> Executor<'e> {
         &loose[..view.visible_loose_len().min(loose.len())]
     }
 
-    /// Scan the selected buckets, serially or morsel-driven on a scoped
-    /// worker pool: the buckets split into fixed-size row-range morsels
-    /// pulled by the workers, each worker runs the whole filter per morsel
-    /// (column kernels first, interpreted conjuncts on the late-materialized
-    /// survivors), and per-morsel outputs merge in morsel order — results
-    /// and row order are identical to the serial scan by construction.
-    /// Filters with interpreted conjuncts pool too (each worker evaluates
-    /// through its own executor); only correlated scans under an outer row
-    /// with interpreted conjuncts stay serial, because those conjuncts must
-    /// resolve against the coordinator's environment chain. Columnar buckets
-    /// are scanned vectorized on every path.
-    fn scan_buckets(
+    /// Scan the selected buckets and pass the qualifying rows through
+    /// `keep` (identity for a plain scan, the key probe for a decorrelated
+    /// join). Serial: [`Executor::scan_range`] over each bucket's whole
+    /// visible prefix on the calling thread, then one `keep` over all rows.
+    /// Morsel-driven: the buckets split into row-range morsels pulled by a
+    /// scoped worker pool, each worker runs `scan_range` and `keep` per
+    /// morsel through its own executor, and per-morsel outputs merge in
+    /// morsel order — results and row order are identical to the serial
+    /// scan by construction. Filters with interpreted conjuncts pool too;
+    /// only correlated scans under an outer row with interpreted conjuncts
+    /// stay serial, because those conjuncts must resolve against the
+    /// coordinator's environment chain.
+    fn scan_buckets<F>(
         &self,
-        selected: &[(&Bucket, usize)],
+        selected: &[(&ColumnBucket, usize)],
         filter: &[CompiledPred],
         schema: &Schema,
         outer: Option<&Env>,
-        rows: &mut Vec<SharedRow>,
         tally: &mut ScanTally,
-    ) -> Result<()> {
+        keep: F,
+    ) -> Result<Vec<SharedRow>>
+    where
+        F: Fn(&Executor, Vec<SharedRow>, Option<&Env>) -> Result<Vec<SharedRow>> + Sync,
+    {
         let total: usize = selected.iter().map(|&(_, v)| v).sum();
         let budget = effective_parallel_budget(&self.engine.config());
         let fast = filter.iter().all(CompiledPred::is_fast);
         let pool = if budget > 1 && (fast || outer.is_none()) {
-            let morsels = build_morsels(selected, morsel_rows(&self.engine.config()));
+            let morsels = build_morsels(selected);
             let threads = scan_worker_count(budget, morsels.len(), total);
             (threads > 1).then_some((morsels, threads))
         } else {
             None
         };
-        if let Some((morsels, threads)) = pool {
-            let results =
-                run_morsel_pool(self.engine, &self.params, threads, &morsels, |worker, m| {
-                    let mut local: Vec<SharedRow> = Vec::new();
-                    let t =
-                        worker.scan_morsel(selected[m.bucket].0, m, filter, schema, &mut local)?;
-                    Ok((local, t))
-                })?;
-            for (local, morsel_tally) in results {
-                rows.extend(local);
-                tally.absorb(morsel_tally);
+        let Some((morsels, threads)) = pool else {
+            let mut rows: Vec<SharedRow> = Vec::new();
+            for &(cols, visible) in selected {
+                tally.absorb(self.scan_range(
+                    cols,
+                    0..visible,
+                    filter,
+                    schema,
+                    outer,
+                    &mut rows,
+                )?);
             }
-            self.engine.note_parallel_scan();
-            self.engine
-                .note_morsel_scan(morsels.len() as u64, threads as u64);
-        } else if fast {
-            for &(bucket, visible) in selected {
-                tally.absorb(self.scan_bucket_fast_serial(bucket, visible, filter, rows)?);
-            }
-        } else {
-            for &(bucket, visible) in selected {
-                tally.absorb(
-                    self.scan_bucket_interpreted(bucket, visible, filter, schema, outer, rows)?,
-                );
-            }
-        }
-        Ok(())
-    }
-
-    /// Scan one morsel — a row range of one bucket — through the whole
-    /// filter: fast predicates run as column kernels over the range (row
-    /// buckets evaluate the compiled filter per row), interpreted conjuncts
-    /// run on the surviving late-materialized rows, same hybrid order as the
-    /// serial columnar scan. Morsel-pool workers call this with their own
-    /// executor; the range is pre-bounded at the scan's snapshot watermark
-    /// by morsel construction. Deliberately bypasses the repeated-scan row
-    /// cache — each pooled scan sees a fresh worker executor, so the cache
-    /// could never reach its engagement threshold and would only skew
-    /// the materialization accounting.
-    fn scan_morsel(
-        &self,
-        bucket: &Bucket,
-        morsel: Morsel,
-        filter: &[CompiledPred],
-        schema: &Schema,
-        out: &mut Vec<SharedRow>,
-    ) -> Result<ScanTally> {
-        let mut tally = ScanTally::default();
-        let Morsel { start, end, .. } = morsel;
-        match bucket {
-            Bucket::Rows(rows) => {
-                tally.visited = (end - start) as u64;
-                for row in &rows[start..end] {
-                    if self.filter_matches(filter, schema, row, None)? {
-                        out.push(SharedRow::clone(row));
-                    }
-                }
-            }
-            Bucket::Columnar(cols) => {
-                let mut sel = Selection::all(end - start);
-                for pred in filter.iter().filter(|p| p.is_fast()) {
-                    tally.dict += eval_vectorized_range(pred, cols, start, &mut sel);
-                }
-                tally.visited = (end - start) as u64;
-                tally.vectorized = (end - start) as u64;
-                if cols.dict_column_count() > 0 {
-                    tally.dict += sel.count() as u64;
-                }
-                let interpreted: Vec<&CompiledPred> =
-                    filter.iter().filter(|p| !p.is_fast()).collect();
-                let mut survivors: Vec<usize> = Vec::with_capacity(sel.count());
-                sel.for_each(|i| survivors.push(start + i));
-                for i in survivors {
-                    let row = cols.materialize(i);
-                    tally.materialized += 1;
-                    let mut ok = true;
-                    for pred in &interpreted {
-                        if !self.filter_matches(std::slice::from_ref(*pred), schema, &row, None)? {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    if ok {
-                        out.push(row);
-                    }
-                }
-            }
-        }
-        Ok(tally)
-    }
-
-    /// Serial fast-filter scan of one bucket: like [`scan_bucket_fast`], but
-    /// a columnar bucket this executor scans repeatedly switches to its
-    /// once-materialized row cache (see [`Executor::repeated_bucket_rows`]).
-    fn scan_bucket_fast_serial(
-        &self,
-        bucket: &Bucket,
-        visible: usize,
-        filter: &[CompiledPred],
-        out: &mut Vec<SharedRow>,
-    ) -> Result<ScanTally> {
-        if let Bucket::Columnar(cols) = bucket {
-            if let Some((cached, freshly_built)) = self.repeated_bucket_rows(cols, visible) {
-                return self.scan_cached_rows(&cached, freshly_built, filter, None, out);
-            }
-        }
-        Ok(scan_bucket_fast(bucket, visible, filter, out))
-    }
-
-    /// Scan the once-materialized rows of a repeatedly-scanned columnar
-    /// bucket. Conjuncts are evaluated in the same order as the hybrid
-    /// columnar path — fast forms first, interpreted ones after — so a
-    /// query's error/UDF behaviour on the columnar layout does not depend
-    /// on how many times the bucket was rescanned before the cache engaged.
-    fn scan_cached_rows(
-        &self,
-        cached: &[SharedRow],
-        freshly_built: bool,
-        filter: &[CompiledPred],
-        interpreted_env: Option<(&Schema, Option<&Env>)>,
-        out: &mut Vec<SharedRow>,
-    ) -> Result<ScanTally> {
-        let tally = ScanTally {
-            visited: cached.len() as u64,
-            vectorized: 0,
-            materialized: if freshly_built {
-                cached.len() as u64
-            } else {
-                0
-            },
-            dict: 0,
+            return keep(self, rows, outer);
         };
-        let interpreted: Vec<&CompiledPred> = filter.iter().filter(|p| !p.is_fast()).collect();
-        'rows: for row in cached {
-            for pred in filter.iter().filter(|p| p.is_fast()) {
-                if !fast_pred_matches(pred, row) {
-                    continue 'rows;
-                }
-            }
-            if let Some((schema, outer)) = interpreted_env {
-                for pred in &interpreted {
-                    if !self.filter_matches(std::slice::from_ref(*pred), schema, row, outer)? {
-                        continue 'rows;
-                    }
-                }
-            }
-            out.push(SharedRow::clone(row));
+        let results =
+            run_morsel_pool(self.engine, &self.params, threads, &morsels, |worker, m| {
+                let mut local: Vec<SharedRow> = Vec::new();
+                let t = worker.scan_range(
+                    selected[m.bucket].0,
+                    m.start..m.end,
+                    filter,
+                    schema,
+                    None,
+                    &mut local,
+                )?;
+                Ok((keep(worker, local, None)?, t))
+            })?;
+        let mut rows: Vec<SharedRow> = Vec::new();
+        for (local, morsel_tally) in results {
+            rows.extend(local);
+            tally.absorb(morsel_tally);
         }
-        Ok(tally)
+        self.engine
+            .note_morsel_scan(morsels.len() as u64, threads as u64);
+        Ok(rows)
     }
 
-    /// Scan one bucket with a filter containing interpreted
-    /// ([`CompiledPred::Generic`]) conjuncts. Row buckets evaluate the whole
-    /// filter per row; columnar buckets run a *hybrid* scan — the fast
-    /// predicates narrow the selection as column kernels first, and only the
-    /// surviving rows are materialized and checked against the interpreted
-    /// conjuncts. The conjuncts are side-effect-free boolean filters under
-    /// AND, so the reordering cannot change the qualifying row set; what it
-    /// *can* change is error/UDF behaviour — an interpreted conjunct listed
-    /// before a fast one is never evaluated (and thus cannot raise an
-    /// evaluation error or count UDF calls) for rows the fast conjunct
-    /// rejects, whereas the row path evaluates strictly in list order.
-    fn scan_bucket_interpreted(
+    /// The one bucket-scan routine: run the fast predicates of `filter` as
+    /// column kernels over rows `range` of one bucket, late-materialize the
+    /// survivors, and check the interpreted conjuncts on those. The
+    /// conjuncts are side-effect-free boolean filters under AND, so running
+    /// the compiled ones first cannot change the qualifying row set; what it
+    /// *can* change is error/UDF behaviour — an interpreted conjunct is
+    /// never evaluated (and thus cannot raise an evaluation error or count
+    /// UDF calls) for rows a compiled conjunct rejects, whatever their
+    /// WHERE-clause order. Callers pre-bound `range` at the scan's snapshot
+    /// watermark.
+    fn scan_range(
         &self,
-        bucket: &Bucket,
-        visible: usize,
+        cols: &ColumnBucket,
+        range: std::ops::Range<usize>,
         filter: &[CompiledPred],
         schema: &Schema,
         outer: Option<&Env>,
-        rows: &mut Vec<SharedRow>,
+        out: &mut Vec<SharedRow>,
     ) -> Result<ScanTally> {
-        let mut tally = ScanTally::default();
-        match bucket {
-            Bucket::Rows(bucket_rows) => {
-                for row in &bucket_rows[..visible.min(bucket_rows.len())] {
-                    tally.visited += 1;
-                    if self.filter_matches(filter, schema, row, outer)? {
-                        rows.push(SharedRow::clone(row));
-                    }
+        let (sel, tally) = kernel_select(cols, &range, filter);
+        let interpreted: Vec<&CompiledPred> = filter.iter().filter(|p| !p.is_fast()).collect();
+        if interpreted.is_empty() {
+            sel.for_each(|i| out.push(cols.materialize(range.start + i)));
+            return Ok(tally);
+        }
+        let mut survivors: Vec<usize> = Vec::with_capacity(sel.count());
+        sel.for_each(|i| survivors.push(range.start + i));
+        'rows: for i in survivors {
+            let row = cols.materialize(i);
+            for pred in &interpreted {
+                if !self.filter_matches(std::slice::from_ref(*pred), schema, &row, outer)? {
+                    continue 'rows;
                 }
             }
-            Bucket::Columnar(cols) => {
-                if let Some((cached, freshly_built)) = self.repeated_bucket_rows(cols, visible) {
-                    tally.absorb(self.scan_cached_rows(
-                        &cached,
-                        freshly_built,
-                        filter,
-                        Some((schema, outer)),
-                        rows,
-                    )?);
-                    return Ok(tally);
-                }
-                let visible = visible.min(cols.len());
-                let mut sel = Selection::all(visible);
-                for pred in filter.iter().filter(|p| p.is_fast()) {
-                    tally.dict += eval_vectorized(pred, cols, &mut sel);
-                }
-                tally.visited += visible as u64;
-                tally.vectorized += visible as u64;
-                if cols.dict_column_count() > 0 {
-                    tally.dict += sel.count() as u64;
-                }
-                let interpreted: Vec<&CompiledPred> =
-                    filter.iter().filter(|p| !p.is_fast()).collect();
-                let mut survivors: Vec<usize> = Vec::with_capacity(sel.count());
-                sel.for_each(|i| survivors.push(i));
-                for i in survivors {
-                    let row = cols.materialize(i);
-                    tally.materialized += 1;
-                    let mut ok = true;
-                    for pred in &interpreted {
-                        if !self.filter_matches(std::slice::from_ref(*pred), schema, &row, outer)? {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    if ok {
-                        rows.push(row);
-                    }
-                }
-            }
+            out.push(row);
         }
         Ok(tally)
     }
@@ -1694,8 +1405,7 @@ impl<'e> Executor<'e> {
     }
 
     /// Does this scan's per-bucket filter compile entirely to fast predicate
-    /// forms? Fast filters run on the parallel fan-out path and — for
-    /// columnar buckets — fully as column kernels. (Used by the EXPLAIN
+    /// forms? Fast filters run fully as column kernels. (Used by the EXPLAIN
     /// renderer.)
     pub(crate) fn scan_compiles_fast(&self, scan: &SeqScan) -> bool {
         let filter = if scan.prune_keys.is_some() {
@@ -2072,8 +1782,8 @@ impl<'e> Executor<'e> {
     /// snapshot-bounded bucket selection, the scan's compiled filter — plus,
     /// for semi joins, the build-key columns injected as membership kernels
     /// ([`CompiledPred::KeySet`], code space on dictionary-encoded keys), so
-    /// non-matching rows are never materialized — and the PR 7 morsel pool
-    /// with the key probe running per morsel on the workers. Returns `None`
+    /// non-matching rows are never materialized — and the morsel pool with
+    /// the key probe running per morsel on the workers. Returns `None`
     /// when a probe key is not a plain scan column; the caller falls back to
     /// materialize-then-filter (correctness never depends on this path).
     #[allow(clippy::too_many_arguments)]
@@ -2137,84 +1847,30 @@ impl<'e> Executor<'e> {
             key.clear();
             key.extend(key_cols.iter().map(|&i| row[i].clone()));
         };
-        let total: usize = selected.iter().map(|&(_, v)| v).sum();
-        let budget = effective_parallel_budget(&self.engine.config());
-        let fast = bucket_filter.iter().all(CompiledPred::is_fast);
-        let mut rows: Vec<SharedRow> = Vec::new();
         let mut tally = ScanTally::default();
-        // Same pool gate as `scan_buckets`; the probe itself is pool-safe by
-        // construction (keys read by index, and the rewritten residual only
-        // references the probe and build schemas — see `decorrelate`).
-        let pool = if budget > 1 && (fast || outer.is_none()) {
-            let morsels = build_morsels(&selected, morsel_rows(&self.engine.config()));
-            let threads = scan_worker_count(budget, morsels.len(), total);
-            (threads > 1).then_some((morsels, threads))
-        } else {
-            None
-        };
-        if let Some((morsels, threads)) = pool {
-            let results =
-                run_morsel_pool(self.engine, &self.params, threads, &morsels, |worker, m| {
-                    let mut local: Vec<SharedRow> = Vec::new();
-                    let t = worker.scan_morsel(
-                        selected[m.bucket].0,
-                        m,
-                        &bucket_filter,
-                        &scan.schema,
-                        &mut local,
-                    )?;
-                    let mut kept: Vec<SharedRow> = Vec::with_capacity(local.len());
-                    let mut key: Vec<Value> = Vec::with_capacity(key_cols.len());
-                    for row in local {
-                        probe_key(&mut key, &row);
-                        if worker.key_probe_matches(
-                            &key, variant, map, build, residual, &row, &combined, None,
-                        )? {
-                            kept.push(row);
-                        }
+        // The probe is pool-safe by construction (keys read by index, and
+        // the rewritten residual only references the probe and build schemas
+        // — see `decorrelate`), so it rides `scan_buckets`' per-morsel hook.
+        let mut rows = self.scan_buckets(
+            &selected,
+            &bucket_filter,
+            &scan.schema,
+            outer,
+            &mut tally,
+            |exec, scanned, outer| {
+                let mut kept: Vec<SharedRow> = Vec::with_capacity(scanned.len());
+                let mut key: Vec<Value> = Vec::with_capacity(key_cols.len());
+                for row in scanned {
+                    probe_key(&mut key, &row);
+                    if exec.key_probe_matches(
+                        &key, variant, map, build, residual, &row, &combined, outer,
+                    )? {
+                        kept.push(row);
                     }
-                    Ok((kept, t))
-                })?;
-            for (local, t) in results {
-                rows.extend(local);
-                tally.absorb(t);
-            }
-            self.engine.note_parallel_scan();
-            self.engine
-                .note_morsel_scan(morsels.len() as u64, threads as u64);
-        } else {
-            let mut scanned: Vec<SharedRow> = Vec::new();
-            if fast {
-                for &(bucket, visible) in &selected {
-                    tally.absorb(self.scan_bucket_fast_serial(
-                        bucket,
-                        visible,
-                        &bucket_filter,
-                        &mut scanned,
-                    )?);
                 }
-            } else {
-                for &(bucket, visible) in &selected {
-                    tally.absorb(self.scan_bucket_interpreted(
-                        bucket,
-                        visible,
-                        &bucket_filter,
-                        &scan.schema,
-                        outer,
-                        &mut scanned,
-                    )?);
-                }
-            }
-            let mut key: Vec<Value> = Vec::with_capacity(key_cols.len());
-            for row in scanned {
-                probe_key(&mut key, &row);
-                if self.key_probe_matches(
-                    &key, variant, map, build, residual, &row, &combined, outer,
-                )? {
-                    rows.push(row);
-                }
-            }
-        }
+                Ok(kept)
+            },
+        )?;
 
         // Loose rows: full pushed filter (the bucket filter already is the
         // full filter when nothing was pruned), then the exact key probe.
@@ -3161,20 +2817,18 @@ mod tests {
 
     #[test]
     fn morsels_split_within_buckets_and_respect_visible_bounds() {
-        let big = Bucket::Rows(
-            (0..10_000)
-                .map(|i| SharedRow::from(vec![Value::Int(i)]))
-                .collect(),
-        );
-        let small = Bucket::Rows(
-            (0..100)
-                .map(|i| SharedRow::from(vec![Value::Int(i)]))
-                .collect(),
-        );
+        let bucket_of = |n: i64| {
+            let mut cols = ColumnBucket::new(1);
+            for i in 0..n {
+                cols.push_row(&[Value::Int(i)]);
+            }
+            cols
+        };
+        let (big, small) = (bucket_of(10_000), bucket_of(100));
         // The second bucket's visible length is snapshot-bounded below its
         // physical length; morsels must never cross the watermark.
-        let selected: Vec<(&Bucket, usize)> = vec![(&big, 10_000), (&small, 60)];
-        let morsels = build_morsels(&selected, 4096);
+        let selected: Vec<(&ColumnBucket, usize)> = vec![(&big, 10_000), (&small, 60)];
+        let morsels = build_morsels(&selected);
         assert_eq!(morsels.len(), 4, "3 for the big bucket + 1 small");
         assert_eq!((morsels[0].start, morsels[0].end), (0, 4096));
         assert_eq!((morsels[2].start, morsels[2].end), (8192, 10_000));
@@ -3182,9 +2836,9 @@ mod tests {
             (morsels[3].bucket, morsels[3].start, morsels[3].end),
             (1, 0, 60)
         );
-        assert_eq!(morsel_count(&selected, 4096), morsels.len());
+        assert_eq!(morsel_count(&selected), morsels.len());
         // A fully invisible bucket contributes no morsels at all.
-        assert_eq!(morsel_count(&[(&small, 0)], 4096), 0);
+        assert_eq!(morsel_count(&[(&small, 0)]), 0);
     }
 
     #[test]

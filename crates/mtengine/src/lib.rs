@@ -20,20 +20,20 @@
 //! per tenant:
 //!
 //! ```text
-//! Table "lineitem" (partition column: ttid, columnar layout)
+//! Table "lineitem" (partition column: ttid)
 //!   bucket ttid=1 → col₀[i64…] col₁[f64…] col₂[Arc<str>…] … + null bitmaps
 //!   bucket ttid=2 → …                    ← skipped entirely when 2 ∉ D
 //!   ...
 //!   loose rows    → [row, row, ...]      ← non-integer partition keys
 //! ```
 //!
-//! With [`EngineConfig::columnar_scan`] (the default) each bucket stores one
-//! typed [`table::ColumnVec`] array per column plus a null bitmap; scans
-//! evaluate compiled predicates **vectorized**, column-at-a-time over a
-//! selection bitmap ([`conjuncts::eval_vectorized`]), and *late-materialize*
-//! a `SharedRow` only for the qualifying row ids. Disabling the flag keeps
-//! the PR 1 row layout (`Vec<SharedRow>` buckets) as the equivalence
-//! baseline — results must be byte-identical either way.
+//! Each bucket stores one typed [`table::ColumnVec`] array per column plus a
+//! null bitmap; scans evaluate compiled predicates **vectorized**,
+//! column-at-a-time over a selection bitmap
+//! ([`conjuncts::eval_vectorized_range`]), and *late-materialize* a
+//! `SharedRow` only for the qualifying row ids. Unpartitioned tables keep
+//! their rows in the loose row store — the row-form reference the column
+//! kernels are checked against.
 //!
 //! Base-table scans evaluate the single-table WHERE conjuncts *during* the
 //! scan (non-qualifying rows are never materialized) and recognise
@@ -52,9 +52,9 @@
 //! transformation, so it also crosses derived-table boundaries (conjuncts
 //! transpose through sub-select projections onto the base scans), and large
 //! scans run *morsel-driven*: the selected buckets are split into fixed-size
-//! row-range morsels ([`EngineConfig::morsel_rows`]) pulled by a scoped
-//! worker pool (`EngineConfig::parallel_scan`, overridable at execution time
-//! through the `MT_THREADS` environment variable). Each worker runs the
+//! row-range morsels pulled by a scoped worker pool
+//! (`EngineConfig::parallel_scan`, overridable at execution time through the
+//! `MT_THREADS` environment variable). Each worker runs the
 //! whole pipeline per morsel — predicate kernels, late materialization and,
 //! when the scan feeds a `HashAggregate`, per-worker partial aggregation
 //! states merged in morsel order — so results are bit-identical to a serial
@@ -81,11 +81,10 @@
 //!
 //! [`stats::StatsSnapshot`] exposes `rows_scanned` (rows actually visited,
 //! after pruning), `partitions_scanned` / `partitions_pruned` (bucket
-//! accounting per scan), `parallel_scans` (scans that fanned out to worker
-//! threads), `morsels_dispatched` / `morsel_workers` / `partial_agg_merges`
-//! (morsel-pool accounting: row ranges pulled by workers, workers spawned,
-//! and partial aggregate states merged back into the final aggregate),
-//! `rows_vectorized` / `late_materialized` (columnar-scan
+//! accounting per scan), `morsels_dispatched` / `morsel_workers` /
+//! `partial_agg_merges` (morsel-pool accounting: row ranges pulled by
+//! workers, workers spawned, and partial aggregate states merged back into
+//! the final aggregate), `rows_vectorized` / `late_materialized` (bucket-scan
 //! accounting: rows covered by column kernels vs. rows actually built) and
 //! the UDF call/cache counters. Pruning can be disabled per engine
 //! (`EngineConfig::partition_pruning`) to recover the full-scan baseline
@@ -141,9 +140,6 @@ pub use crate::value::Value;
 pub use crate::verify::{PlanError, PlanErrorClass};
 pub use crate::wal::{CrashMode, FailpointClock, MetaOp, WalHandle};
 
-/// Default morsel size in rows (see [`EngineConfig::morsel_rows`]).
-pub const DEFAULT_MORSEL_ROWS: usize = 4096;
-
 /// Validate the process-wide environment overrides eagerly: `MT_THREADS`
 /// (positive integer), `MT_VERIFY` (`1`/`true`/`on` or `0`/`false`/`off`)
 /// and `WAL_FAULT_MODE` (a [`CrashMode`] name). The lazy readers of these
@@ -193,43 +189,25 @@ pub struct EngineConfig {
     pub partition_pruning: bool,
     /// Maximum worker threads a single base-table scan may fan out to. `0`
     /// or `1` scans serially. Pooled scans split their selected buckets into
-    /// fixed-size row-range morsels (see [`EngineConfig::morsel_rows`])
-    /// pulled by the workers, and per-morsel outputs — row batches, or
-    /// partial aggregate states when the scan feeds a `HashAggregate` — are
-    /// merged in morsel order, so results are identical to a serial scan.
-    /// Interpreted conjuncts run hybrid on the workers (kernels first,
-    /// interpreted evaluation on survivors). The `MT_THREADS` environment
-    /// variable, when set to a positive integer, overrides this budget at
-    /// execution time for every engine in the process (deterministic
-    /// bench/CI runs force the pool on without touching deployment
-    /// configuration); `EXPLAIN` keeps reporting the configured budget.
+    /// fixed-size row-range morsels (4096 rows) pulled by the workers, and
+    /// per-morsel outputs — row batches, or partial aggregate states when
+    /// the scan feeds a `HashAggregate` — are merged in morsel order, so
+    /// results are identical to a serial scan. Scans smaller than the pool
+    /// engagement threshold (8192 rows) always run serially. The
+    /// `MT_THREADS` environment variable, when set to a positive integer,
+    /// overrides this budget at execution time for every engine in the
+    /// process (deterministic bench/CI runs force the pool on without
+    /// touching deployment configuration); `EXPLAIN` keeps reporting the
+    /// configured budget.
     pub parallel_scan: usize,
-    /// Rows per morsel — the unit of work the pool's workers pull. Smaller
-    /// morsels balance better across workers; larger ones amortize per-morsel
-    /// overhead. `0` falls back to the default (4096). Scans smaller than
-    /// one pool engagement threshold (8192 rows) always run serially.
-    pub morsel_rows: usize,
-    /// Store partition buckets in the columnar layout (typed per-column
-    /// arrays + null bitmaps) and scan them vectorized: compiled predicates
-    /// run as column kernels over a selection bitmap and only qualifying
-    /// rows are late-materialized. Disabling keeps the row layout
-    /// (`Vec<SharedRow>` buckets) — the equivalence baseline; result sets
-    /// are identical either way. One caveat: hybrid columnar scans evaluate
-    /// the compiled conjuncts before interpreted ones regardless of their
-    /// WHERE-clause order, so an interpreted conjunct that would *error*
-    /// (e.g. divide by zero) on a row a compiled conjunct rejects is never
-    /// evaluated — such a query can fail on the row layout and succeed on
-    /// the columnar one.
-    pub columnar_scan: bool,
-    /// Dictionary-encode low-cardinality string columns of columnar buckets:
-    /// a `u32` code array plus a shared sorted dictionary per column, with
-    /// automatic demotion to the plain layout past
+    /// Dictionary-encode low-cardinality string columns of the partition
+    /// buckets: a `u32` code array plus a shared sorted dictionary per
+    /// column, with automatic demotion to the plain layout past
     /// [`table::DICT_MAX_DISTINCT`] distinct values. Scans resolve string
     /// predicates against the dictionary once and compare codes
     /// ([`conjuncts::dict_filter_bitmap`]), and `GROUP BY` over dictionary
-    /// columns groups on codes. Only effective together with
-    /// `columnar_scan`; disabling keeps plain `Arc<str>` arrays — the
-    /// equivalence baseline, results are identical either way.
+    /// columns groups on codes. Disabling keeps plain `Arc<str>` arrays —
+    /// the equivalence baseline, results are identical either way.
     pub dictionary_encoding: bool,
     /// Unnest correlated sub-queries at plan time: correlated
     /// `EXISTS`/`NOT EXISTS` predicates become semi-/anti-join variants of
@@ -240,13 +218,6 @@ pub struct EngineConfig {
     /// Disabling keeps every sub-query interpreted — the equivalence
     /// baseline, results are identical either way.
     pub decorrelation: bool,
-    /// Log every mutation to a write-ahead log before applying it in
-    /// memory (see the [`wal`] module). Requires a log path, so the flag
-    /// is effective through [`Engine::open`] (which sets it); on
-    /// [`Engine::new`] it is inert — there is nowhere to write. Default
-    /// `false`: the engine stays the in-memory substrate of the earlier
-    /// PRs with zero logging overhead.
-    pub durability: bool,
     /// Run the static plan verifier ([`verify`]) over every freshly
     /// planned operator DAG (and re-check parameter bounds when a cached
     /// plan is bound): a corrupt plan is rejected with a typed
@@ -257,14 +228,6 @@ pub struct EngineConfig {
     /// mirroring `MT_THREADS`. `EXPLAIN` verifies unconditionally so its
     /// `verified` marker is identical across build profiles.
     pub verify_plans: bool,
-    /// Batch concurrent committers' fsyncs behind a single flush (see
-    /// [`wal::WalHandle`]): a committer appends its frames under a short
-    /// critical section, then parks until a flush covers its commit LSN —
-    /// whoever arrives first syncs for everyone appended meanwhile.
-    /// Disabling recovers the PR 6 behaviour (one inline fsync per commit,
-    /// writers fully serialized) as the bench baseline. Only meaningful on
-    /// durable engines.
-    pub group_commit: bool,
 }
 
 impl Default for EngineConfig {
@@ -273,13 +236,9 @@ impl Default for EngineConfig {
             cache_immutable_udfs: true,
             partition_pruning: true,
             parallel_scan: 1,
-            morsel_rows: DEFAULT_MORSEL_ROWS,
-            columnar_scan: true,
             dictionary_encoding: true,
             decorrelation: true,
-            durability: false,
             verify_plans: cfg!(debug_assertions),
-            group_commit: true,
         }
     }
 }
@@ -313,21 +272,7 @@ impl EngineConfig {
         self
     }
 
-    /// Set the morsel size in rows (builder-style). `0` keeps the default.
-    pub fn with_morsel_rows(mut self, rows: usize) -> Self {
-        self.morsel_rows = rows;
-        self
-    }
-
-    /// Disable the columnar bucket layout (builder-style): partition buckets
-    /// keep the row layout, the baseline the columnar path is verified
-    /// against.
-    pub fn without_columnar_scan(mut self) -> Self {
-        self.columnar_scan = false;
-        self
-    }
-
-    /// Disable dictionary encoding (builder-style): columnar string columns
+    /// Disable dictionary encoding (builder-style): bucket string columns
     /// keep plain `Arc<str>` arrays, the baseline the code-space kernels are
     /// verified against.
     pub fn without_dictionary_encoding(mut self) -> Self {
@@ -343,36 +288,11 @@ impl EngineConfig {
         self
     }
 
-    /// Request write-ahead logging (builder-style). Only effective when the
-    /// engine is opened against a log path ([`Engine::open`], which sets
-    /// this flag itself — the builder exists so deployment code can carry
-    /// the intent in its configuration matrix).
-    pub fn with_durability(mut self) -> Self {
-        self.durability = true;
-        self
-    }
-
     /// Force the static plan verifier on (builder-style) regardless of the
     /// build profile — release deployments that want corrupt plans rejected
     /// before execution.
     pub fn with_verify_plans(mut self) -> Self {
         self.verify_plans = true;
-        self
-    }
-
-    /// Force the static plan verifier off (builder-style) — the zero-check
-    /// baseline the `pr9_verify` bench compares against. `MT_VERIFY=1`
-    /// still overrides at execution time.
-    pub fn without_verify_plans(mut self) -> Self {
-        self.verify_plans = false;
-        self
-    }
-
-    /// Disable group commit (builder-style): every WAL commit syncs inline
-    /// under the writer lock, one fsync per transaction — the PR 6 baseline
-    /// the `pr10_txn` bench compares against.
-    pub fn without_group_commit(mut self) -> Self {
-        self.group_commit = false;
         self
     }
 }
@@ -434,24 +354,19 @@ impl Engine {
 
     /// Open a durable engine against a write-ahead log file: replay the
     /// log's committed prefix (rebuilding every table under *this*
-    /// configuration's physical layout — columnar/dictionary equivalence
-    /// makes the layout a free choice at recovery time), truncate any
+    /// configuration's physical layout — dictionary equivalence makes the
+    /// layout a free choice at recovery time), truncate any
     /// untrusted tail, and log every subsequent mutation before applying
     /// it. Catalog records found in the log are stashed for
     /// [`Engine::take_recovered_meta`]; UDFs are *not* recovered (closures
     /// don't serialize) — the host re-registers them after open.
-    pub fn open(mut config: EngineConfig, path: &Path) -> Result<Engine> {
-        config.durability = true;
+    pub fn open(config: EngineConfig, path: &Path) -> Result<Engine> {
         let mut recovery = wal::recover(path)?;
         let mut engine = Engine::new(config);
         for record in std::mem::take(&mut recovery.records) {
             engine.apply_record(record)?;
         }
-        engine.wal = Some(wal::WalHandle::open_at(
-            path,
-            &recovery,
-            config.group_commit,
-        )?);
+        engine.wal = Some(wal::WalHandle::open_at(path, &recovery)?);
         Ok(engine)
     }
 
@@ -591,8 +506,7 @@ impl Engine {
             .expect("create_table: WAL append failed"); // lint:allow(expect) documented test/setup panic
     }
 
-    /// Create (or replace) a table with owned column names. The bucket
-    /// layout follows [`EngineConfig::columnar_scan`].
+    /// Create (or replace) a table with owned column names.
     pub fn create_table_owned(&mut self, name: &str, columns: Vec<String>) -> Result<()> {
         if self.wal.is_some() {
             self.log(&[wal::Record::CreateTable {
@@ -648,8 +562,7 @@ impl Engine {
         let epoch = self.db.bump_epoch();
         self.db.create_table(name, columns);
         if let Ok(table) = self.db.table_mut(name) {
-            table.set_dictionary(self.config.columnar_scan && self.config.dictionary_encoding);
-            table.set_columnar(self.config.columnar_scan);
+            table.set_dictionary(self.config.dictionary_encoding);
             table.begin_write(epoch);
             // Replacing a table invalidates snapshots pinned on the old one.
             table.force_rewrite_epoch(epoch);
@@ -769,11 +682,6 @@ impl Engine {
         self.counters.add_partitions(scanned, pruned);
     }
 
-    /// Note one scan that ran its buckets on the parallel fast path.
-    pub(crate) fn note_parallel_scan(&self) {
-        self.counters.add_parallel_scan();
-    }
-
     /// Note one pooled scan's morsel accounting (called by the executor).
     pub(crate) fn note_morsel_scan(&self, morsels: u64, workers: u64) {
         self.counters.add_morsel_scan(morsels, workers);
@@ -822,7 +730,6 @@ impl Engine {
             rows_scanned: self.counters.rows_scanned(),
             partitions_scanned: self.counters.partitions_scanned(),
             partitions_pruned: self.counters.partitions_pruned(),
-            parallel_scans: self.counters.parallel_scans(),
             morsels_dispatched: self.counters.morsels_dispatched(),
             morsel_workers: self.counters.morsel_workers(),
             partial_agg_merges: self.counters.partial_agg_merges(),
@@ -1261,8 +1168,8 @@ impl Engine {
     }
 
     /// Load a pre-built table wholesale (used by the MT-H generator). The
-    /// bucket layout is re-encoded to follow [`EngineConfig::columnar_scan`].
-    /// On durable engines the whole batch — schema, partition declaration
+    /// buckets are re-encoded to follow
+    /// [`EngineConfig::dictionary_encoding`]. On durable engines the whole batch — schema, partition declaration
     /// and every row — is one WAL transaction.
     pub fn load_table(&mut self, mut table: Table) -> Result<()> {
         if self.wal.is_some() {
@@ -1283,8 +1190,7 @@ impl Engine {
             self.log(&records)?;
         }
         let epoch = self.db.bump_epoch();
-        table.set_dictionary(self.config.columnar_scan && self.config.dictionary_encoding);
-        table.set_columnar(self.config.columnar_scan);
+        table.set_dictionary(self.config.dictionary_encoding);
         table.begin_write(epoch);
         table.force_rewrite_epoch(epoch);
         self.db.insert_table(table);
@@ -1742,23 +1648,19 @@ mod tests {
     }
 
     /// NULL rows must satisfy neither `BETWEEN` nor `NOT BETWEEN` on every
-    /// evaluation path: the compiled fast predicate / column kernel
-    /// (constant bounds, columnar and row layouts) and the interpreter
-    /// (column-dependent bounds force `CompiledPred::Generic`), plus the
-    /// group-evaluation path (HAVING). SQL three-valued logic — PostgreSQL
-    /// filters the UNKNOWN row; this engine used to let NULLs pass
-    /// NOT BETWEEN (see ROADMAP).
+    /// evaluation path: the column kernel (partition buckets), the compiled
+    /// fast predicate (the loose row store of an unpartitioned table) and
+    /// the interpreter (column-dependent bounds force
+    /// `CompiledPred::Generic`), plus the group-evaluation path (HAVING).
+    /// SQL three-valued logic — PostgreSQL filters the UNKNOWN row.
     #[test]
     fn not_between_filters_null_rows_on_every_path() {
         for columnar in [true, false] {
-            let config = if columnar {
-                EngineConfig::default()
-            } else {
-                EngineConfig::default().without_columnar_scan()
-            };
-            let mut e = Engine::new(config);
+            let mut e = Engine::new(EngineConfig::default());
             e.create_table("t", &["ttid", "v"]);
-            e.set_table_partition("t", "ttid").unwrap();
+            if columnar {
+                e.set_table_partition("t", "ttid").unwrap();
+            }
             e.insert_values(
                 "t",
                 vec![
@@ -1770,7 +1672,7 @@ mod tests {
             )
             .unwrap();
 
-            // Compiled path (kernel on columnar, fast predicate on rows).
+            // Compiled path (kernel on buckets, fast predicate on loose rows).
             let rs = e.query("SELECT v FROM t WHERE v BETWEEN 1 AND 10").unwrap();
             assert_eq!(rs.rows, vec![vec![Value::Int(5)]], "columnar={columnar}");
             let rs = e
@@ -1801,21 +1703,22 @@ mod tests {
     /// neither `LIKE` nor `NOT LIKE`; the empty string is a real value (it
     /// matches `''` and `'%'` and satisfies `NOT LIKE 'MAIL%'`). Pinned for
     /// the interpreter (dynamic / column-dependent patterns force
-    /// `CompiledPred::Generic`), the compiled fast predicate (row layout),
-    /// the vectorized kernel (columnar layout), the dictionary bitmap path
-    /// (columnar + dictionary encoding) and the group/HAVING context —
-    /// mirroring the PR 4 `NOT BETWEEN` fix.
+    /// `CompiledPred::Generic`), the compiled fast predicate (the loose row
+    /// store of an unpartitioned table), the vectorized kernel (plain
+    /// buckets), the dictionary bitmap path (dictionary-encoded buckets)
+    /// and the group/HAVING context — mirroring the `NOT BETWEEN` fix.
     #[test]
     fn like_three_valued_logic_on_every_path() {
         for (dict, columnar) in [(true, true), (false, true), (false, false)] {
             let config = EngineConfig {
                 dictionary_encoding: dict,
-                columnar_scan: columnar,
                 ..EngineConfig::default()
             };
             let mut e = Engine::new(config);
             e.create_table("t", &["ttid", "s"]);
-            e.set_table_partition("t", "ttid").unwrap();
+            if columnar {
+                e.set_table_partition("t", "ttid").unwrap();
+            }
             e.insert_values(
                 "t",
                 vec![
@@ -1977,6 +1880,68 @@ mod tests {
         assert_eq!(base_stats.dict_kernel_rows, 0);
         assert!(dict_explain.contains("dict"), "{dict_explain}");
         assert!(!base_explain.contains("dict"), "{base_explain}");
+    }
+
+    /// Q21 shape: a correlated `EXISTS` with a non-equi correlation, which
+    /// the decorrelator refuses, re-scans the inner bucket once per outer
+    /// row. Every rescan goes through the same kernels-then-materialize
+    /// routine, so each charges the same counters: `rows_scanned` grows by
+    /// the bucket length and `late_materialized` by the fast predicate's
+    /// survivors, however many times the bucket was scanned before.
+    #[test]
+    fn correlated_rescans_charge_every_scan_alike() {
+        for outer_rows in [3i64, 6] {
+            let mut e = Engine::new(EngineConfig::default());
+            e.create_table("o", &["ttid", "k", "v"]);
+            e.set_table_partition("o", "ttid").unwrap();
+            e.create_table("i", &["ttid", "k", "v", "flag"]);
+            e.set_table_partition("i", "ttid").unwrap();
+            e.insert_values(
+                "o",
+                (0..outer_rows)
+                    .map(|k| vec![Value::Int(1), Value::Int(k), Value::Int(k % 2)])
+                    .collect(),
+            )
+            .unwrap();
+            // 40 inner rows, every other one flagged 'x'; only the flagged
+            // ones survive the fast predicate and get materialized.
+            let inner: Vec<Row> = (0..40)
+                .map(|n| {
+                    let flag = if n % 2 == 0 { "x" } else { "y" };
+                    vec![
+                        Value::Int(1),
+                        Value::Int(n % 8),
+                        Value::Int(n % 3),
+                        Value::str(flag),
+                    ]
+                })
+                .collect();
+            e.insert_values("i", inner.clone()).unwrap();
+            e.reset_stats();
+            let rs = e
+                .query(
+                    "SELECT k FROM o WHERE ttid = 1 AND EXISTS (\
+                       SELECT 1 FROM i WHERE i.ttid = 1 AND i.flag = 'x' \
+                       AND i.k = o.k AND i.v <> o.v) ORDER BY k",
+                )
+                .unwrap();
+            let expected: Vec<Row> = (0..outer_rows)
+                .filter(|&k| {
+                    inner.iter().any(|r| {
+                        r[3] == Value::str("x")
+                            && r[1] == Value::Int(k)
+                            && r[2] != Value::Int(k % 2)
+                    })
+                })
+                .map(|k| vec![Value::Int(k)])
+                .collect();
+            assert!(!expected.is_empty() && rs.rows == expected, "{rs:?}");
+            let stats = e.stats();
+            let rescans = outer_rows as u64;
+            assert_eq!(stats.subqueries_unnested, 0, "must stay interpreted");
+            assert_eq!(stats.rows_scanned, rescans + rescans * 40);
+            assert_eq!(stats.late_materialized, rescans + rescans * 20);
+        }
     }
 
     #[test]

@@ -986,8 +986,10 @@ fn scan_pool_workers(engine: &Engine, scan: &SeqScan) -> Option<usize> {
         None => table.partitions().map(|(_, b)| b.len()).collect(),
     };
     let total: usize = selected.iter().sum();
-    let step = crate::exec::morsel_rows(&engine.config()).max(1);
-    let morsels: usize = selected.iter().map(|len| len.div_ceil(step)).sum();
+    let morsels: usize = selected
+        .iter()
+        .map(|len| len.div_ceil(crate::exec::MORSEL_ROWS))
+        .sum();
     Some(crate::exec::scan_worker_count(budget, morsels, total))
 }
 
@@ -1049,13 +1051,13 @@ fn render(engine: &Engine, plan: &Plan, depth: usize, out: &mut String) {
                     join_exprs(&scan.param_pruning)
                 ));
             }
-            // `vectorized` marks scans over columnar buckets: predicates run
+            // `vectorized` marks scans over partition buckets: predicates run
             // as column kernels, rows late-materialize. A hybrid scan runs
             // the compiled conjuncts vectorized and interprets the rest on
             // the surviving rows.
             let compiles_fast = Executor::new(engine).scan_compiles_fast(scan);
             if let Ok(table) = engine.database().table(&scan.table) {
-                if table.is_columnar() && table.partition_count() > 0 {
+                if table.partition_count() > 0 {
                     if compiles_fast {
                         notes.push("vectorized".to_string());
                     } else {

@@ -19,12 +19,10 @@ pub struct StatsSnapshot {
     pub partitions_scanned: u64,
     /// Partition buckets skipped entirely thanks to `ttid` scope predicates.
     pub partitions_pruned: u64,
-    /// Base-table scans that fanned their buckets out to worker threads.
-    pub parallel_scans: u64,
     /// Fixed-size row-range morsels dispatched to the worker pool. Every
     /// pooled scan (and pooled aggregation) splits its selected buckets into
-    /// morsels of [`crate::EngineConfig::morsel_rows`] rows; this counts the
-    /// morsels actually pulled by workers.
+    /// 4096-row morsels; this counts the morsels actually pulled by workers
+    /// (non-zero exactly when a scan fanned out to worker threads).
     pub morsels_dispatched: u64,
     /// Worker threads spawned by pooled scans, accumulated per scan (a scan
     /// running 3 workers adds 3). `morsels_dispatched / morsel_workers` is
@@ -36,14 +34,12 @@ pub struct StatsSnapshot {
     /// merge row batches, not aggregate states).
     pub partial_agg_merges: u64,
     /// Rows whose scan predicates were evaluated column-at-a-time by the
-    /// vectorized kernels (columnar buckets only).
+    /// vectorized kernels (partition buckets; loose rows are row-form).
     pub rows_vectorized: u64,
-    /// Rows built into `SharedRow`s from columnar buckets: rows that
-    /// qualified a vectorized scan, plus the one-time full-bucket builds of
-    /// the repeated-scan row cache. Rows a selective scan filtered out
+    /// Rows built into `SharedRow`s from partition buckets: the rows that
+    /// qualified a vectorized scan. Rows a selective scan filtered out
     /// column-at-a-time were never built at all — `rows_scanned /
-    /// late_materialized` is the materialization reduction the `pr3`
-    /// bench reports.
+    /// late_materialized` is the materialization reduction.
     pub late_materialized: u64,
     /// Rows processed through dictionary *code space*: per-predicate rows
     /// whose filter ran as a code-comparison kernel (the predicate resolved
@@ -74,9 +70,7 @@ pub struct StatsSnapshot {
     /// cached plan).
     pub prepared_cache_misses: u64,
     /// Plans accepted by the static verifier ([`crate::verify`]) before
-    /// execution. Zero when [`crate::EngineConfig::verify_plans`] is off —
-    /// the `pr9_verify` bench reads this to prove the verifier actually
-    /// engaged on the measured leg.
+    /// execution. Zero when [`crate::EngineConfig::verify_plans`] is off.
     pub plans_verified: u64,
     /// Multi-statement transactions published ([`crate::Engine::txn_publish`]).
     pub txn_commits: u64,
@@ -88,9 +82,9 @@ pub struct StatsSnapshot {
     /// from the WAL writer, *not* cleared by [`crate::Engine::reset_stats`];
     /// window with [`StatsSnapshot::delta_from`].
     pub wal_commits: u64,
-    /// fsync (`sync_data`) calls issued by the WAL writer. With group commit
-    /// on and concurrent committers, `wal_fsyncs / wal_commits` drops below
-    /// one — the batching the `pr10_txn` bench measures. Same gauge
+    /// fsync (`sync_data`) calls issued by the WAL writer. With concurrent
+    /// committers, `wal_fsyncs / wal_commits` drops below one (group
+    /// commit); a lone committer issues exactly one per commit. Same gauge
     /// semantics as [`StatsSnapshot::wal_commits`].
     pub wal_fsyncs: u64,
 }
@@ -108,7 +102,6 @@ impl StatsSnapshot {
             partitions_pruned: self
                 .partitions_pruned
                 .saturating_sub(before.partitions_pruned),
-            parallel_scans: self.parallel_scans.saturating_sub(before.parallel_scans),
             morsels_dispatched: self
                 .morsels_dispatched
                 .saturating_sub(before.morsels_dispatched),
@@ -152,7 +145,6 @@ pub struct EngineCounters {
     rows_scanned: AtomicU64,
     partitions_scanned: AtomicU64,
     partitions_pruned: AtomicU64,
-    parallel_scans: AtomicU64,
     morsels_dispatched: AtomicU64,
     morsel_workers: AtomicU64,
     partial_agg_merges: AtomicU64,
@@ -198,16 +190,6 @@ impl EngineCounters {
     /// Current pruned-bucket count.
     pub fn partitions_pruned(&self) -> u64 {
         self.partitions_pruned.load(Ordering::Relaxed)
-    }
-
-    /// Record one scan executed on the parallel fast path.
-    pub fn add_parallel_scan(&self) {
-        self.parallel_scans.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Current parallel-scan count.
-    pub fn parallel_scans(&self) -> u64 {
-        self.parallel_scans.load(Ordering::Relaxed)
     }
 
     /// Record one pooled scan's morsel accounting: morsels dispatched and
@@ -330,7 +312,6 @@ impl EngineCounters {
         self.rows_scanned.store(0, Ordering::Relaxed);
         self.partitions_scanned.store(0, Ordering::Relaxed);
         self.partitions_pruned.store(0, Ordering::Relaxed);
-        self.parallel_scans.store(0, Ordering::Relaxed);
         self.morsels_dispatched.store(0, Ordering::Relaxed);
         self.morsel_workers.store(0, Ordering::Relaxed);
         self.partial_agg_merges.store(0, Ordering::Relaxed);

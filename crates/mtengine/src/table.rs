@@ -7,24 +7,16 @@
 //! integer value, and the executor can skip entire foreign-tenant buckets
 //! when the query carries a `ttid = k` / `ttid IN (...)` scope predicate.
 //!
-//! # Bucket layouts
+//! # Bucket layout
 //!
-//! Each partition bucket stores its rows in one of two physical layouts,
-//! chosen per table by [`Table::set_columnar`]:
-//!
-//! * **Row buckets** (`Bucket::Rows`) — a `Vec<SharedRow>`; every row already
-//!   exists as an `Arc<[Value]>` and scans clone pointers. This is the
-//!   equivalence baseline (`EngineConfig::columnar_scan = false`).
-//! * **Columnar buckets** (`Bucket::Columnar`) — one typed [`ColumnVec`]
-//!   array per column (`i64` / `f64` / `Arc<str>` / `bool` / date days) plus
-//!   a null bitmap. Scans evaluate compiled predicates column-at-a-time over
-//!   a selection bitmap and *late-materialize* a `SharedRow` only for the
-//!   qualifying row ids.
-//!
-//! Both layouts are read through the [`BucketRead`] trait, so operators that
-//! do not care about the layout (DML, generic filters) stay layout-agnostic.
-//! Loose rows (non-integer partition keys, unpartitioned tables) always use
-//! the row layout.
+//! Each partition bucket is a [`ColumnBucket`]: one typed [`ColumnVec`]
+//! array per column (`i64` / `f64` / `Arc<str>` / `bool` / date days, or
+//! `u32` dictionary codes) plus a null bitmap. Scans evaluate compiled
+//! predicates column-at-a-time over a selection bitmap and
+//! *late-materialize* a `SharedRow` only for the qualifying row ids. Loose
+//! rows (non-integer partition keys, unpartitioned tables) are stored in row
+//! form, every row already an `Arc<[Value]>` — the row-form reference the
+//! column kernels are checked against.
 //!
 //! # Snapshot watermarks
 //!
@@ -405,8 +397,8 @@ impl Column {
     }
 }
 
-/// A partition bucket in the columnar layout: one [`Column`] per table
-/// column, all of the same length.
+/// A partition bucket: one [`Column`] per table column, all of the same
+/// length.
 #[derive(Debug, Clone)]
 pub struct ColumnBucket {
     len: usize,
@@ -482,146 +474,24 @@ impl ColumnBucket {
     pub fn column(&self, col: usize) -> &Column {
         &self.columns[col]
     }
-}
-
-/// Read access to one bucket's rows, independent of the physical layout.
-/// Implemented by row slices and by [`ColumnBucket`], so scan fallbacks and
-/// DML stay layout-agnostic. All implementations are pure reads
-/// (`Send + Sync` data), which is what lets parallel scan workers share them.
-pub trait BucketRead: Sync {
-    /// Number of rows in the bucket.
-    fn row_count(&self) -> usize;
 
     /// The value at (`row`, `col`), owned (cheap: `Arc` bump for strings).
-    fn value(&self, row: usize, col: usize) -> Value;
-
-    /// The full row as a [`SharedRow`]. Row buckets clone the existing
-    /// pointer; columnar buckets build the row (*late materialization*).
-    fn materialize(&self, row: usize) -> SharedRow;
-}
-
-impl BucketRead for Vec<SharedRow> {
-    fn row_count(&self) -> usize {
-        self.len()
-    }
-
-    fn value(&self, row: usize, col: usize) -> Value {
-        self[row][col].clone()
-    }
-
-    fn materialize(&self, row: usize) -> SharedRow {
-        SharedRow::clone(&self[row])
-    }
-}
-
-impl BucketRead for ColumnBucket {
-    fn row_count(&self) -> usize {
-        self.len
-    }
-
-    fn value(&self, row: usize, col: usize) -> Value {
+    pub(crate) fn value(&self, row: usize, col: usize) -> Value {
         self.columns[col].value(row)
     }
 
-    fn materialize(&self, row: usize) -> SharedRow {
+    /// Build the full row as a [`SharedRow`] (*late materialization*).
+    pub(crate) fn materialize(&self, row: usize) -> SharedRow {
         self.columns
             .iter()
             .map(|c| c.value(row))
             .collect::<Vec<_>>()
             .into()
     }
-}
 
-/// One partition bucket, in either physical layout.
-#[derive(Debug, Clone)]
-pub enum Bucket {
-    /// Row layout: every row pre-materialized as a [`SharedRow`].
-    Rows(Vec<SharedRow>),
-    /// Columnar layout: typed per-column arrays, rows materialized on demand.
-    Columnar(ColumnBucket),
-}
-
-impl Bucket {
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        match self {
-            Bucket::Rows(rows) => rows.len(),
-            Bucket::Columnar(cols) => cols.len(),
-        }
-    }
-
-    /// `true` when the bucket holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Layout-agnostic read access.
-    pub fn reader(&self) -> &dyn BucketRead {
-        match self {
-            Bucket::Rows(rows) => rows,
-            Bucket::Columnar(cols) => cols,
-        }
-    }
-
-    /// The columnar form, when this bucket uses it.
-    pub fn as_columns(&self) -> Option<&ColumnBucket> {
-        match self {
-            Bucket::Columnar(cols) => Some(cols),
-            Bucket::Rows(_) => None,
-        }
-    }
-
-    /// The row form, when this bucket uses it.
-    pub fn as_rows(&self) -> Option<&[SharedRow]> {
-        match self {
-            Bucket::Rows(rows) => Some(rows),
-            Bucket::Columnar(_) => None,
-        }
-    }
-
-    /// Append one row, applying dictionary transitions of columnar buckets
-    /// to `dict_buckets` (see [`ColumnBucket::push_row_tracked`]).
-    fn push(&mut self, row: SharedRow, dict_buckets: &mut [u32]) {
-        match self {
-            Bucket::Rows(rows) => rows.push(row),
-            Bucket::Columnar(cols) => cols.push_row_tracked(&row, dict_buckets),
-        }
-    }
-
-    /// Drop every row past `len` (rollback of appended rows).
-    fn truncate(&mut self, len: usize) {
-        match self {
-            Bucket::Rows(rows) => rows.truncate(len),
-            Bucket::Columnar(cols) => cols.truncate(len),
-        }
-    }
-
-    /// Iterate over the bucket's rows as [`SharedRow`]s (materializing for
-    /// columnar buckets).
-    pub fn iter_rows(&self) -> BucketRows<'_> {
-        BucketRows {
-            bucket: self.reader(),
-            next: 0,
-        }
-    }
-}
-
-/// Iterator over a bucket's rows as [`SharedRow`]s (see [`Bucket::iter_rows`]).
-pub struct BucketRows<'a> {
-    bucket: &'a dyn BucketRead,
-    next: usize,
-}
-
-impl Iterator for BucketRows<'_> {
-    type Item = SharedRow;
-
-    fn next(&mut self) -> Option<SharedRow> {
-        if self.next >= self.bucket.row_count() {
-            return None;
-        }
-        let row = self.bucket.materialize(self.next);
-        self.next += 1;
-        Some(row)
+    /// Iterate over the bucket's rows, materializing each.
+    fn rows(&self) -> impl Iterator<Item = SharedRow> + '_ {
+        (0..self.len).map(|i| self.materialize(i))
     }
 }
 
@@ -694,7 +564,7 @@ impl Snapshot {
 /// committed floor stays servable (see the module docs on rewrite shadows).
 #[derive(Debug, Clone, Default)]
 pub struct RewriteShadow {
-    buckets: BTreeMap<i64, Bucket>,
+    buckets: BTreeMap<i64, ColumnBucket>,
     loose: Vec<SharedRow>,
     bucket_marks: BTreeMap<i64, Vec<(u64, u32)>>,
     loose_marks: Vec<(u64, u32)>,
@@ -706,8 +576,7 @@ pub struct RewriteShadow {
 }
 
 /// An in-memory table: named columns plus rows, optionally bucketed by a
-/// partition column, with per-bucket storage in either the row or the
-/// columnar layout (see the module docs).
+/// partition column into columnar buckets (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     /// Table name as registered.
@@ -716,9 +585,7 @@ pub struct Table {
     pub columns: Vec<String>,
     /// Index of the partition column, when declared.
     partition_col: Option<usize>,
-    /// Store partition buckets in the columnar layout?
-    columnar: bool,
-    /// Dictionary-encode low-cardinality string columns of columnar buckets?
+    /// Dictionary-encode low-cardinality string columns of the buckets?
     dict: bool,
     /// Per table column: number of partition buckets currently
     /// dictionary-encoding it. Maintained incrementally from the column
@@ -727,10 +594,10 @@ pub struct Table {
     /// O(width) instead of a walk over every bucket.
     dict_bucket_cols: Vec<u32>,
     /// Rows bucketed by partition-key value (partitioned tables only).
-    buckets: BTreeMap<i64, Bucket>,
+    buckets: BTreeMap<i64, ColumnBucket>,
     /// Rows of unpartitioned tables, plus rows of partitioned tables whose
     /// partition key is not an integer (never produced by the MT layout, but
-    /// kept correct regardless). Always row layout.
+    /// kept correct regardless). Row form.
     loose: Vec<SharedRow>,
     /// Per bucket: `(epoch, len)` watermarks in epoch order — the bucket
     /// length after the last push of each writing epoch (see the module
@@ -750,13 +617,12 @@ pub struct Table {
 }
 
 impl Table {
-    /// Create an empty table (row layout).
+    /// Create an empty, unpartitioned table.
     pub fn new(name: impl Into<String>, columns: Vec<String>) -> Self {
         Table {
             name: name.into(),
             columns,
             partition_col: None,
-            columnar: false,
             dict: false,
             dict_bucket_cols: Vec::new(),
             buckets: BTreeMap::new(),
@@ -952,42 +818,19 @@ impl Table {
         true
     }
 
-    /// Switch the partition buckets between the row and the columnar layout,
-    /// re-encoding any existing rows. Loose rows always stay in row form.
-    pub fn set_columnar(&mut self, columnar: bool) {
-        if columnar == self.columnar {
-            return;
-        }
-        let rows = self.take_rows();
-        self.columnar = columnar;
-        for row in rows {
-            self.push_shared(row);
-        }
-    }
-
-    /// Do the partition buckets use the columnar layout?
-    pub fn is_columnar(&self) -> bool {
-        self.columnar
-    }
-
-    /// Enable or disable dictionary encoding for the string columns of
-    /// columnar buckets, re-encoding any existing rows. A no-op on the row
-    /// layout (the flag still sticks and applies if the table later switches
-    /// to columnar buckets).
+    /// Enable or disable dictionary encoding for the string columns of the
+    /// partition buckets, re-encoding any existing rows.
     pub fn set_dictionary(&mut self, dict: bool) {
         if dict == self.dict {
             return;
         }
         self.dict = dict;
-        if self.columnar {
-            let rows = self.take_rows();
-            for row in rows {
-                self.push_shared(row);
-            }
+        for row in self.take_rows() {
+            self.push_shared(row);
         }
     }
 
-    /// Is dictionary encoding enabled for this table's columnar buckets?
+    /// Is dictionary encoding enabled for this table's buckets?
     pub fn is_dictionary(&self) -> bool {
         self.dict
     }
@@ -1011,17 +854,17 @@ impl Table {
     }
 
     /// One partition bucket by key.
-    pub fn partition(&self, key: i64) -> Option<&Bucket> {
+    pub fn partition(&self, key: i64) -> Option<&ColumnBucket> {
         self.buckets.get(&key)
     }
 
     /// Number of rows in one partition bucket (0 for absent keys).
     pub fn partition_len(&self, key: i64) -> usize {
-        self.buckets.get(&key).map_or(0, Bucket::len)
+        self.buckets.get(&key).map_or(0, ColumnBucket::len)
     }
 
     /// Iterate over `(key, bucket)` of every partition bucket, in key order.
-    pub fn partitions(&self) -> impl Iterator<Item = (i64, &Bucket)> {
+    pub fn partitions(&self) -> impl Iterator<Item = (i64, &ColumnBucket)> {
         self.buckets.iter().map(|(k, v)| (*k, v))
     }
 
@@ -1053,21 +896,18 @@ impl Table {
                 Some(Value::Int(key)) => {
                     let key = *key;
                     let width = self.columns.len();
-                    let columnar = self.columnar;
                     let dict = self.dict;
                     if self.dict_bucket_cols.len() != width {
                         self.dict_bucket_cols = vec![0; width];
                     }
                     let bucket = self.buckets.entry(key).or_insert_with(|| {
-                        if columnar && dict {
-                            Bucket::Columnar(ColumnBucket::with_dictionary(width))
-                        } else if columnar {
-                            Bucket::Columnar(ColumnBucket::new(width))
+                        if dict {
+                            ColumnBucket::with_dictionary(width)
                         } else {
-                            Bucket::Rows(Vec::new())
+                            ColumnBucket::new(width)
                         }
                     });
-                    bucket.push(row, &mut self.dict_bucket_cols);
+                    bucket.push_row_tracked(&row, &mut self.dict_bucket_cols);
                     let len = bucket.len() as u32;
                     Self::mark(self.bucket_marks.entry(key).or_default(), epoch, len);
                 }
@@ -1108,7 +948,7 @@ impl Table {
     /// entirely — it was created by the statement being undone.
     pub fn truncate_bucket(&mut self, key: i64, existed: bool, len: u32, marks: u32) {
         if !existed {
-            if let Some(Bucket::Columnar(cols)) = self.buckets.remove(&key).as_ref() {
+            if let Some(cols) = self.buckets.remove(&key) {
                 for col in 0..self.columns.len() {
                     if cols.column(col).is_dict() {
                         if let Some(c) = self.dict_bucket_cols.get_mut(col) {
@@ -1140,12 +980,12 @@ impl Table {
         }
     }
 
-    /// Iterate over all rows: partition buckets in key order, then loose
-    /// rows. Rows from columnar buckets are materialized on the fly.
+    /// Iterate over all rows: partition buckets in key order (materialized
+    /// on the fly), then loose rows.
     pub fn rows(&self) -> impl Iterator<Item = SharedRow> + '_ {
         self.buckets
             .values()
-            .flat_map(Bucket::iter_rows)
+            .flat_map(ColumnBucket::rows)
             .chain(self.loose.iter().cloned())
     }
 
@@ -1154,10 +994,7 @@ impl Table {
     pub fn take_rows(&mut self) -> Vec<SharedRow> {
         let mut out: Vec<SharedRow> = Vec::with_capacity(self.len());
         for bucket in std::mem::take(&mut self.buckets).into_values() {
-            match bucket {
-                Bucket::Rows(rows) => out.extend(rows),
-                Bucket::Columnar(cols) => out.extend((0..cols.len()).map(|i| cols.materialize(i))),
-            }
+            out.extend(bucket.rows());
         }
         // No buckets left ⇒ no dictionary-encoded columns left.
         self.dict_bucket_cols.clear();
@@ -1172,12 +1009,12 @@ impl Table {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.buckets.values().map(Bucket::len).sum::<usize>() + self.loose.len()
+        self.buckets.values().map(ColumnBucket::len).sum::<usize>() + self.loose.len()
     }
 
     /// `true` when the table holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.loose.is_empty() && self.buckets.values().all(Bucket::is_empty)
+        self.loose.is_empty() && self.buckets.values().all(ColumnBucket::is_empty)
     }
 }
 
@@ -1197,7 +1034,7 @@ pub struct TableRead<'t> {
 }
 
 impl<'t> TableRead<'t> {
-    fn buckets(&self) -> &'t BTreeMap<i64, Bucket> {
+    fn buckets(&self) -> &'t BTreeMap<i64, ColumnBucket> {
         match self.shadow {
             Some(s) => &s.buckets,
             None => &self.table.buckets,
@@ -1213,7 +1050,7 @@ impl<'t> TableRead<'t> {
     }
 
     /// Iterate over `(key, bucket)` of every partition bucket, in key order.
-    pub fn partitions(&self) -> impl Iterator<Item = (i64, &'t Bucket)> + '_ {
+    pub fn partitions(&self) -> impl Iterator<Item = (i64, &'t ColumnBucket)> + '_ {
         self.buckets().iter().map(|(k, b)| (*k, b))
     }
 
@@ -1224,7 +1061,7 @@ impl<'t> TableRead<'t> {
 
     /// Rows of bucket `key` visible to the reader's snapshot.
     pub fn visible_bucket_len(&self, key: i64) -> usize {
-        let full = self.buckets().get(&key).map_or(0, Bucket::len);
+        let full = self.buckets().get(&key).map_or(0, ColumnBucket::len);
         match &self.snapshot {
             None => full,
             Some(s) => s.visible_len(self.bucket_marks(key), full),
@@ -1499,7 +1336,6 @@ mod tests {
     fn columnar_table() -> Table {
         let mut t = Table::new("t", vec!["ttid".into(), "v".into(), "s".into()]);
         t.set_partition_column(Some("ttid"));
-        t.set_columnar(true);
         t
     }
 
@@ -1514,11 +1350,9 @@ mod tests {
         for r in rows.clone() {
             t.push_row(r).unwrap();
         }
-        assert!(t.is_columnar());
-        assert!(matches!(t.partition(1), Some(Bucket::Columnar(_))));
         let bucket1 = t.partition(1).unwrap();
         assert_eq!(bucket1.len(), 2);
-        assert_eq!(bucket1.reader().materialize(1).as_ref(), rows[2].as_slice());
+        assert_eq!(bucket1.materialize(1).as_ref(), rows[2].as_slice());
         // The full-row iterator materializes in bucket order.
         let all: Vec<Vec<Value>> = t.rows().map(|r| r.to_vec()).collect();
         assert_eq!(all, vec![rows[0].clone(), rows[2].clone(), rows[1].clone()]);
@@ -1532,7 +1366,7 @@ mod tests {
         // `v` flips from Int to Str: the column demotes to Mixed.
         t.push_row(vec![Value::Int(1), Value::str("oops"), Value::str("b")])
             .unwrap();
-        let bucket = t.partition(1).unwrap().as_columns().unwrap();
+        let bucket = t.partition(1).unwrap();
         assert!(matches!(bucket.column(1).data(), ColumnVec::Mixed(_)));
         assert_eq!(bucket.value(0, 1), Value::Int(10));
         assert_eq!(bucket.value(1, 1), Value::str("oops"));
@@ -1545,7 +1379,7 @@ mod tests {
             .unwrap();
         t.push_row(vec![Value::Int(1), Value::Int(7), Value::str("x")])
             .unwrap();
-        let bucket = t.partition(1).unwrap().as_columns().unwrap();
+        let bucket = t.partition(1).unwrap();
         assert!(bucket.column(1).is_null(0));
         assert!(!bucket.column(1).is_null(1));
         assert_eq!(bucket.value(0, 1), Value::Null);
@@ -1558,7 +1392,6 @@ mod tests {
         let mut t = Table::new("t", vec!["ttid".into(), "s".into()]);
         t.set_partition_column(Some("ttid"));
         t.set_dictionary(true);
-        t.set_columnar(true);
         t
     }
 
@@ -1568,7 +1401,7 @@ mod tests {
         for s in ["MAIL", "SHIP", "AIR", "MAIL", "RAIL", "AIR"] {
             t.push_row(vec![Value::Int(1), Value::str(s)]).unwrap();
         }
-        let bucket = t.partition(1).unwrap().as_columns().unwrap();
+        let bucket = t.partition(1).unwrap();
         assert_eq!(bucket.dict_column_count(), 1);
         let ColumnVec::Dict(d) = bucket.column(1).data() else {
             panic!(
@@ -1603,7 +1436,7 @@ mod tests {
         }
         let all: Vec<Vec<Value>> = t.rows().map(|r| r.to_vec()).collect();
         assert_eq!(all, rows);
-        let bucket = t.partition(1).unwrap().as_columns().unwrap();
+        let bucket = t.partition(1).unwrap();
         assert!(bucket.column(1).is_null(0));
         assert!(bucket.column(1).is_null(2));
         assert_eq!(bucket.value(3, 1), Value::str(""));
@@ -1617,12 +1450,12 @@ mod tests {
             .collect();
         for (n, r) in rows.clone().into_iter().enumerate() {
             t.push_row(r).unwrap();
-            let bucket = t.partition(1).unwrap().as_columns().unwrap();
+            let bucket = t.partition(1).unwrap();
             let is_dict = bucket.column(1).is_dict();
             // Exactly the (threshold + 1)-th distinct value demotes.
             assert_eq!(is_dict, n < DICT_MAX_DISTINCT, "after {} rows", n + 1);
         }
-        let bucket = t.partition(1).unwrap().as_columns().unwrap();
+        let bucket = t.partition(1).unwrap();
         assert!(matches!(bucket.column(1).data(), ColumnVec::Str(_)));
         assert_eq!(t.dict_column_count(), 0);
         // Every value survived the demotion, in order.
@@ -1638,7 +1471,7 @@ mod tests {
             t.push_row(vec![Value::Int(1), Value::str(format!("v{i:05}"))])
                 .unwrap();
         }
-        let bucket = t.partition(1).unwrap().as_columns().unwrap();
+        let bucket = t.partition(1).unwrap();
         assert!(matches!(bucket.column(1).data(), ColumnVec::Str(_)));
         assert_eq!(bucket.value(0, 1), Value::Null);
         assert_eq!(bucket.value(1, 1), Value::str("v00000"));
@@ -1649,7 +1482,7 @@ mod tests {
         let mut t = dict_table();
         t.push_row(vec![Value::Int(1), Value::str("a")]).unwrap();
         t.push_row(vec![Value::Int(1), Value::Int(7)]).unwrap();
-        let bucket = t.partition(1).unwrap().as_columns().unwrap();
+        let bucket = t.partition(1).unwrap();
         assert!(matches!(bucket.column(1).data(), ColumnVec::Mixed(_)));
         assert_eq!(bucket.value(0, 1), Value::str("a"));
         assert_eq!(bucket.value(1, 1), Value::Int(7));
@@ -1659,7 +1492,6 @@ mod tests {
     fn set_dictionary_re_encodes_existing_buckets_both_ways() {
         let mut t = Table::new("t", vec!["ttid".into(), "s".into()]);
         t.set_partition_column(Some("ttid"));
-        t.set_columnar(true);
         for s in ["x", "y", "x"] {
             t.push_row(vec![Value::Int(1), Value::str(s)]).unwrap();
         }
@@ -1787,23 +1619,5 @@ mod tests {
         // now invalid, exactly like a non-transactional rewrite.
         assert!(!t.snapshot_servable(1));
         assert!(t.snapshot_servable(3));
-    }
-
-    #[test]
-    fn set_columnar_re_encodes_existing_buckets_both_ways() {
-        let mut t = Table::new("t", vec!["ttid".into(), "v".into()]);
-        t.set_partition_column(Some("ttid"));
-        for (tenant, v) in [(1, 10), (2, 20), (1, 11)] {
-            t.push_row(tenant_row(tenant, v)).unwrap();
-        }
-        let before: Vec<Vec<Value>> = t.rows().map(|r| r.to_vec()).collect();
-        t.set_columnar(true);
-        assert!(matches!(t.partition(1), Some(Bucket::Columnar(_))));
-        let columnar: Vec<Vec<Value>> = t.rows().map(|r| r.to_vec()).collect();
-        assert_eq!(before, columnar);
-        t.set_columnar(false);
-        assert!(matches!(t.partition(1), Some(Bucket::Rows(_))));
-        let back: Vec<Vec<Value>> = t.rows().map(|r| r.to_vec()).collect();
-        assert_eq!(before, back);
     }
 }

@@ -24,7 +24,7 @@
 //! [`Engine::txn_execute_statement`] and the sub-queries of UPDATE / DELETE
 //! predicates — pin a *transaction-scoped* snapshot: the committed floor
 //! plus the transaction's own statement epochs
-//! ([`crate::exec::Executor::pin_txn_snapshot`]). The transaction sees its
+//! (`Executor::pin_txn_snapshot`). The transaction sees its
 //! own staged rows but never another open transaction's.
 //!
 //! `COMMIT` appends all staged records plus one commit marker to the WAL as

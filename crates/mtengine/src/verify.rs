@@ -770,25 +770,21 @@ impl Verifier<'_> {
                 if idx >= table.columns.len() {
                     return TypeClass::Unknown;
                 }
-                for (_, bucket) in table.partitions() {
-                    if bucket.is_empty() {
-                        continue;
-                    }
-                    if let Some(cols) = bucket.as_columns() {
-                        return match cols.column(idx).data() {
-                            ColumnVec::Str(_) | ColumnVec::Dict(_) => TypeClass::Str,
-                            ColumnVec::Int(_)
-                            | ColumnVec::Float(_)
-                            | ColumnVec::Bool(_)
-                            | ColumnVec::Date(_) => TypeClass::Num,
-                            ColumnVec::Untyped | ColumnVec::Mixed(_) => TypeClass::Unknown,
-                        };
-                    }
+                if let Some((_, cols)) = table.partitions().find(|(_, b)| !b.is_empty()) {
+                    return match cols.column(idx).data() {
+                        ColumnVec::Str(_) | ColumnVec::Dict(_) => TypeClass::Str,
+                        ColumnVec::Int(_)
+                        | ColumnVec::Float(_)
+                        | ColumnVec::Bool(_)
+                        | ColumnVec::Date(_) => TypeClass::Num,
+                        ColumnVec::Untyped | ColumnVec::Mixed(_) => TypeClass::Unknown,
+                    };
                 }
-                // Row-form storage (unpartitioned tables, or columnar scans
-                // disabled): sample the first stored value instead.
+                // Loose-row storage (unpartitioned tables): sample the first
+                // stored value instead.
                 table
-                    .rows()
+                    .loose_rows()
+                    .iter()
                     .find_map(|row| match row.get(idx) {
                         Some(crate::Value::Str(_)) => Some(TypeClass::Str),
                         Some(

@@ -22,7 +22,7 @@
 //! the whole file. [`recover`] replays committed transactions in order and
 //! stops at the first torn, short or checksum-failing frame — everything
 //! after the last durable commit marker is discarded (and truncated away on
-//! the next [`Wal::open_at`]), which is exactly the committed-prefix
+//! the next [`WalHandle::open_at`]), which is exactly the committed-prefix
 //! contract the crash harness in `tests/wal_recovery.rs` pins.
 //!
 //! # Crash-fault injection
@@ -736,152 +736,7 @@ impl FailpointClock {
 // Writer
 // ---------------------------------------------------------------------------
 
-/// The append side of the WAL. One transaction per [`Wal::commit`] call:
-/// the records, a commit marker, then `fsync`. After a simulated crash the
-/// writer is permanently dead (every call fails with a
-/// [`Poisoned`](EngineErrorKind::Poisoned) error).
-pub struct Wal {
-    file: File,
-    next_lsn: u64,
-    /// Current write offset.
-    len: u64,
-    /// Offset known durable (through the last successful sync).
-    synced_len: u64,
-    clock: Option<Arc<FailpointClock>>,
-    dead: bool,
-}
-
-impl Wal {
-    /// Open (or create) the log for appending after [`recover`]: the file
-    /// is truncated to the committed prefix (discarding any untrusted
-    /// tail) and LSNs continue after the last committed one.
-    pub fn open_at(path: &Path, recovery: &Recovery) -> Result<Wal> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)?;
-        let mut len = recovery.valid_len;
-        if len < MAGIC.len() as u64 {
-            file.set_len(0)?;
-            (&file).write_all(MAGIC)?;
-            len = MAGIC.len() as u64;
-        } else {
-            file.set_len(len)?;
-        }
-        file.sync_data()?;
-        use std::io::Seek;
-        let mut file = file;
-        file.seek(std::io::SeekFrom::Start(len))?;
-        Ok(Wal {
-            file,
-            next_lsn: recovery.last_lsn + 1,
-            len,
-            synced_len: len,
-            clock: None,
-            dead: false,
-        })
-    }
-
-    /// Install a crash-fault injection clock (tests only in practice; a
-    /// `None`-free production writer pays one branch per append).
-    pub fn set_failpoint_clock(&mut self, clock: Arc<FailpointClock>) {
-        self.clock = Some(clock);
-    }
-
-    /// The LSN the next appended frame will carry.
-    pub fn next_lsn(&self) -> u64 {
-        self.next_lsn
-    }
-
-    /// The LSN of the most recently appended frame (0 if none yet).
-    pub fn last_lsn(&self) -> u64 {
-        self.next_lsn - 1
-    }
-
-    fn dead_err<T>(&self) -> Result<T> {
-        Err(EngineError::with_kind(
-            EngineErrorKind::Poisoned,
-            "WAL writer is dead after a simulated crash; reopen to recover",
-        ))
-    }
-
-    fn write_all(&mut self, bytes: &[u8]) -> Result<()> {
-        self.file.write_all(bytes)?;
-        self.len += bytes.len() as u64;
-        Ok(())
-    }
-
-    /// Append `records` plus a commit marker and make them durable.
-    /// Returns the commit LSN. On any error (real I/O or injected crash)
-    /// nothing is considered committed and the caller must not apply the
-    /// mutation in memory.
-    pub fn commit(&mut self, records: &[Record]) -> Result<u64> {
-        if self.dead {
-            return self.dead_err();
-        }
-        let mut poison_after_sync = false;
-        let commit = [Record::Commit];
-        for record in records.iter().chain(commit.iter()) {
-            let frame = encode_frame(self.next_lsn, record);
-            match self.clock.as_ref().and_then(|c| c.tick()) {
-                None => self.write_all(&frame)?,
-                Some(CrashMode::TornWrite) => {
-                    // Half the frame reaches the file; the process "dies".
-                    let torn = frame.len() / 2;
-                    self.write_all(&frame[..torn])?;
-                    self.dead = true;
-                    return Err(EngineError::with_kind(
-                        EngineErrorKind::Poisoned,
-                        "simulated crash: torn WAL write",
-                    ));
-                }
-                Some(CrashMode::PreFsyncLoss) => {
-                    // The frame is written but the sync never happens; model
-                    // the lost OS cache by dropping back to the durable
-                    // offset.
-                    self.write_all(&frame)?;
-                    self.file.set_len(self.synced_len)?;
-                    self.len = self.synced_len;
-                    use std::io::Seek;
-                    self.file.seek(std::io::SeekFrom::Start(self.len))?;
-                    self.dead = true;
-                    return Err(EngineError::with_kind(
-                        EngineErrorKind::Poisoned,
-                        "simulated crash: WAL tail lost before fsync",
-                    ));
-                }
-                Some(CrashMode::BitFlip) => {
-                    // Flip one payload bit but let the transaction commit:
-                    // recovery must catch this by checksum, not framing.
-                    let mut flipped = frame.clone();
-                    let at = 4 + (flipped.len() - 8) / 2;
-                    flipped[at] ^= 0x10;
-                    self.write_all(&flipped)?;
-                    poison_after_sync = true;
-                }
-            }
-            self.next_lsn += 1;
-        }
-        self.file.sync_data()?;
-        self.synced_len = self.len;
-        if poison_after_sync {
-            self.dead = true;
-            return Err(EngineError::with_kind(
-                EngineErrorKind::Poisoned,
-                "simulated crash: WAL frame committed with a flipped bit",
-            ));
-        }
-        Ok(self.next_lsn - 1)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Group-commit writer
-// ---------------------------------------------------------------------------
-
-/// Shared state of the group-commit writer, guarded by [`WalHandle::state`].
+/// Shared state of the writer, guarded by [`WalHandle::state`].
 struct WalState {
     /// The log file, shared so a flush leader can `sync_data` outside the
     /// mutex while other writers keep appending.
@@ -907,30 +762,29 @@ struct WalState {
     clock: Option<Arc<FailpointClock>>,
 }
 
-/// Concurrent append side of the WAL with group commit: [`WalHandle::append_txn`]
-/// appends a transaction's frames plus a commit marker under a short
-/// critical section, and [`WalHandle::wait_durable`] parks the committer
-/// until a flush covers its commit LSN. Whichever committer finds no flush
-/// in flight becomes the leader and syncs *outside* the mutex — every
-/// transaction appended meanwhile rides the same `fsync`, so under
-/// concurrency the fsyncs-per-commit ratio drops below one.
-///
-/// With `group_commit` disabled the handle degrades to the PR 6 behaviour:
-/// each append syncs inline under the lock, one fsync per commit.
+/// The append side of the WAL — the one writer, with group commit:
+/// [`WalHandle::append_txn`] appends a transaction's frames plus a commit
+/// marker under a short critical section, and [`WalHandle::wait_durable`]
+/// parks the committer until a flush covers its commit LSN. Whichever
+/// committer finds no flush in flight becomes the leader and syncs *outside*
+/// the mutex — every transaction appended meanwhile rides the same `fsync`,
+/// so under concurrency the fsyncs-per-commit ratio drops below one, while a
+/// lone committer is its own leader and pays exactly one `fsync` per commit.
+/// After a simulated crash the writer is permanently dead (every call fails
+/// with a [`Poisoned`](EngineErrorKind::Poisoned) error).
 pub struct WalHandle {
     state: Mutex<WalState>,
     /// Signalled after every flush completes (or the writer dies).
     flushed: Condvar,
     fsyncs: AtomicU64,
     commits: AtomicU64,
-    group_commit: bool,
 }
 
 impl WalHandle {
-    /// Open (or create) the log for appending after [`recover`], mirroring
-    /// [`Wal::open_at`]: truncate to the committed prefix and continue LSNs
-    /// after the last committed one.
-    pub fn open_at(path: &Path, recovery: &Recovery, group_commit: bool) -> Result<Arc<WalHandle>> {
+    /// Open (or create) the log for appending after [`recover`]: the file
+    /// is truncated to the committed prefix (discarding any untrusted tail)
+    /// and LSNs continue after the last committed one.
+    pub fn open_at(path: &Path, recovery: &Recovery) -> Result<Arc<WalHandle>> {
         let file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -965,7 +819,6 @@ impl WalHandle {
             flushed: Condvar::new(),
             fsyncs: AtomicU64::new(0),
             commits: AtomicU64::new(0),
-            group_commit,
         }))
     }
 
@@ -1015,9 +868,10 @@ impl WalHandle {
     }
 
     /// Append `records` plus a commit marker under the state lock; the
-    /// frames are *not* durable yet (in group-commit mode) until a
-    /// [`WalHandle::wait_durable`] covering the returned commit LSN
-    /// succeeds. Failpoint semantics are identical to [`Wal::commit`].
+    /// frames are *not* durable until a [`WalHandle::wait_durable`] covering
+    /// the returned commit LSN succeeds. On any error (real I/O or injected
+    /// crash) nothing is considered committed and the caller must not apply
+    /// the mutation in memory.
     pub fn append_txn(&self, records: &[Record]) -> Result<u64> {
         let mut state = self.lock_state();
         if state.dead {
@@ -1029,15 +883,9 @@ impl WalHandle {
             self.flushed.notify_all();
         }
         let lsn = result?;
-        // Appended, not durable: the commit is counted by the sync that
-        // covers it (inline below in non-group mode, the group-commit
-        // leader's flush otherwise).
+        // Appended, not durable: the commit is counted by the flush that
+        // covers it.
         state.pending_commits += 1;
-        if !self.group_commit {
-            // PR 6 behaviour: sync inline, one fsync per commit, while
-            // still holding the lock (writers fully serialize).
-            self.sync_locked(&mut state)?;
-        }
         Ok(lsn)
     }
 
@@ -1051,6 +899,7 @@ impl WalHandle {
             match state.clock.as_ref().and_then(|c| c.tick()) {
                 None => Self::write_state(state, &frame)?,
                 Some(CrashMode::TornWrite) => {
+                    // Half the frame reaches the file; the process "dies".
                     let torn = frame.len() / 2;
                     Self::write_state(state, &frame[..torn])?;
                     state.dead = true;
@@ -1060,6 +909,9 @@ impl WalHandle {
                     ));
                 }
                 Some(CrashMode::PreFsyncLoss) => {
+                    // The frame is written but the sync never happens; model
+                    // the lost OS cache by dropping back to the durable
+                    // offset.
                     Self::write_state(state, &frame)?;
                     state.file.set_len(state.synced_len)?;
                     state.len = state.synced_len;
@@ -1072,6 +924,8 @@ impl WalHandle {
                     ));
                 }
                 Some(CrashMode::BitFlip) => {
+                    // Flip one payload bit but let the transaction commit:
+                    // recovery must catch this by checksum, not framing.
                     let mut flipped = frame.clone();
                     let at = 4 + (flipped.len() - 8) / 2;
                     flipped[at] ^= 0x10;
@@ -1082,37 +936,6 @@ impl WalHandle {
             state.next_lsn += 1;
         }
         Ok(state.next_lsn - 1)
-    }
-
-    /// Sync under the lock (non-group mode and the reopen path).
-    fn sync_locked(&self, state: &mut WalState) -> Result<()> {
-        // Either way the sync resolves, these appends stop being pending:
-        // they move onto the durable counter on success and are discarded
-        // on failure or poison (their transactions roll back).
-        let covered = std::mem::take(&mut state.pending_commits);
-        match state.file.sync_data() {
-            Ok(()) => {
-                self.fsyncs.fetch_add(1, Ordering::SeqCst);
-                state.synced_len = state.len;
-                state.synced_lsn = state.next_lsn - 1;
-                if state.poison_at_sync {
-                    state.dead = true;
-                    state.poison_at_sync = false;
-                    self.flushed.notify_all();
-                    return Err(EngineError::with_kind(
-                        EngineErrorKind::Poisoned,
-                        "simulated crash: WAL frame committed with a flipped bit",
-                    ));
-                }
-                self.commits.fetch_add(covered, Ordering::SeqCst);
-                Ok(())
-            }
-            Err(e) => {
-                state.dead = true;
-                self.flushed.notify_all();
-                Err(e.into())
-            }
-        }
     }
 
     /// Block until a flush covers `lsn` (or the writer dies). The first
@@ -1174,13 +997,10 @@ impl WalHandle {
     }
 
     /// Append one transaction and make it durable before returning — the
-    /// drop-in replacement for [`Wal::commit`] used by every auto-commit
-    /// statement. Returns the commit LSN.
+    /// commit path of every auto-commit statement. Returns the commit LSN.
     pub fn commit(&self, records: &[Record]) -> Result<u64> {
         let lsn = self.append_txn(records)?;
-        if self.group_commit {
-            self.wait_durable(lsn)?;
-        }
+        self.wait_durable(lsn)?;
         Ok(lsn)
     }
 }
@@ -1240,27 +1060,11 @@ mod tests {
     }
 
     #[test]
-    fn commit_then_recover_round_trips() {
-        let path = tmp("roundtrip");
-        let records = sample_records();
-        {
-            let mut wal = Wal::open_at(&path, &Recovery::default()).unwrap();
-            wal.commit(&records[..2]).unwrap();
-            wal.commit(&records[2..]).unwrap();
-        }
-        let recovery = recover(&path).unwrap();
-        assert_eq!(recovery.records, records);
-        // 5 records + 2 commit markers.
-        assert_eq!(recovery.last_lsn, 7);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn truncated_tail_recovers_committed_prefix() {
         let path = tmp("truncated");
         let records = sample_records();
         {
-            let mut wal = Wal::open_at(&path, &Recovery::default()).unwrap();
+            let wal = WalHandle::open_at(&path, &Recovery::default()).unwrap();
             wal.commit(&records[..2]).unwrap();
             wal.commit(&records[2..]).unwrap();
         }
@@ -1281,7 +1085,7 @@ mod tests {
     fn bit_flips_are_caught_by_checksum() {
         let path = tmp("bitflip");
         {
-            let mut wal = Wal::open_at(&path, &Recovery::default()).unwrap();
+            let wal = WalHandle::open_at(&path, &Recovery::default()).unwrap();
             wal.commit(&sample_records()).unwrap();
         }
         let clean = recover(&path).unwrap();
@@ -1312,7 +1116,7 @@ mod tests {
     fn reopen_truncates_untrusted_tail_and_continues_lsns() {
         let path = tmp("reopen");
         {
-            let mut wal = Wal::open_at(&path, &Recovery::default()).unwrap();
+            let wal = WalHandle::open_at(&path, &Recovery::default()).unwrap();
             wal.commit(&sample_records()[..2]).unwrap();
         }
         // Append garbage to simulate a torn tail.
@@ -1324,8 +1128,8 @@ mod tests {
         let r1 = recover(&path).unwrap();
         assert_eq!(r1.records.len(), 2);
         {
-            let mut wal = Wal::open_at(&path, &r1).unwrap();
-            assert_eq!(wal.next_lsn(), r1.last_lsn + 1);
+            let wal = WalHandle::open_at(&path, &r1).unwrap();
+            assert_eq!(wal.last_lsn(), r1.last_lsn);
             wal.commit(&sample_records()[2..]).unwrap();
         }
         let r2 = recover(&path).unwrap();
@@ -1334,39 +1138,11 @@ mod tests {
     }
 
     #[test]
-    fn injected_crashes_leave_committed_prefix_and_kill_writer() {
-        for mode in [
-            CrashMode::TornWrite,
-            CrashMode::PreFsyncLoss,
-            CrashMode::BitFlip,
-        ] {
-            let path = tmp(&format!("failpoint-{mode:?}"));
-            let records = sample_records();
-            {
-                let mut wal = Wal::open_at(&path, &Recovery::default()).unwrap();
-                wal.commit(&records[..2]).unwrap();
-                // Crash on the first frame of the second transaction.
-                let clock = FailpointClock::crash_at(4, mode);
-                wal.set_failpoint_clock(Arc::clone(&clock));
-                let err = wal.commit(&records[2..]).unwrap_err();
-                assert_eq!(err.kind(), EngineErrorKind::Poisoned, "{mode:?}");
-                assert!(clock.fired());
-                // The writer is permanently dead.
-                let err = wal.commit(&records[..1]).unwrap_err();
-                assert_eq!(err.kind(), EngineErrorKind::Poisoned, "{mode:?}");
-            }
-            let r = recover(&path).unwrap();
-            assert_eq!(r.records, records[..2], "{mode:?}");
-            let _ = std::fs::remove_file(&path);
-        }
-    }
-
-    #[test]
     fn observer_clock_counts_frames() {
         let path = tmp("observer");
         let clock = FailpointClock::observe();
         {
-            let mut wal = Wal::open_at(&path, &Recovery::default()).unwrap();
+            let wal = WalHandle::open_at(&path, &Recovery::default()).unwrap();
             wal.set_failpoint_clock(Arc::clone(&clock));
             wal.commit(&sample_records()).unwrap();
         }
@@ -1387,7 +1163,7 @@ mod tests {
         let path = tmp("handle-roundtrip");
         let records = sample_records();
         {
-            let handle = WalHandle::open_at(&path, &Recovery::default(), true).unwrap();
+            let handle = WalHandle::open_at(&path, &Recovery::default()).unwrap();
             handle.commit(&records[..2]).unwrap();
             handle.commit(&records[2..]).unwrap();
             assert_eq!(handle.commits(), 2);
@@ -1407,7 +1183,7 @@ mod tests {
         // durable — fsyncs-per-commit strictly below one.
         let path = tmp("handle-batch");
         let records = sample_records();
-        let handle = WalHandle::open_at(&path, &Recovery::default(), true).unwrap();
+        let handle = WalHandle::open_at(&path, &Recovery::default()).unwrap();
         let mut last = 0;
         for record in &records {
             last = handle.append_txn(std::slice::from_ref(record)).unwrap();
@@ -1425,7 +1201,7 @@ mod tests {
     #[test]
     fn concurrent_committers_all_become_durable() {
         let path = tmp("handle-threads");
-        let handle = WalHandle::open_at(&path, &Recovery::default(), true).unwrap();
+        let handle = WalHandle::open_at(&path, &Recovery::default()).unwrap();
         let threads: Vec<_> = (0..8)
             .map(|t| {
                 let handle = Arc::clone(&handle);
@@ -1451,15 +1227,17 @@ mod tests {
     }
 
     #[test]
-    fn non_group_mode_syncs_every_commit() {
-        let path = tmp("handle-nogroup");
+    fn single_committer_syncs_once_per_commit() {
+        // A lone committer is its own flush leader: nobody rides along, so
+        // every commit pays exactly one `sync_data`.
+        let path = tmp("handle-single");
         let records = sample_records();
-        let handle = WalHandle::open_at(&path, &Recovery::default(), false).unwrap();
+        let handle = WalHandle::open_at(&path, &Recovery::default()).unwrap();
         for record in &records {
             handle.commit(std::slice::from_ref(record)).unwrap();
         }
         assert_eq!(handle.commits(), records.len() as u64);
-        assert_eq!(handle.fsyncs(), records.len() as u64);
+        assert_eq!(handle.fsyncs(), handle.commits());
         drop(handle);
         let recovery = recover(&path).unwrap();
         assert_eq!(recovery.records, records);
@@ -1467,7 +1245,7 @@ mod tests {
     }
 
     #[test]
-    fn handle_injected_crashes_match_wal_semantics() {
+    fn injected_crashes_leave_committed_prefix_and_kill_writer() {
         for mode in [
             CrashMode::TornWrite,
             CrashMode::PreFsyncLoss,
@@ -1476,13 +1254,15 @@ mod tests {
             let path = tmp(&format!("handle-failpoint-{mode:?}"));
             let records = sample_records();
             {
-                let handle = WalHandle::open_at(&path, &Recovery::default(), true).unwrap();
+                let handle = WalHandle::open_at(&path, &Recovery::default()).unwrap();
                 handle.commit(&records[..2]).unwrap();
+                // Crash on the first frame of the second transaction.
                 let clock = FailpointClock::crash_at(4, mode);
                 handle.set_failpoint_clock(Arc::clone(&clock));
                 let err = handle.commit(&records[2..]).unwrap_err();
                 assert_eq!(err.kind(), EngineErrorKind::Poisoned, "{mode:?}");
                 assert!(clock.fired());
+                // The writer is permanently dead.
                 let err = handle.commit(&records[..1]).unwrap_err();
                 assert_eq!(err.kind(), EngineErrorKind::Poisoned, "{mode:?}");
             }
@@ -1496,7 +1276,7 @@ mod tests {
     fn commits_counter_only_counts_durable_transactions() {
         let path = tmp("handle-durable-commits");
         let records = sample_records();
-        let handle = WalHandle::open_at(&path, &Recovery::default(), true).unwrap();
+        let handle = WalHandle::open_at(&path, &Recovery::default()).unwrap();
         handle.commit(&records[..2]).unwrap();
         assert_eq!(handle.commits(), 1);
         // A transaction whose covering fsync crashes must never be counted:

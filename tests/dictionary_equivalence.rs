@@ -1,6 +1,6 @@
 //! Differential MT-H sweep pinning the dictionary-encoding tentpole: all 22
-//! MT-H queries run across the {dict, no-dict} × {columnar, row} ×
-//! {parallel, serial} configuration cross on the *same* generated data, and
+//! MT-H queries run across the {dict, no-dict} × {parallel, serial}
+//! configuration cross on the *same* generated data, and
 //! every cell must return identical row-sets with identical `rows_scanned`
 //! and `partitions_pruned` counters. Dictionary encoding is a physical
 //! storage decision — any observable difference is an executor bug.
@@ -41,35 +41,12 @@ fn fixtures() -> &'static Fixtures {
         let base = EngineConfig::postgres_like;
         Fixtures {
             cells: vec![
-                ("dict/columnar/serial", load(base())),
-                ("dict/columnar/parallel", load(base().with_parallel_scan(4))),
+                ("dict/serial", load(base())),
+                ("dict/parallel", load(base().with_parallel_scan(4))),
+                ("nodict/serial", load(base().without_dictionary_encoding())),
                 (
-                    "nodict/columnar/serial",
-                    load(base().without_dictionary_encoding()),
-                ),
-                (
-                    "nodict/columnar/parallel",
+                    "nodict/parallel",
                     load(base().without_dictionary_encoding().with_parallel_scan(4)),
-                ),
-                // Dictionary encoding only applies to columnar buckets; the
-                // row-layout cells pin that the flag stays inert there.
-                ("dict/row/serial", load(base().without_columnar_scan())),
-                (
-                    "dict/row/parallel",
-                    load(base().without_columnar_scan().with_parallel_scan(4)),
-                ),
-                (
-                    "nodict/row/serial",
-                    load(base().without_columnar_scan().without_dictionary_encoding()),
-                ),
-                (
-                    "nodict/row/parallel",
-                    load(
-                        base()
-                            .without_columnar_scan()
-                            .without_dictionary_encoding()
-                            .with_parallel_scan(4),
-                    ),
                 ),
             ],
         }
@@ -95,8 +72,7 @@ fn run(
 }
 
 /// All 22 MT-H queries at o2: identical results and identical scan counters
-/// across the whole {dict, no-dict} × {columnar, row} × {parallel, serial}
-/// cross.
+/// across the whole {dict, no-dict} × {parallel, serial} cross.
 #[test]
 fn all_queries_agree_across_the_dictionary_cross() {
     let f = fixtures();
@@ -178,39 +154,15 @@ fn baseline_fixtures() -> &'static Fixtures {
         let base = || EngineConfig::postgres_like().without_decorrelation();
         Fixtures {
             cells: vec![
-                ("nodecorr/dict/columnar/serial", load(base())),
+                ("nodecorr/dict/serial", load(base())),
+                ("nodecorr/dict/parallel", load(base().with_parallel_scan(4))),
                 (
-                    "nodecorr/dict/columnar/parallel",
-                    load(base().with_parallel_scan(4)),
-                ),
-                (
-                    "nodecorr/nodict/columnar/serial",
+                    "nodecorr/nodict/serial",
                     load(base().without_dictionary_encoding()),
                 ),
                 (
-                    "nodecorr/nodict/columnar/parallel",
+                    "nodecorr/nodict/parallel",
                     load(base().without_dictionary_encoding().with_parallel_scan(4)),
-                ),
-                (
-                    "nodecorr/dict/row/serial",
-                    load(base().without_columnar_scan()),
-                ),
-                (
-                    "nodecorr/dict/row/parallel",
-                    load(base().without_columnar_scan().with_parallel_scan(4)),
-                ),
-                (
-                    "nodecorr/nodict/row/serial",
-                    load(base().without_columnar_scan().without_dictionary_encoding()),
-                ),
-                (
-                    "nodecorr/nodict/row/parallel",
-                    load(
-                        base()
-                            .without_columnar_scan()
-                            .without_dictionary_encoding()
-                            .with_parallel_scan(4),
-                    ),
                 ),
             ],
         }
@@ -218,8 +170,8 @@ fn baseline_fixtures() -> &'static Fixtures {
 }
 
 /// All 22 MT-H queries, decorrelated vs interpreted, cell by cell across the
-/// whole {dict, no-dict} × {columnar, row} × {parallel, serial} cross:
-/// row-sets must be bit-identical. Scan counters are deliberately *not*
+/// whole {dict, no-dict} × {parallel, serial} cross: row-sets must be
+/// bit-identical. Scan counters are deliberately *not*
 /// compared across this axis — cutting them is the point of the rewrite.
 #[test]
 fn all_queries_agree_with_and_without_decorrelation() {
@@ -294,9 +246,9 @@ fn decorrelation_engages_and_caps_rows_scanned() {
         );
         // The build side scans each inner table exactly once, so the
         // unnested plan stays within a small constant of the interpreted
-        // count even at scales tiny enough for the interpreted plan's
-        // repeated-scan row cache to win outright (Q2 here). A rewrite that
-        // regressed to per-outer-row rescans would blow far past this.
+        // count even at scales tiny enough for the interpreted plan to win
+        // outright (Q2 here). A rewrite that regressed to per-outer-row
+        // rescans would blow far past this.
         assert!(
             rows_scanned <= 3 * baseline_scanned,
             "Q{query}: unnested plan scanned {rows_scanned} rows vs interpreted {baseline_scanned}"
@@ -324,8 +276,7 @@ fn decorrelation_engages_and_caps_rows_scanned() {
 /// The dictionary deployments must actually exercise the code-space paths —
 /// predicate kernels (Q12's `l_shipmode IN`), code-space grouping (Q1's
 /// `l_returnflag, l_linestatus`) and dictionary-decoding materialization
-/// (Q6, Q14) — and the no-dictionary / row deployments must never report
-/// them.
+/// (Q6, Q14) — and the no-dictionary deployments must never report them.
 #[test]
 fn dictionary_paths_engage_only_on_dictionary_deployments() {
     let f = fixtures();
@@ -344,7 +295,7 @@ fn dictionary_paths_engage_only_on_dictionary_deployments() {
             dict.dict_kernel_rows > 0,
             "Q{query} did not engage dictionary code space: {dict:?}"
         );
-        for cell in [2, 4, 6] {
+        for cell in [2, 3] {
             let baseline = stats_for(cell, query);
             assert_eq!(
                 baseline.dict_kernel_rows, 0,
@@ -560,19 +511,13 @@ fn items_server(engine_config: EngineConfig) -> Arc<MtBase> {
     server
 }
 
-/// The {dict, no-dict} × {columnar, row} cross the isolation tests sweep —
-/// snapshot semantics are a logical property and must not depend on the
-/// physical layout.
+/// The {dict, no-dict} axis the isolation tests sweep — snapshot semantics
+/// are a logical property and must not depend on the physical layout.
 fn isolation_cells() -> Vec<(&'static str, EngineConfig)> {
     let base = EngineConfig::default;
     vec![
-        ("dict/columnar", base()),
-        ("nodict/columnar", base().without_dictionary_encoding()),
-        ("dict/row", base().without_columnar_scan()),
-        (
-            "nodict/row",
-            base().without_columnar_scan().without_dictionary_encoding(),
-        ),
+        ("dict", base()),
+        ("nodict", base().without_dictionary_encoding()),
     ]
 }
 

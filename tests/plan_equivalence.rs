@@ -1,8 +1,7 @@
 //! Property tests pinning executor equivalence across storage and scan
-//! configurations: for randomized MT-H queries at o1–o4, the {columnar, row}
-//! × {parallel, serial, unpruned} cross of engine configurations — plus the
-//! dictionary-encoding axis on the columnar layout — must return identical
-//! row-sets. All configurations load the *same* generated data, so any
+//! configurations: for randomized MT-H queries at o1–o4, the {parallel,
+//! serial, unpruned} engine configurations — plus the dictionary-encoding
+//! axis — must return identical row-sets. All configurations load the *same* generated data, so any
 //! divergence is an executor bug, not a data artifact. (The exhaustive
 //! dictionary sweep over all 22 queries lives in
 //! `tests/dictionary_equivalence.rs`.)
@@ -28,22 +27,15 @@ const SCOPES: [&str; 3] = [
 ];
 
 struct Fixtures {
-    /// Columnar buckets (the default layout, dictionary-encoded), pruning
-    /// on, parallel scans.
+    /// Dictionary-encoded buckets (the default), pruning on, parallel scans.
     parallel: MthDeployment,
-    /// Columnar buckets, serial scans.
+    /// Serial scans.
     serial: MthDeployment,
-    /// Columnar buckets, partition pruning disabled (full-scan baseline).
+    /// Partition pruning disabled (full-scan baseline).
     unpruned: MthDeployment,
-    /// Columnar buckets without dictionary encoding — the plain `Arc<str>`
-    /// baseline the code-space kernels are verified against.
+    /// No dictionary encoding — the plain `Arc<str>` baseline the code-space
+    /// kernels are verified against.
     nodict: MthDeployment,
-    /// Row buckets, pruning on, parallel scans.
-    row_parallel: MthDeployment,
-    /// Row buckets, serial scans — the PR 1/PR 2 storage baseline.
-    row_serial: MthDeployment,
-    /// Row buckets, partition pruning disabled.
-    row_unpruned: MthDeployment,
 }
 
 fn fixtures() -> &'static Fixtures {
@@ -64,17 +56,6 @@ fn fixtures() -> &'static Fixtures {
             serial: load(EngineConfig::postgres_like()),
             unpruned: load(EngineConfig::postgres_like().without_partition_pruning()),
             nodict: load(EngineConfig::postgres_like().without_dictionary_encoding()),
-            row_parallel: load(
-                EngineConfig::postgres_like()
-                    .with_parallel_scan(4)
-                    .without_columnar_scan(),
-            ),
-            row_serial: load(EngineConfig::postgres_like().without_columnar_scan()),
-            row_unpruned: load(
-                EngineConfig::postgres_like()
-                    .without_partition_pruning()
-                    .without_columnar_scan(),
-            ),
         }
     })
 }
@@ -89,8 +70,8 @@ fn run(dep: &MthDeployment, scope: &str, query: usize, level: OptLevel) -> mtbas
 
 proptest! {
     /// The same randomized (query, level, scope) cell must produce identical
-    /// row-sets across the full {columnar, row} × {parallel, serial,
-    /// unpruned} configuration cross.
+    /// row-sets across the {parallel, serial, unpruned, nodict}
+    /// configurations.
     #[test]
     fn plan_executor_matches_across_storage_and_scan_configs(
         q_idx in 0_usize..QUERY_POOL.len(),
@@ -102,22 +83,16 @@ proptest! {
         let level = LEVELS[level_idx];
         let scope = SCOPES[scope_idx];
 
-        let columnar_parallel = run(&f.parallel, scope, query, level);
-        let columnar_serial = run(&f.serial, scope, query, level);
-        let columnar_unpruned = run(&f.unpruned, scope, query, level);
-        let columnar_nodict = run(&f.nodict, scope, query, level);
-        let row_parallel = run(&f.row_parallel, scope, query, level);
-        let row_serial = run(&f.row_serial, scope, query, level);
-        let row_unpruned = run(&f.row_unpruned, scope, query, level);
+        let parallel = run(&f.parallel, scope, query, level);
+        let serial = run(&f.serial, scope, query, level);
+        let unpruned = run(&f.unpruned, scope, query, level);
+        let nodict = run(&f.nodict, scope, query, level);
 
         // The shim's prop_assert_eq! takes no context message; panic output
         // identifies the failing cell through the stringified expressions.
-        prop_assert_eq!(&columnar_parallel, &columnar_serial);
-        prop_assert_eq!(&columnar_serial, &columnar_unpruned);
-        prop_assert_eq!(&columnar_serial, &columnar_nodict);
-        prop_assert_eq!(&columnar_serial, &row_serial);
-        prop_assert_eq!(&row_parallel, &row_serial);
-        prop_assert_eq!(&row_serial, &row_unpruned);
+        prop_assert_eq!(&parallel, &serial);
+        prop_assert_eq!(&serial, &unpruned);
+        prop_assert_eq!(&serial, &nodict);
     }
 }
 
@@ -195,9 +170,9 @@ fn inline_literals(template: &str, params: &[mtbase::Value]) -> String {
 
 proptest! {
     /// Prepared + bound execution must be byte-identical to one-shot
-    /// `execute` with the parameter values inlined as literals, across the
-    /// {columnar, row} × {parallel, serial} configuration cross — binding
-    /// must not change what the plan computes, only what it is compared to.
+    /// `execute` with the parameter values inlined as literals, on the
+    /// parallel and the serial configuration — binding must not change what
+    /// the plan computes, only what it is compared to.
     #[test]
     fn prepared_execution_equals_one_shot_with_literals(
         t_idx in 0_usize..PREPARED_TEMPLATES.len(),
@@ -212,7 +187,7 @@ proptest! {
         let scope = SCOPES[scope_idx];
         let inlined = inline_literals(template, &params);
 
-        for dep in [&f.parallel, &f.serial, &f.row_parallel, &f.row_serial] {
+        for dep in [&f.parallel, &f.serial] {
             let mut conn = dep.server.connect(1);
             conn.set_opt_level(level);
             conn.execute(scope).expect("scope statement");
@@ -234,10 +209,11 @@ proptest! {
     }
 }
 
-/// The columnar configurations must actually exercise the vectorized scan
-/// path, and the row configurations must never report it.
+/// Scans over partition buckets must actually exercise the vectorized scan
+/// path, and the loose-row store (the unpartitioned TPC-H baseline engine)
+/// must never report it.
 #[test]
-fn vectorized_path_engages_on_columnar_deployments() {
+fn vectorized_path_engages_on_partition_buckets() {
     let f = fixtures();
     let mut conn = f.serial.server.connect(1);
     conn.set_opt_level(OptLevel::O2);
@@ -253,12 +229,11 @@ fn vectorized_path_engages_on_columnar_deployments() {
         "Q6's selective filter must late-materialize a strict subset, stats: {stats:?}"
     );
 
-    let mut conn = f.row_serial.server.connect(1);
-    conn.set_opt_level(OptLevel::O2);
-    conn.execute("SET SCOPE = \"IN (1, 2, 3, 4)\"").unwrap();
-    conn.query(&queries::query(6)).unwrap();
-    let stats = conn.last_query_stats();
-    assert_eq!(stats.rows_vectorized, 0, "row buckets must not vectorize");
+    let before = f.serial.baseline.stats();
+    f.serial.baseline.query(&queries::query(6)).unwrap();
+    let stats = f.serial.baseline.stats().delta_from(&before);
+    assert!(stats.rows_scanned > 0);
+    assert_eq!(stats.rows_vectorized, 0, "loose rows must not vectorize");
     assert_eq!(stats.late_materialized, 0);
 }
 
@@ -272,10 +247,6 @@ fn parallel_path_engages_on_large_scans() {
     conn.execute("SET SCOPE = \"IN (1, 2, 3, 4)\"").unwrap();
     conn.query(&queries::query(6)).unwrap();
     let stats = conn.last_query_stats();
-    assert!(
-        stats.parallel_scans > 0,
-        "expected Q6's lineitem scan to fan out, stats: {stats:?}"
-    );
     assert!(
         stats.morsels_dispatched > 0 && stats.morsel_workers > 1,
         "expected the worker pool to pull row-range morsels, stats: {stats:?}"
@@ -295,7 +266,6 @@ fn parallel_path_engages_on_large_scans() {
         conn.execute("SET SCOPE = \"IN (1, 2, 3, 4)\"").unwrap();
         conn.query(&queries::query(6)).unwrap();
         let stats = conn.last_query_stats();
-        assert_eq!(stats.parallel_scans, 0);
         assert_eq!(stats.morsels_dispatched, 0);
         assert_eq!(stats.partial_agg_merges, 0);
     }
@@ -318,7 +288,7 @@ fn interpreted_residual_conjuncts_engage_the_pool() {
     let pooled = conn.query(q).unwrap();
     let pooled_stats = conn.last_query_stats();
     assert!(
-        pooled_stats.parallel_scans > 0 && pooled_stats.morsels_dispatched > 0,
+        pooled_stats.morsels_dispatched > 0,
         "hybrid filter must still run on the morsel pool, stats: {pooled_stats:?}"
     );
 

@@ -25,24 +25,8 @@ fn deployment() -> MthDeployment {
     )
 }
 
-/// The same deployment with the columnar bucket layout disabled (the row
-/// storage baseline).
-fn row_deployment() -> MthDeployment {
-    loader::load(
-        MthConfig {
-            scale: 0.05,
-            tenants: 4,
-            distribution: TenantDistribution::Uniform,
-            seed: 42,
-        },
-        EngineConfig::postgres_like()
-            .with_parallel_scan(4)
-            .without_columnar_scan(),
-    )
-}
-
-/// The same deployment with dictionary encoding disabled (columnar buckets
-/// keep plain `Arc<str>` arrays — the code-space kernel baseline).
+/// The same deployment with dictionary encoding disabled (buckets keep plain
+/// `Arc<str>` arrays — the code-space kernel baseline).
 fn nodict_deployment() -> MthDeployment {
     loader::load(
         MthConfig {
@@ -89,12 +73,16 @@ fn nodecorr_deployment() -> MthDeployment {
 }
 
 fn explain(dep: &MthDeployment, query: usize, level: OptLevel) -> String {
+    explain_sql(dep, &queries::query(query), level)
+}
+
+fn explain_sql(dep: &MthDeployment, sql: &str, level: OptLevel) -> String {
     let mut conn = dep.server.connect(1);
     conn.set_opt_level(level);
     conn.execute("SET SCOPE = \"IN (1, 2)\"").expect("scope");
     let rs = conn
-        .query(&format!("EXPLAIN {}", queries::query(query)))
-        .unwrap_or_else(|e| panic!("EXPLAIN Q{query} at {level:?}: {e}"));
+        .query(&format!("EXPLAIN {sql}"))
+        .unwrap_or_else(|e| panic!("EXPLAIN `{sql}` at {level:?}: {e}"));
     assert_eq!(rs.columns, vec!["QUERY PLAN".to_string()]);
     let mut text = String::new();
     for row in &rs.rows {
@@ -134,31 +122,32 @@ fn golden_explain_snapshots() {
     }
 }
 
-/// Scans over columnar buckets are marked `vectorized` in EXPLAIN; the same
-/// query on the row-layout baseline must not be. The row-baseline plan is
-/// pinned as its own golden snapshot.
+/// Scans over partition buckets are marked `vectorized` in EXPLAIN; a scan
+/// of an unpartitioned (GLOBAL) table reads the loose row store and must not
+/// be.
 #[test]
-fn explain_marks_columnar_scans_vectorized() {
+fn explain_marks_bucket_scans_vectorized() {
     let dep = deployment();
     let text = explain(&dep, 6, OptLevel::O2);
     assert!(
         text.contains("SeqScan lineitem") && text.contains("vectorized"),
-        "columnar lineitem scan not marked vectorized:\n{text}"
+        "lineitem bucket scan not marked vectorized:\n{text}"
     );
 
-    let row_dep = row_deployment();
-    let row_text = explain(&row_dep, 6, OptLevel::O2);
-    assert!(
-        !row_text.contains("vectorized"),
-        "row-layout scan must not claim vectorized execution:\n{row_text}"
+    let loose_text = explain_sql(
+        &dep,
+        "SELECT n_name FROM nation WHERE n_regionkey = 1",
+        OptLevel::O2,
     );
-    check_golden("explain_q6_o2_row.txt", &row_text);
+    assert!(
+        loose_text.contains("SeqScan nation") && !loose_text.contains("vectorized"),
+        "loose-row scan must not claim vectorized execution:\n{loose_text}"
+    );
 }
 
 /// Scans over buckets holding dictionary-encoded columns carry the `dict`
-/// marker; a deployment without dictionary encoding (still columnar, still
-/// vectorized) must not. The no-dict plan is pinned as its own golden
-/// snapshot, the counterpart of `explain_q6_o2_row.txt`.
+/// marker; a deployment without dictionary encoding (still vectorized) must
+/// not. The no-dict plan is pinned as its own golden snapshot.
 #[test]
 fn explain_marks_dictionary_scans() {
     let dep = deployment();
