@@ -775,8 +775,12 @@ impl Connection {
             None => Ok(value),
             Some((to, from)) => {
                 let engine = self.server.engine.read();
-                let universal = engine.udfs().call(&to, &[value, Value::Int(self.client)])?;
-                Ok(engine.udfs().call(&from, &[universal, Value::Int(owner)])?)
+                let universal = engine
+                    .udfs()
+                    .call_by_name(&to, &[value, Value::Int(self.client)])?;
+                Ok(engine
+                    .udfs()
+                    .call_by_name(&from, &[universal, Value::Int(owner)])?)
             }
         }
     }

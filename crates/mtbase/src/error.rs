@@ -65,7 +65,7 @@ impl From<mtengine::EngineError> for MtError {
             K::Io | K::ShortRead | K::Corrupt | K::Poisoned => MtError::Durability(e.message),
             K::SnapshotInvalidated => MtError::Snapshot(e.message),
             K::Plan => MtError::Plan(e.message),
-            K::General | K::Deadlock | K::LockTimeout => MtError::Engine(e.message),
+            K::General | K::Arithmetic | K::Deadlock | K::LockTimeout => MtError::Engine(e.message),
         }
     }
 }

@@ -173,6 +173,64 @@ pub fn running_example_server(config: EngineConfig) -> Arc<MtBase> {
     server
 }
 
+/// Naive aggregation reference for differential tests: collect every
+/// group's rows in input order, then fold each aggregate over them. `rows`
+/// is the aggregate's input in the engine's row order, each row holding the
+/// `n_keys` group-key values followed by one value per argument; an
+/// aggregate is `(function, argument index behind the keys, DISTINCT)`, with
+/// no index for `COUNT(*)`. Returns one row per group, in first-seen order:
+/// the key values, then the aggregate values.
+pub fn naive_aggregate(
+    rows: &[Vec<Value>],
+    n_keys: usize,
+    aggs: &[(&str, Option<usize>, bool)],
+) -> Vec<Vec<Value>> {
+    let mut groups: Vec<(&[Value], Vec<&Vec<Value>>)> = Vec::new();
+    for row in rows {
+        match groups.iter_mut().find(|(key, _)| *key == &row[..n_keys]) {
+            Some((_, members)) => members.push(row),
+            None => groups.push((&row[..n_keys], vec![row])),
+        }
+    }
+    if groups.is_empty() && n_keys == 0 {
+        groups.push((&[], Vec::new()));
+    }
+    let fold = |members: &[&Vec<Value>], (func, arg, distinct): (&str, Option<usize>, bool)| {
+        let Some(arg) = arg else {
+            return Value::Int(members.len() as i64);
+        };
+        let mut vals: Vec<&Value> = Vec::new();
+        for v in members.iter().map(|row| &row[n_keys + arg]) {
+            if !(v.is_null() || distinct && vals.contains(&v)) {
+                vals.push(v);
+            }
+        }
+        let extreme = |keep| {
+            let mut best: Option<&Value> = None;
+            for &v in &vals {
+                best = Some(best.map_or(v, |b| if v.compare(b) == Some(keep) { v } else { b }));
+            }
+            best.cloned().unwrap_or(Value::Null)
+        };
+        let sum = || vals.iter().try_fold(Value::Int(0), |acc, v| acc.add(v));
+        let total = vals.iter().fold(0.0, |a, v| a + v.as_f64().unwrap_or(0.0));
+        match func {
+            "COUNT" => Value::Int(vals.len() as i64),
+            "SUM" | "AVG" if vals.is_empty() => Value::Null,
+            "SUM" => sum().expect("SUM folds"),
+            "AVG" => Value::Float(total / vals.len() as f64),
+            "MIN" => extreme(std::cmp::Ordering::Less),
+            "MAX" => extreme(std::cmp::Ordering::Greater),
+            other => panic!("no reference for aggregate `{other}`"),
+        }
+    };
+    let out = |(key, members): &(&[Value], Vec<&Vec<Value>>)| {
+        let values = aggs.iter().map(|&agg| fold(members, agg));
+        key.iter().cloned().chain(values).collect()
+    };
+    groups.iter().map(out).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

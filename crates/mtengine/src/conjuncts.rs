@@ -22,6 +22,7 @@ use std::sync::Arc;
 use mtsql::ast::{BinaryOperator, ColumnRef, Expr, FunctionCall};
 use mtsql::visit::{collect_aggregate_calls, collect_columns, contains_param, contains_subquery};
 
+use crate::bound::BoundExpr;
 use crate::schema::Schema;
 use crate::table::{ColumnBucket, ColumnVec};
 use crate::value::Value;
@@ -354,8 +355,9 @@ pub enum CompiledPred {
         /// The build-side key values (one key column's projection).
         set: Arc<HashSet<Value>>,
     },
-    /// Any other conjunct, evaluated by the interpreter (no kernel form).
-    Generic(Expr),
+    /// Any other conjunct (no kernel form): its bound expression, evaluated
+    /// per surviving row.
+    Generic(BoundExpr),
 }
 
 impl CompiledPred {
@@ -577,16 +579,23 @@ impl Selection {
         }
     }
 
+    /// Every selected row id, in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    w * 64 + b
+                })
+            })
+        })
+    }
+
     /// Visit every selected row id, in ascending order.
-    pub fn for_each(&self, mut f: impl FnMut(usize)) {
-        for (w, word) in self.words.iter().enumerate() {
-            let mut bits = *word;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                f(w * 64 + b);
-            }
-        }
+    pub fn for_each(&self, f: impl FnMut(usize)) {
+        self.iter().for_each(f)
     }
 
     /// Narrow the selection word-at-a-time: for every 64-row chunk whose

@@ -37,12 +37,13 @@
 //! them wrong rows — the fetch fails with
 //! [`EngineErrorKind::SnapshotInvalidated`].
 
-use mtsql::ast::{Expr, SelectItem};
+use mtsql::ast::SelectItem;
 use mtsql::visit::contains_subquery;
 
+use crate::bound::{BoundExpr, Frame};
 use crate::conjuncts::{dict_filter_bitmap, fast_pred_value, CompiledPred};
 use crate::error::{EngineError, EngineErrorKind, Result};
-use crate::exec::{Env, Executor};
+use crate::exec::Executor;
 use crate::plan::{Plan, Project, SeqScan};
 use crate::table::{ColumnBucket, ColumnVec, Row, SharedRow, Snapshot};
 use crate::{Engine, Value};
@@ -164,7 +165,7 @@ struct StreamShape<'p> {
     project: Option<&'p Project>,
     /// Residual filter stages between the projection head and the scan,
     /// innermost first. All their conjuncts resolve against the scan schema.
-    filters: Vec<&'p [Expr]>,
+    filters: Vec<&'p [BoundExpr]>,
     scan: &'p SeqScan,
 }
 
@@ -191,14 +192,18 @@ fn stream_shape(plan: &Plan) -> Option<StreamShape<'_>> {
         project = Some(p);
         cur = &p.input;
     }
-    let mut filters: Vec<&[Expr]> = Vec::new();
+    let mut filters: Vec<&[BoundExpr]> = Vec::new();
     loop {
         match cur {
-            Plan::Filter { input, predicates } => {
-                if predicates.iter().any(contains_subquery) {
+            Plan::Filter {
+                input,
+                predicates,
+                bound,
+            } => {
+                if predicates.iter().any(contains_subquery) || bound.len() != predicates.len() {
                     return None;
                 }
-                filters.push(predicates);
+                filters.push(bound);
                 cur = input;
             }
             Plan::SeqScan(scan) => {
@@ -370,15 +375,15 @@ fn fetch_streaming(
             // Rows inside selected buckets satisfy the pruning predicates by
             // construction; loose rows (and every row when nothing pruned)
             // re-check the full pushed filter — mirroring the batch executor.
-            let bucket_filter = executor.compile_bucket_filter(scan, prune_keys.is_some());
+            let bucket_filter = executor.compile_bucket_filter(scan, prune_keys.is_some())?;
             StreamFilters {
                 prune_keys,
                 bucket_filter,
-                loose_filter: executor.compile_full_scan_filter(scan),
+                loose_filter: executor.compile_full_scan_filter(scan)?,
                 stages: shape
                     .filters
                     .iter()
-                    .map(|preds| executor.compile_filter(preds, &scan.schema))
+                    .map(|preds| executor.compile_filter(preds))
                     .collect(),
             }
         }
@@ -523,14 +528,7 @@ fn fetch_streaming(
         }
         // Projection head.
         let out_row = match shape.project {
-            Some(p) => {
-                let env = Env {
-                    schema: &scan.schema,
-                    row: &row,
-                    parent: None,
-                };
-                executor.project_row(&p.items, &env)?
-            }
+            Some(p) => executor.project_row(p, &Frame::row(&scan.schema, &row, None))?,
             None => row.to_vec(),
         };
         pos.emitted += 1;

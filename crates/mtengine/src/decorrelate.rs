@@ -217,14 +217,8 @@ impl<'e> Planner<'e> {
                         },
                     );
                     let schema = left.schema().clone();
-                    *current = Plan::HashJoin {
-                        left: Box::new(left),
-                        right: Box::new(rw.build),
-                        keys: rw.keys,
-                        residual: rw.residual,
-                        kind: rw.variant,
-                        schema,
-                    };
+                    *current =
+                        Plan::hash_join(left, rw.build, rw.keys, rw.residual, rw.variant, schema);
                 }
                 None => kept.push(c),
             }

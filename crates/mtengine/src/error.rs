@@ -34,6 +34,9 @@ pub enum EngineErrorKind {
     /// parameter discipline) did not hold. Execution never starts on such
     /// a plan — the error names the operator and the violated invariant.
     Plan,
+    /// An `i64` operation (`+`, `-`, `*`, unary minus, integer `SUM`)
+    /// overflowed. Reported instead of wrapping or panicking.
+    Arithmetic,
     /// Two (or more) open transactions wait on each other's writer locks in
     /// a cycle; this transaction was chosen as the victim and must roll
     /// back. Retrying the whole transaction is the standard client response.

@@ -1,12 +1,14 @@
-//! Plan execution: expression evaluation, joins, grouping/aggregation,
-//! sub-queries and the operator-DAG walker.
+//! Plan execution: scans, joins, projection, sub-queries and the
+//! operator-DAG walker. (Aggregation lives in [`crate::agg`], bound
+//! expression evaluation in [`crate::bound`].)
 //!
 //! Queries are first lowered by [`crate::plan::Planner`] into a physical
 //! [`Plan`] (scans with pushed-down conjuncts and partition pruning, hash /
-//! nested-loop joins, aggregation, sort, limit); the [`Executor`] walks that
-//! DAG. Every operator consumes and produces a [`Relation`] of
-//! reference-counted [`SharedRow`]s, so relations flowing between operators
-//! share row storage with the base tables instead of deep-cloning it.
+//! nested-loop joins, aggregation, sort, limit) whose expressions are bound
+//! to slots at plan time; the [`Executor`] walks that DAG. Operators consume
+//! and produce a [`Relation`] of reference-counted [`SharedRow`]s, so
+//! relations flowing between operators share row storage with the base
+//! tables instead of deep-cloning it.
 //!
 //! [`Plan::SeqScan`] evaluates its pushed conjuncts *during* the scan
 //! (non-qualifying rows are never copied) and skips partition buckets its
@@ -21,29 +23,29 @@
 //! *morsel-driven* instead: the selected buckets are split into
 //! fixed-size row ranges pulled by a scoped worker pool, each worker
 //! calls the same routine per morsel, and the per-morsel outputs merge in
-//! morsel order, so the result is bit-identical to a serial scan. When the
-//! scan feeds a `HashAggregate` directly, workers additionally fold their
-//! morsel into a *partial aggregate state*; the partial states merge in
-//! morsel order on the coordinator, parallelizing scan→filter→aggregate end
-//! to end. Uncorrelated sub-queries are evaluated once per query and cached;
+//! morsel order, so the result is bit-identical to a serial scan. A
+//! `HashAggregate` fed by a scan does not materialize rows at all: it reads
+//! the kernel survivors off the column vectors (see [`crate::agg`]).
+//! Uncorrelated sub-queries are evaluated once per query and cached;
 //! sub-query *plans* are cached even for correlated sub-queries, which are
 //! re-executed per outer row.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
 
 use mtsql::ast::*;
 use mtsql::visit::contains_subquery;
 
+use crate::bound::{substring, BoundExpr, Frame, LikeArg, ScalarFn, Slot};
 use crate::conjuncts::{
-    between_matches, eval_vectorized_range, fast_filter_matches, fast_pred_matches,
-    flip_comparison, has_columns, CompiledPred, Selection,
+    between_matches, eval_vectorized_range, fast_pred_matches, flip_comparison, has_columns,
+    CompiledPred, Selection,
 };
 use crate::error::{err, EngineError, Result};
-use crate::plan::{HashAggregate, JoinVariant, Plan, Planner, Project, SeqScan, SortKey};
+use crate::plan::{BoundJoin, JoinVariant, Plan, Planner, Project, SeqScan, SortKey};
 use crate::schema::Schema;
 use crate::table::{ColumnBucket, Row, SharedRow, Snapshot};
 use crate::value::{add_months, civil_from_days, parse_date, Value};
@@ -100,25 +102,35 @@ pub(crate) fn scan_worker_count(budget: usize, morsel_count: usize, total_rows: 
 /// are bounded at the scan's per-bucket *visible* length, so a pooled scan
 /// under a pinned snapshot never observes rows appended after the pin.
 #[derive(Debug, Clone, Copy)]
-struct Morsel {
+pub(crate) struct Morsel {
     /// Index into the scan's selected-bucket list.
-    bucket: usize,
+    pub bucket: usize,
     /// First row of the range.
-    start: usize,
+    pub start: usize,
     /// One past the last row of the range.
-    end: usize,
+    pub end: usize,
+}
+
+/// One partition bucket a scan visits: its partition key, its columns and
+/// its *visible length* — the whole bucket normally, or the rows visible at
+/// the executor's pinned snapshot.
+#[derive(Clone, Copy)]
+pub(crate) struct Selected<'t> {
+    pub key: i64,
+    pub cols: &'t ColumnBucket,
+    pub visible: usize,
 }
 
 /// Split the selected buckets into [`MORSEL_ROWS`]-row ranges, in bucket
 /// order. Morsels of one bucket are contiguous and ascending, so merging
 /// per-morsel outputs in morsel order reproduces the serial row order
 /// exactly.
-fn build_morsels(selected: &[(&ColumnBucket, usize)]) -> Vec<Morsel> {
+pub(crate) fn build_morsels(selected: &[Selected]) -> Vec<Morsel> {
     let mut morsels = Vec::new();
-    for (bucket, &(_, visible)) in selected.iter().enumerate() {
+    for (bucket, s) in selected.iter().enumerate() {
         let mut start = 0;
-        while start < visible {
-            let end = (start + MORSEL_ROWS).min(visible);
+        while start < s.visible {
+            let end = (start + MORSEL_ROWS).min(s.visible);
             morsels.push(Morsel { bucket, start, end });
             start = end;
         }
@@ -126,112 +138,105 @@ fn build_morsels(selected: &[(&ColumnBucket, usize)]) -> Vec<Morsel> {
     morsels
 }
 
-/// The number of morsels [`build_morsels`] would produce, without building
-/// them (serial-path bail-out sizing).
-fn morsel_count(selected: &[(&ColumnBucket, usize)]) -> usize {
-    selected.iter().map(|&(_, v)| v.div_ceil(MORSEL_ROWS)).sum()
-}
-
-/// Run `work` over every morsel on a pool of `threads` scoped workers.
-/// Workers *pull* morsels from a shared index — a slow morsel never stalls
-/// the rest of the pool — and each worker evaluates through its own
-/// [`Executor`] (the engine is shared and `Sync`; executor-local caches are
-/// not). Results are returned in morsel order regardless of which worker
-/// produced them; a panicking worker surfaces as a typed error; and when
-/// several morsels fail, the error of the lowest morsel index wins — the one
-/// the serial scan would have hit first.
-fn run_morsel_pool<T, F>(
+/// Run `work` over every morsel on a pool of `threads` scoped workers and
+/// hand the results to `consume` **in morsel order**, on the calling thread,
+/// as they become available — consumption overlaps the workers' evaluation
+/// and no more results are held than the workers run ahead. Workers *pull*
+/// morsels from a shared index — a slow morsel never stalls the rest of the
+/// pool — and each evaluates through its own [`Executor`] (the engine is
+/// shared and `Sync`; executor-local caches are not). The first failure in
+/// morsel order — of `work` or of `consume` — is the one reported, exactly
+/// the one a serial run would have hit first, and stops the pool; a
+/// panicking worker surfaces as a typed error.
+pub(crate) fn run_morsel_pool<T, F, C>(
     engine: &Engine,
     params: &[Value],
     threads: usize,
     morsels: &[Morsel],
     work: F,
-) -> Result<Vec<T>>
+    mut consume: C,
+) -> Result<()>
 where
     T: Send,
     F: Fn(&Executor, Morsel) -> Result<T> + Sync,
+    C: FnMut(T) -> Result<()>,
 {
-    use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtomicOrdering};
     let next = AtomicUsize::new(0);
-    let joined = std::thread::scope(|scope| {
+    let stop = AtomicBool::new(false);
+    let (tx, rx) = std::sync::mpsc::channel::<(usize, Result<T>)>();
+    let (consumed, outcome, panicked) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
-                let (next, work) = (&next, &work);
+                let (next, stop, work, tx) = (&next, &stop, &work, tx.clone());
                 scope.spawn(move || {
                     let worker = Executor::with_params(engine, params.to_vec());
-                    let mut done: Vec<(usize, Result<T>)> = Vec::new();
-                    loop {
+                    while !stop.load(AtomicOrdering::Relaxed) {
                         let i = next.fetch_add(1, AtomicOrdering::Relaxed);
                         let Some(morsel) = morsels.get(i) else { break };
-                        done.push((i, work(&worker, *morsel)));
+                        if tx.send((i, work(&worker, *morsel))).is_err() {
+                            break;
+                        }
                     }
-                    done
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join())
-            .collect::<Vec<std::thread::Result<_>>>()
-    });
-    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None)
-        .take(morsels.len())
-        .collect();
-    let mut first_err: Option<(usize, EngineError)> = None;
-    for outcome in joined {
-        let done = outcome.map_err(|_| {
-            EngineError::with_kind(
-                crate::EngineErrorKind::Poisoned,
-                "parallel scan worker panicked",
-            )
-        })?;
-        for (i, result) in done {
-            match result {
-                Ok(v) => slots[i] = Some(v),
-                Err(e) => {
-                    if first_err.as_ref().is_none_or(|f| i < f.0) {
-                        first_err = Some((i, e));
-                    }
+        drop(tx);
+        // Results that arrived ahead of their turn wait here.
+        let mut early: BTreeMap<usize, Result<T>> = BTreeMap::new();
+        let mut consumed = 0usize;
+        let mut outcome = Ok(());
+        for (i, result) in rx {
+            early.insert(i, result);
+            while let Some(result) = early.remove(&consumed) {
+                consumed += 1;
+                outcome = result.and_then(&mut consume);
+                if outcome.is_err() {
+                    break;
                 }
             }
-        }
-    }
-    if let Some((_, e)) = first_err {
-        return Err(e);
-    }
-    let mut results = Vec::with_capacity(slots.len());
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(v) => results.push(v),
-            // Every morsel index is pulled exactly once by construction; an
-            // empty slot means a worker died without reporting.
-            None => {
-                return Err(EngineError::with_kind(
-                    crate::EngineErrorKind::Poisoned,
-                    format!("morsel {i} was never completed by any worker"),
-                ))
+            if outcome.is_err() {
+                stop.store(true, AtomicOrdering::Relaxed);
+                break;
             }
         }
+        let panicked = handles.into_iter().filter_map(|h| h.join().err()).count();
+        (consumed, outcome, panicked)
+    });
+    if panicked > 0 {
+        return Err(EngineError::with_kind(
+            crate::EngineErrorKind::Poisoned,
+            "parallel scan worker panicked",
+        ));
     }
-    Ok(results)
+    outcome?;
+    // Every morsel index is pulled exactly once by construction; a missing
+    // result means a worker died without reporting.
+    if consumed < morsels.len() {
+        return Err(EngineError::with_kind(
+            crate::EngineErrorKind::Poisoned,
+            format!("morsel {consumed} was never completed by any worker"),
+        ));
+    }
+    Ok(())
 }
 
 /// Per-scan accounting fed into the engine counters afterwards.
 #[derive(Debug, Default, Clone, Copy)]
-struct ScanTally {
+pub(crate) struct ScanTally {
     /// Rows visited (loose-row loops) or covered by column kernels.
-    visited: u64,
+    pub visited: u64,
     /// Rows whose predicates were evaluated column-at-a-time.
-    vectorized: u64,
+    pub vectorized: u64,
     /// Rows late-materialized from buckets after qualifying.
-    materialized: u64,
+    pub materialized: u64,
     /// Rows processed through dictionary code space (per-predicate code
     /// kernels, code-space grouping, dictionary-decoding materializations).
-    dict: u64,
+    pub dict: u64,
 }
 
 impl ScanTally {
-    fn absorb(&mut self, other: ScanTally) {
+    pub(crate) fn absorb(&mut self, other: ScanTally) {
         self.visited += other.visited;
         self.vectorized += other.vectorized;
         self.materialized += other.materialized;
@@ -239,58 +244,39 @@ impl ScanTally {
     }
 }
 
-/// Sentinel group-key code for NULL slots in code-space grouping
-/// (dictionaries are bounded far below it, so it can never collide with a
-/// real code). Shared by the serial code-space grouping scan and the
-/// morsel workers' per-morsel code memos.
-const NULL_CODE: u32 = u32::MAX;
-
 /// Select the partition buckets a scan visits under an optional pruning key
-/// set, each paired with its *visible length* — the whole bucket normally,
-/// or the rows visible at the executor's pinned snapshot — together with
-/// the `(scanned, pruned)` bucket counts. Shared by every scan path so
-/// bucket selection, snapshot bounding and partition accounting can never
-/// drift apart. A snapshot that predates an open transaction's destructive
-/// rewrite is served from the table's retained pre-rewrite shadow (see
-/// [`crate::table::Table::read_at`]), so committed-floor readers never
-/// observe uncommitted rewritten storage.
-fn select_buckets<'t>(
+/// set, together with the `(scanned, pruned)` bucket counts. Shared by every
+/// scan path so bucket selection, snapshot bounding and partition accounting
+/// can never drift apart. A snapshot that predates an open transaction's
+/// destructive rewrite is served from the table's retained pre-rewrite
+/// shadow (see [`crate::table::Table::read_at`]), so committed-floor readers
+/// never observe uncommitted rewritten storage.
+pub(crate) fn select_buckets<'t>(
     table: &'t crate::table::Table,
     prune_keys: &Option<std::collections::BTreeSet<i64>>,
     snapshot: Option<&Snapshot>,
-) -> (Vec<(&'t ColumnBucket, usize)>, u64, u64) {
+) -> (Vec<Selected<'t>>, u64, u64) {
     let view = table.read_at(snapshot);
-    match prune_keys {
-        Some(keys) => {
-            let mut selected = Vec::new();
-            let (mut scanned, mut pruned) = (0u64, 0u64);
-            for (key, bucket) in view.partitions() {
-                if keys.contains(&key) {
-                    scanned += 1;
-                    selected.push((bucket, view.visible_bucket_len(key).min(bucket.len())));
-                } else {
-                    pruned += 1;
-                }
-            }
-            (selected, scanned, pruned)
-        }
-        None => {
-            let selected: Vec<(&ColumnBucket, usize)> = view
-                .partitions()
-                .map(|(k, b)| (b, view.visible_bucket_len(k).min(b.len())))
-                .collect();
-            let scanned = selected.len() as u64;
-            (selected, scanned, 0)
-        }
-    }
+    let total = view.partition_count() as u64;
+    let selected: Vec<Selected> = view
+        .partitions()
+        .filter(|(key, _)| prune_keys.as_ref().is_none_or(|keys| keys.contains(key)))
+        .map(|(key, cols)| Selected {
+            key,
+            cols,
+            visible: view.visible_bucket_len(key).min(cols.len()),
+        })
+        .collect();
+    let scanned = selected.len() as u64;
+    (selected, scanned, total - scanned)
 }
 
 /// Run the fast predicates of `filter` as column kernels over rows `range`
 /// of one bucket. Returns the surviving selection (bit `i` stands for bucket
-/// row `range.start + i`) and the range's accounting, with every survivor
-/// already charged as late-materialized — each caller builds exactly those
-/// rows. Pure (no engine access).
-fn kernel_select(
+/// row `range.start + i`) and the range's accounting; late materialization
+/// is charged by whoever builds rows from the survivors. Pure (no engine
+/// access).
+pub(crate) fn kernel_select(
     cols: &ColumnBucket,
     range: &std::ops::Range<usize>,
     filter: &[CompiledPred],
@@ -303,12 +289,6 @@ fn kernel_select(
     };
     for pred in filter.iter().filter(|p| p.is_fast()) {
         tally.dict += eval_vectorized_range(pred, cols, range.start, &mut sel);
-    }
-    tally.materialized = sel.count() as u64;
-    if cols.dict_column_count() > 0 {
-        // Qualifying rows decode their dictionary columns while
-        // materializing.
-        tally.dict += tally.materialized;
     }
     (sel, tally)
 }
@@ -334,7 +314,7 @@ impl<'a> Env<'a> {
     /// Borrowing column lookup: the resolved value plus whether it came from
     /// an outer (parent) environment. Comparison-only call sites use the
     /// borrow directly; owning sites clone the (cheap, `Arc`-interned) value.
-    fn lookup_ref(&self, col: &ColumnRef) -> Option<(&'a Value, bool)> {
+    pub(crate) fn lookup_ref(&self, col: &ColumnRef) -> Option<(&'a Value, bool)> {
         if let Some(idx) = self.schema.resolve(col) {
             return Some((&self.row[idx], false));
         }
@@ -407,6 +387,36 @@ impl<'e> Executor<'e> {
         self.snapshot = Some(Snapshot::Txn { floor, own });
     }
 
+    pub(crate) fn engine(&self) -> &'e Engine {
+        self.engine
+    }
+
+    pub(crate) fn params(&self) -> &[Value] {
+        &self.params
+    }
+
+    pub(crate) fn snapshot(&self) -> Option<&Snapshot> {
+        self.snapshot.as_ref()
+    }
+
+    /// The value bound to parameter `$index + 1`.
+    pub(crate) fn param(&self, index: usize) -> Result<Value> {
+        match self.params.get(index) {
+            Some(v) => Ok(v.clone()),
+            None => err(format!(
+                "parameter ${} is not bound ({} value(s) bound)",
+                index + 1,
+                self.params.len()
+            )),
+        }
+    }
+
+    /// An expression escaped to an outer row: the (sub-)query being
+    /// executed is correlated.
+    pub(crate) fn note_correlated(&self) {
+        self.correlation_witness.set(true);
+    }
+
     /// The compiled form of a LIKE pattern, cached per executor.
     fn compiled_like(&self, pattern: &str) -> Arc<LikePattern> {
         if let Some(hit) = self.like_cache.borrow().get(pattern) {
@@ -449,9 +459,23 @@ impl<'e> Executor<'e> {
                 rows: vec![Vec::new().into()],
             }),
             Plan::SeqScan(scan) => self.exec_scan(scan, outer),
-            Plan::Filter { input, predicates } => {
+            Plan::Filter {
+                input,
+                predicates,
+                bound,
+            } => {
+                bound_arity("Filter", predicates.len(), bound.len())?;
                 let rel = self.execute_plan(input, outer)?;
-                self.filter_relation(&rel, predicates, outer)
+                let mut rows = Vec::with_capacity(rel.rows.len());
+                for row in &rel.rows {
+                    if self.bound_all_true(bound, &Frame::row(&rel.schema, row, outer))? {
+                        rows.push(SharedRow::clone(row));
+                    }
+                }
+                Ok(Relation {
+                    schema: rel.schema,
+                    rows,
+                })
             }
             Plan::HashJoin {
                 left,
@@ -459,28 +483,35 @@ impl<'e> Executor<'e> {
                 keys,
                 residual,
                 kind,
+                bound,
                 ..
-            } => match kind {
-                JoinVariant::Plain(k) => {
-                    let l = self.execute_plan(left, outer)?;
-                    let r = self.execute_plan(right, outer)?;
-                    self.hash_join(&l, &r, keys, residual, *k, outer)
+            } => {
+                bound_arity("HashJoin", keys.len(), bound.keys.len())?;
+                bound_arity("HashJoin", residual.len(), bound.residual.len())?;
+                match kind {
+                    JoinVariant::Plain(k) => {
+                        let l = self.execute_plan(left, outer)?;
+                        let r = self.execute_plan(right, outer)?;
+                        self.hash_join(&l, &r, bound, *k, outer)
+                    }
+                    variant => self.key_join(left, right, bound, *variant, outer),
                 }
-                variant => self.key_join(left, right, keys, residual, *variant, outer),
-            },
+            }
             Plan::NestedLoopJoin {
                 left,
                 right,
                 predicates,
                 kind,
+                bound,
                 ..
             } => {
+                bound_arity("NestedLoopJoin", predicates.len(), bound.len())?;
                 let l = self.execute_plan(left, outer)?;
                 let r = self.execute_plan(right, outer)?;
                 if predicates.is_empty() && *kind == JoinKind::Cross {
                     Ok(cross_product(&l, &r))
                 } else {
-                    self.nested_loop_join(&l, &r, predicates, *kind, outer)
+                    self.nested_loop_join(&l, &r, bound, *kind, outer)
                 }
             }
             Plan::Subquery { input, schema, .. } => {
@@ -522,12 +553,8 @@ impl<'e> Executor<'e> {
         let input = self.execute_plan(&project.input, outer)?;
         let mut rows: Vec<SharedRow> = Vec::with_capacity(input.rows.len());
         for row in &input.rows {
-            let env = Env {
-                schema: &input.schema,
-                row,
-                parent: outer,
-            };
-            rows.push(self.project_row(&project.items, &env)?.into());
+            let frame = Frame::row(&input.schema, row, outer);
+            rows.push(self.project_row(project, &frame)?.into());
         }
         if project.distinct {
             dedup_visible(&mut rows, project.visible_width);
@@ -538,637 +565,17 @@ impl<'e> Executor<'e> {
         })
     }
 
-    /// Grouping head: hash rows into groups (first-seen order), evaluate
-    /// aggregates, HAVING and the output items per group. When the input is
-    /// a base-table scan large enough for the worker pool, the whole
-    /// scan→filter→group→fold pipeline runs morsel-parallel (see
-    /// [`Executor::try_parallel_aggregate`]); when it is a serial scan whose
-    /// group keys are dictionary-encoded columns, grouping runs in *code
-    /// space* (see [`Executor::try_group_on_codes`]); otherwise rows are
-    /// grouped by their evaluated key values.
-    fn exec_hash_aggregate(&self, agg: &HashAggregate, outer: Option<&Env>) -> Result<Relation> {
-        if let Some(rel) = self.try_parallel_aggregate(agg, outer)? {
-            return Ok(rel);
+    /// One output row of a projection head (wildcards were expanded into
+    /// slots when the plan was bound).
+    pub(crate) fn project_row(&self, project: &Project, frame: &Frame) -> Result<Row> {
+        if project.bound.len() < project.items.len() {
+            return Err(crate::verify::unbound("Project").into());
         }
-        let grouped = match self.try_group_on_codes(agg, outer)? {
-            Some(grouped) => grouped,
-            None => {
-                let input = self.execute_plan(&agg.input, outer)?;
-                self.group_by_values(agg, input, outer)?
-            }
-        };
-        self.finish_aggregate(agg, grouped, outer)
-    }
-
-    /// The standard grouping path: evaluate the group expressions per input
-    /// row and hash the key values, preserving first-seen group order. The
-    /// index map *owns* each key (moved in, never cloned); lookups borrow
-    /// the candidate key.
-    fn group_by_values(
-        &self,
-        agg: &HashAggregate,
-        input: Relation,
-        outer: Option<&Env>,
-    ) -> Result<GroupedInput> {
-        let mut group_index: HashMap<Vec<Value>, usize> = HashMap::new();
-        let mut members: Vec<Vec<usize>> = Vec::new();
-        for (i, row) in input.rows.iter().enumerate() {
-            let env = Env {
-                schema: &input.schema,
-                row,
-                parent: outer,
-            };
-            let key = agg
-                .group_exprs
-                .iter()
-                .map(|e| self.eval(e, &env))
-                .collect::<Result<Vec<_>>>()?;
-            match group_index.get(key.as_slice()) {
-                Some(&g) => members[g].push(i),
-                None => {
-                    members.push(vec![i]);
-                    group_index.insert(key, members.len() - 1);
-                }
-            }
-        }
-        let mut keys: Vec<Vec<Value>> = vec![Vec::new(); members.len()];
-        for (key, g) in group_index {
-            keys[g] = key;
-        }
-        Ok(GroupedInput {
-            input,
-            keys,
-            members,
-        })
-    }
-
-    /// Evaluate aggregates, HAVING and the output items per group — the
-    /// shared back half of hash aggregation, identical for both serial
-    /// grouping paths.
-    fn finish_aggregate(
-        &self,
-        agg: &HashAggregate,
-        grouped: GroupedInput,
-        outer: Option<&Env>,
-    ) -> Result<Relation> {
-        let GroupedInput {
-            input,
-            mut keys,
-            mut members,
-        } = grouped;
-        // Aggregates without GROUP BY over empty input still produce one row.
-        if members.is_empty() && agg.group_exprs.is_empty() {
-            members.push(Vec::new());
-            keys.push(Vec::new());
-        }
-
-        // A group with no members (global aggregate over an empty input) still
-        // needs a representative row so that non-aggregated columns (e.g. the
-        // constant factors of inlined conversion functions) resolve — to NULL.
-        let null_row: SharedRow = vec![Value::Null; input.schema.len()].into();
-        let mut agg_values: Vec<Vec<Value>> = Vec::with_capacity(keys.len());
-        let mut reps: Vec<SharedRow> = Vec::with_capacity(keys.len());
-        for group_members in &members {
-            let mut per_group = Vec::with_capacity(agg.aggregates.len());
-            for call in &agg.aggregates {
-                per_group.push(self.eval_aggregate(call, &input, group_members, outer)?);
-            }
-            agg_values.push(per_group);
-            reps.push(
-                group_members
-                    .first()
-                    .map(|&i| SharedRow::clone(&input.rows[i]))
-                    .unwrap_or_else(|| SharedRow::clone(&null_row)),
-            );
-        }
-        self.emit_groups(agg, &input.schema, &keys, &agg_values, &reps, outer)
-    }
-
-    /// Evaluate HAVING and the output items per group and assemble the
-    /// output relation — the shared back half of *every* aggregation path
-    /// (serial and morsel-parallel), operating on precomputed per-group
-    /// aggregate values and representative rows.
-    fn emit_groups(
-        &self,
-        agg: &HashAggregate,
-        schema: &Schema,
-        keys: &[Vec<Value>],
-        agg_values: &[Vec<Value>],
-        reps: &[SharedRow],
-        outer: Option<&Env>,
-    ) -> Result<Relation> {
-        let mut rows: Vec<SharedRow> = Vec::new();
-        for (g, key) in keys.iter().enumerate() {
-            let gctx = GroupContext {
-                group_exprs: &agg.group_exprs,
-                group_key: key,
-                aggregates: &agg.aggregates,
-                agg_values: &agg_values[g],
-                env: Env {
-                    schema,
-                    row: &reps[g],
-                    parent: outer,
-                },
-            };
-            if let Some(h) = &agg.having {
-                if !self.eval_in_group(h, &gctx)?.as_bool().unwrap_or(false) {
-                    continue;
-                }
-            }
-            let mut out_row = Vec::with_capacity(agg.items.len());
-            for item in &agg.items {
-                match item {
-                    SelectItem::Wildcard => out_row.extend(gctx.env.row.iter().cloned()),
-                    SelectItem::QualifiedWildcard(q) => {
-                        for idx in gctx.env.schema.indices_of_qualifier(q) {
-                            out_row.push(gctx.env.row[idx].clone());
-                        }
-                    }
-                    SelectItem::Expr { expr, .. } => out_row.push(self.eval_in_group(expr, &gctx)?),
-                }
-            }
-            rows.push(out_row.into());
-        }
-        if agg.distinct {
-            dedup_visible(&mut rows, agg.visible_width);
-        }
-        Ok(Relation {
-            schema: agg.schema.clone(),
-            rows,
-        })
-    }
-
-    /// Code-space grouping: when the aggregation input is a base-table scan
-    /// whose group keys are plain columns with at least one
-    /// dictionary-encoded among them, perform the scan and the grouping in
-    /// one pass — per bucket, rows map their group through a small
-    /// `codes -> group` memo (one key *evaluation* per distinct code
-    /// combination instead of one per row; Q1's `l_returnflag, l_linestatus`
-    /// hashes two `u32`s per row instead of two strings).
-    ///
-    /// Returns `None` (deferring to the standard path) whenever any piece
-    /// does not fit: non-column group keys, interpreted conjuncts (their
-    /// error/UDF evaluation order must stay identical to the hybrid scan),
-    /// no dictionary-encoded group column anywhere, or a scan large enough
-    /// to fan out to worker threads — this path scans serially, and losing
-    /// the parallel fan-out would cost more than per-row key hashing saves,
-    /// so such scans keep the standard scan-then-group pipeline. Buckets
-    /// whose group columns were demoted below the scan still group correctly
-    /// — they evaluate key values per row, same as the standard path.
-    /// Results are identical to the standard path by construction: rows are
-    /// visited in bucket order, groups keep first-seen order, and the
-    /// memoized key values are exactly the column values.
-    fn try_group_on_codes(
-        &self,
-        agg: &HashAggregate,
-        outer: Option<&Env>,
-    ) -> Result<Option<GroupedInput>> {
-        let _ = outer; // group keys are scan columns; outer rows never resolve them
-        if !self.engine.config().dictionary_encoding || agg.group_exprs.is_empty() {
-            return Ok(None);
-        }
-        let Plan::SeqScan(scan) = agg.input.as_ref() else {
-            return Ok(None);
-        };
-        let Ok(table) = self.engine.database().table(&scan.table) else {
-            return Ok(None);
-        };
-        let mut group_cols: Vec<usize> = Vec::with_capacity(agg.group_exprs.len());
-        for e in &agg.group_exprs {
-            match e {
-                Expr::Column(c) => match scan.schema.resolve(c) {
-                    Some(idx) => group_cols.push(idx),
-                    None => return Ok(None),
-                },
-                _ => return Ok(None),
-            }
-        }
-
-        let prune_keys = self.effective_prune_keys(scan, table.partition_column());
-        let bucket_filter = self.compile_bucket_filter(scan, prune_keys.is_some());
-        if !bucket_filter.iter().all(CompiledPred::is_fast) {
-            return Ok(None);
-        }
-        let loose_filter = if self.visible_loose_rows(table).is_empty() {
-            Vec::new()
-        } else {
-            self.compile_full_scan_filter(scan)
-        };
-        if !loose_filter.iter().all(CompiledPred::is_fast) {
-            return Ok(None);
-        }
-
-        let (selected, buckets_scanned, buckets_pruned) =
-            select_buckets(table, &prune_keys, self.snapshot.as_ref());
-        let any_dict_group = selected
+        project
+            .bound
             .iter()
-            .any(|&(c, _)| group_cols.iter().any(|&g| c.column(g).is_dict()));
-        if !any_dict_group {
-            return Ok(None);
-        }
-        // A scan the worker pool would engage keeps the standard path — its
-        // aggregation runs morsel-parallel end to end (or, when
-        // `try_parallel_aggregate` declined for sub-query reasons, at least
-        // its scan pools), and this one-pass grouping scan runs serially.
-        let total_rows: usize = selected.iter().map(|&(_, v)| v).sum();
-        if scan_worker_count(
-            effective_parallel_budget(&self.engine.config()),
-            morsel_count(&selected),
-            total_rows,
-        ) > 1
-        {
-            return Ok(None);
-        }
-
-        let mut rows: Vec<SharedRow> = Vec::new();
-        let mut keys: Vec<Vec<Value>> = Vec::new();
-        let mut members: Vec<Vec<usize>> = Vec::new();
-        let mut group_index: HashMap<Vec<Value>, usize> = HashMap::new();
-        let mut tally = ScanTally::default();
-
-        // Shared group lookup: first-seen order, keyed by value — so groups
-        // merge across buckets (each bucket has its own dictionary) exactly
-        // like the standard path.
-        let group_of = |key: Vec<Value>,
-                        group_index: &mut HashMap<Vec<Value>, usize>,
-                        keys: &mut Vec<Vec<Value>>,
-                        members: &mut Vec<Vec<usize>>|
-         -> usize {
-            match group_index.get(key.as_slice()) {
-                Some(&g) => g,
-                None => {
-                    keys.push(key.clone());
-                    members.push(Vec::new());
-                    group_index.insert(key, members.len() - 1);
-                    members.len() - 1
-                }
-            }
-        };
-
-        for &(cols, visible) in &selected {
-            let (sel, bucket_tally) = kernel_select(cols, &(0..visible), &bucket_filter);
-            tally.absorb(bucket_tally);
-            let all_dict = group_cols.iter().all(|&g| cols.column(g).is_dict());
-            if all_dict {
-                // Code-space grouping: one key evaluation per distinct code
-                // combination, one memo hit per row after that.
-                let mut memo: HashMap<Vec<u32>, usize> = HashMap::new();
-                sel.for_each(|i| {
-                    let codes: Vec<u32> = group_cols
-                        .iter()
-                        .map(|&g| {
-                            let col = cols.column(g);
-                            if col.is_null(i) {
-                                NULL_CODE
-                            } else {
-                                match col.data() {
-                                    crate::table::ColumnVec::Dict(d) => d.code(i),
-                                    _ => unreachable!("all_dict checked above"),
-                                }
-                            }
-                        })
-                        .collect();
-                    let g = match memo.get(&codes) {
-                        Some(&g) => g,
-                        None => {
-                            let key: Vec<Value> = group_cols
-                                .iter()
-                                .map(|&g| cols.column(g).value(i))
-                                .collect();
-                            let g = group_of(key, &mut group_index, &mut keys, &mut members);
-                            memo.insert(codes, g);
-                            g
-                        }
-                    };
-                    members[g].push(rows.len());
-                    rows.push(cols.materialize(i));
-                    tally.dict += 1;
-                });
-            } else {
-                // A demoted bucket: evaluate key values per row, exactly
-                // like the standard path would.
-                sel.for_each(|i| {
-                    let key: Vec<Value> = group_cols
-                        .iter()
-                        .map(|&g| cols.column(g).value(i))
-                        .collect();
-                    let g = group_of(key, &mut group_index, &mut keys, &mut members);
-                    members[g].push(rows.len());
-                    rows.push(cols.materialize(i));
-                });
-            }
-        }
-        for row in self.visible_loose_rows(table) {
-            tally.visited += 1;
-            if !fast_filter_matches(&loose_filter, row) {
-                continue;
-            }
-            let key: Vec<Value> = group_cols.iter().map(|&g| row[g].clone()).collect();
-            let g = group_of(key, &mut group_index, &mut keys, &mut members);
-            members[g].push(rows.len());
-            rows.push(SharedRow::clone(row));
-        }
-
-        self.engine.note_rows_scanned(tally.visited);
-        self.engine.note_partitions(buckets_scanned, buckets_pruned);
-        self.engine
-            .note_vectorized(tally.vectorized, tally.materialized);
-        self.engine.note_dict_kernel_rows(tally.dict);
-        Ok(Some(GroupedInput {
-            input: Relation {
-                schema: scan.schema.clone(),
-                rows,
-            },
-            keys,
-            members,
-        }))
-    }
-
-    /// Morsel-parallel aggregation: when the aggregation input is a plain
-    /// base-table scan large enough for the worker pool, run
-    /// scan → filter → partial aggregation per morsel on the pool and merge
-    /// the per-morsel partial states in morsel order — Q1/Q6-style
-    /// scan-and-aggregate queries parallelize end to end instead of only at
-    /// selection, and the input rows are never collected into one relation
-    /// (each worker keeps at most a morsel's rows live). Merging in morsel
-    /// order reproduces the serial path exactly: groups keep first-seen
-    /// order and every aggregate's values fold in row order (float SUM/AVG
-    /// are not associative, so fold order is part of result identity).
-    /// Loose rows (bounded at the snapshot) fold in serially after the
-    /// pool; HAVING, the output items and DISTINCT run on the coordinator
-    /// via the shared [`Executor::emit_groups`] back half.
-    ///
-    /// Returns `None` — deferring to the serial paths — for correlated
-    /// inputs (an outer row in scope), non-scan inputs, sub-query-bearing
-    /// group or aggregate expressions (each worker would re-execute the
-    /// sub-query against its own cold cache), and scans the pool would not
-    /// engage anyway. UDFs in group keys or aggregate arguments are fine:
-    /// they evaluate on the workers, and the engine's UDF registry is
-    /// shared and thread-safe, so call/cache-hit totals stay exact.
-    fn try_parallel_aggregate(
-        &self,
-        agg: &HashAggregate,
-        outer: Option<&Env>,
-    ) -> Result<Option<Relation>> {
-        if outer.is_some() {
-            return Ok(None);
-        }
-        let Plan::SeqScan(scan) = agg.input.as_ref() else {
-            return Ok(None);
-        };
-        let Ok(table) = self.engine.database().table(&scan.table) else {
-            return Ok(None);
-        };
-        if agg.group_exprs.iter().any(contains_subquery)
-            || agg
-                .aggregates
-                .iter()
-                .any(|c| c.args.iter().any(contains_subquery))
-        {
-            return Ok(None);
-        }
-        let budget = effective_parallel_budget(&self.engine.config());
-        if budget <= 1 {
-            return Ok(None);
-        }
-        let prune_keys = self.effective_prune_keys(scan, table.partition_column());
-        let (selected, buckets_scanned, buckets_pruned) =
-            select_buckets(table, &prune_keys, self.snapshot.as_ref());
-        let total: usize = selected.iter().map(|&(_, v)| v).sum();
-        let morsels = build_morsels(&selected);
-        let threads = scan_worker_count(budget, morsels.len(), total);
-        if threads <= 1 {
-            return Ok(None);
-        }
-        let bucket_filter = self.compile_bucket_filter(scan, prune_keys.is_some());
-        // Plain-column group keys unlock the per-morsel code memo over
-        // dictionary-encoded buckets (the worker-side analogue of
-        // `try_group_on_codes`).
-        let group_cols: Option<Vec<usize>> = agg
-            .group_exprs
-            .iter()
-            .map(|e| match e {
-                Expr::Column(c) => scan.schema.resolve(c),
-                _ => None,
-            })
-            .collect();
-
-        let partials =
-            run_morsel_pool(self.engine, &self.params, threads, &morsels, |worker, m| {
-                worker.agg_morsel_partial(
-                    selected[m.bucket].0,
-                    m,
-                    &bucket_filter,
-                    agg,
-                    &scan.schema,
-                    group_cols.as_deref(),
-                )
-            })?;
-
-        // Merge partial states in morsel order: first-seen group order and
-        // per-group value order match the serial single pass exactly.
-        let mut tally = ScanTally::default();
-        let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-        let mut merged = AggPartial::with_aggregates(agg.aggregates.len());
-        let merges = partials.len() as u64;
-        for partial in partials {
-            tally.absorb(partial.tally);
-            let AggPartial {
-                keys,
-                reps,
-                counts,
-                mut args,
-                ..
-            } = partial;
-            for (p, key) in keys.into_iter().enumerate() {
-                let g = merged.group_of(key, &mut index, &reps[p]);
-                merged.counts[g] += counts[p];
-                for (a, per_agg) in args.iter_mut().enumerate() {
-                    merged.args[a][g].append(&mut per_agg[p]);
-                }
-            }
-        }
-
-        // Loose rows carry arbitrary partition keys; fold them in serially
-        // (they are few — the write path spills them only until the next
-        // bucket rebuild) with the same filter choice as the serial scan.
-        let loose_filter = if prune_keys.is_none() {
-            Some(bucket_filter)
-        } else if self.visible_loose_rows(table).is_empty() {
-            None
-        } else {
-            Some(self.compile_full_scan_filter(scan))
-        };
-        if let Some(loose_filter) = &loose_filter {
-            for row in self.visible_loose_rows(table) {
-                tally.visited += 1;
-                if !self.filter_matches(loose_filter, &scan.schema, row, None)? {
-                    continue;
-                }
-                let env = Env {
-                    schema: &scan.schema,
-                    row,
-                    parent: None,
-                };
-                let key = agg
-                    .group_exprs
-                    .iter()
-                    .map(|e| self.eval(e, &env))
-                    .collect::<Result<Vec<_>>>()?;
-                let g = merged.group_of(key, &mut index, row);
-                self.accumulate_partial(agg, &mut merged, g, &env)?;
-            }
-        }
-
-        self.engine.note_rows_scanned(tally.visited);
-        self.engine.note_partitions(buckets_scanned, buckets_pruned);
-        self.engine
-            .note_vectorized(tally.vectorized, tally.materialized);
-        self.engine.note_dict_kernel_rows(tally.dict);
-        self.engine
-            .note_morsel_scan(morsels.len() as u64, threads as u64);
-        self.engine.note_partial_agg_merges(merges);
-
-        let AggPartial {
-            mut keys,
-            mut reps,
-            mut counts,
-            mut args,
-            ..
-        } = merged;
-        // Aggregates without GROUP BY over empty input still produce one
-        // row, represented by an all-NULL row (same as the serial path).
-        if keys.is_empty() && agg.group_exprs.is_empty() {
-            keys.push(Vec::new());
-            reps.push(vec![Value::Null; scan.schema.len()].into());
-            counts.push(0);
-            for per_agg in &mut args {
-                per_agg.push(Vec::new());
-            }
-        }
-        let mut agg_values: Vec<Vec<Value>> = Vec::with_capacity(keys.len());
-        for g in 0..keys.len() {
-            let mut per_group = Vec::with_capacity(agg.aggregates.len());
-            for (a, call) in agg.aggregates.iter().enumerate() {
-                per_group.push(self.fold_aggregate(
-                    call,
-                    std::mem::take(&mut args[a][g]),
-                    counts[g] as usize,
-                )?);
-            }
-            agg_values.push(per_group);
-        }
-        self.emit_groups(agg, &scan.schema, &keys, &agg_values, &reps, outer)
-            .map(Some)
-    }
-
-    /// Scan one morsel and fold its qualifying rows into a partial
-    /// aggregation state. Buckets whose group columns are all
-    /// dictionary-encoded (under an all-fast filter) group through a
-    /// per-morsel `codes -> group` memo, exactly like the serial code-space
-    /// path; everything else evaluates the group keys per row. Aggregate
-    /// arguments evaluate per qualifying row (skipping NULLs), then the
-    /// row buffer is dropped — a worker's live memory is bounded by the
-    /// morsel size, not the scan size.
-    fn agg_morsel_partial(
-        &self,
-        cols: &ColumnBucket,
-        morsel: Morsel,
-        filter: &[CompiledPred],
-        agg: &HashAggregate,
-        schema: &Schema,
-        group_cols: Option<&[usize]>,
-    ) -> Result<AggPartial> {
-        let mut partial = AggPartial::with_aggregates(agg.aggregates.len());
-        let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-        let range = morsel.start..morsel.end;
-        if let Some(gcols) = group_cols {
-            let all_dict = !gcols.is_empty() && gcols.iter().all(|&g| cols.column(g).is_dict());
-            if all_dict && filter.iter().all(CompiledPred::is_fast) {
-                let (sel, tally) = kernel_select(cols, &range, filter);
-                partial.tally = tally;
-                let mut memo: HashMap<Vec<u32>, usize> = HashMap::new();
-                let mut survivors: Vec<usize> = Vec::with_capacity(sel.count());
-                sel.for_each(|i| survivors.push(range.start + i));
-                for i in survivors {
-                    let codes: Vec<u32> = gcols
-                        .iter()
-                        .map(|&g| {
-                            let col = cols.column(g);
-                            if col.is_null(i) {
-                                NULL_CODE
-                            } else {
-                                match col.data() {
-                                    crate::table::ColumnVec::Dict(d) => d.code(i),
-                                    _ => unreachable!("all_dict checked above"),
-                                }
-                            }
-                        })
-                        .collect();
-                    let row = cols.materialize(i);
-                    partial.tally.dict += 1;
-                    let g = match memo.get(&codes) {
-                        Some(&g) => g,
-                        None => {
-                            let key: Vec<Value> =
-                                gcols.iter().map(|&g| cols.column(g).value(i)).collect();
-                            let g = partial.group_of(key, &mut index, &row);
-                            memo.insert(codes, g);
-                            g
-                        }
-                    };
-                    let env = Env {
-                        schema,
-                        row: &row,
-                        parent: None,
-                    };
-                    self.accumulate_partial(agg, &mut partial, g, &env)?;
-                }
-                return Ok(partial);
-            }
-        }
-        // Generic: scan the morsel (hybrid filter included), then group by
-        // evaluated key values.
-        let mut rows_buf: Vec<SharedRow> = Vec::new();
-        partial.tally = self.scan_range(cols, range, filter, schema, None, &mut rows_buf)?;
-        for row in rows_buf {
-            let env = Env {
-                schema,
-                row: &row,
-                parent: None,
-            };
-            let key = agg
-                .group_exprs
-                .iter()
-                .map(|e| self.eval(e, &env))
-                .collect::<Result<Vec<_>>>()?;
-            let g = partial.group_of(key, &mut index, &row);
-            self.accumulate_partial(agg, &mut partial, g, &env)?;
-        }
-        Ok(partial)
-    }
-
-    /// Fold one qualifying row into group `g` of a partial state: bump the
-    /// member count and append each aggregate's non-null argument value (in
-    /// row order).
-    fn accumulate_partial(
-        &self,
-        agg: &HashAggregate,
-        partial: &mut AggPartial,
-        g: usize,
-        env: &Env,
-    ) -> Result<()> {
-        partial.counts[g] += 1;
-        for (a, call) in agg.aggregates.iter().enumerate() {
-            let Some(arg) = call.args.first() else {
-                continue;
-            };
-            let v = self.eval(arg, env)?;
-            if !v.is_null() {
-                partial.args[a][g].push(v);
-            }
-        }
-        Ok(())
+            .map(|item| self.eval_bound(item, frame))
+            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -1185,7 +592,7 @@ impl<'e> Executor<'e> {
         let mut tally = ScanTally::default();
         let (selected, buckets_scanned, buckets_pruned) =
             select_buckets(table, &prune_keys, self.snapshot.as_ref());
-        let bucket_filter = self.compile_bucket_filter(scan, prune_keys.is_some());
+        let bucket_filter = self.compile_bucket_filter(scan, prune_keys.is_some())?;
         let mut rows = self.scan_buckets(
             &selected,
             &bucket_filter,
@@ -1204,7 +611,7 @@ impl<'e> Executor<'e> {
         } else if self.visible_loose_rows(table).is_empty() {
             None
         } else {
-            Some(self.compile_full_scan_filter(scan))
+            Some(self.compile_full_scan_filter(scan)?)
         };
         if let Some(full_filter) = &full_filter {
             for row in self.visible_loose_rows(table) {
@@ -1266,7 +673,7 @@ impl<'e> Executor<'e> {
     /// The table's loose rows, bounded at the executor's pinned snapshot.
     /// Like `select_buckets`, a snapshot predating an open transaction's
     /// rewrite reads the retained pre-rewrite shadow.
-    fn visible_loose_rows<'t>(&self, table: &'t crate::table::Table) -> &'t [SharedRow] {
+    pub(crate) fn visible_loose_rows<'t>(&self, table: &'t crate::table::Table) -> &'t [SharedRow] {
         let view = table.read_at(self.snapshot.as_ref());
         let loose = view.loose_rows();
         &loose[..view.visible_loose_len().min(loose.len())]
@@ -1286,7 +693,7 @@ impl<'e> Executor<'e> {
     /// coordinator's environment chain.
     fn scan_buckets<F>(
         &self,
-        selected: &[(&ColumnBucket, usize)],
+        selected: &[Selected],
         filter: &[CompiledPred],
         schema: &Schema,
         outer: Option<&Env>,
@@ -1296,7 +703,7 @@ impl<'e> Executor<'e> {
     where
         F: Fn(&Executor, Vec<SharedRow>, Option<&Env>) -> Result<Vec<SharedRow>> + Sync,
     {
-        let total: usize = selected.iter().map(|&(_, v)| v).sum();
+        let total: usize = selected.iter().map(|s| s.visible).sum();
         let budget = effective_parallel_budget(&self.engine.config());
         let fast = filter.iter().all(CompiledPred::is_fast);
         let pool = if budget > 1 && (fast || outer.is_none()) {
@@ -1308,10 +715,10 @@ impl<'e> Executor<'e> {
         };
         let Some((morsels, threads)) = pool else {
             let mut rows: Vec<SharedRow> = Vec::new();
-            for &(cols, visible) in selected {
+            for s in selected {
                 tally.absorb(self.scan_range(
-                    cols,
-                    0..visible,
+                    s.cols,
+                    0..s.visible,
                     filter,
                     schema,
                     outer,
@@ -1320,11 +727,16 @@ impl<'e> Executor<'e> {
             }
             return keep(self, rows, outer);
         };
-        let results =
-            run_morsel_pool(self.engine, &self.params, threads, &morsels, |worker, m| {
+        let mut rows: Vec<SharedRow> = Vec::new();
+        run_morsel_pool(
+            self.engine,
+            &self.params,
+            threads,
+            &morsels,
+            |worker, m| {
                 let mut local: Vec<SharedRow> = Vec::new();
                 let t = worker.scan_range(
-                    selected[m.bucket].0,
+                    selected[m.bucket].cols,
                     m.start..m.end,
                     filter,
                     schema,
@@ -1332,12 +744,13 @@ impl<'e> Executor<'e> {
                     &mut local,
                 )?;
                 Ok((keep(worker, local, None)?, t))
-            })?;
-        let mut rows: Vec<SharedRow> = Vec::new();
-        for (local, morsel_tally) in results {
-            rows.extend(local);
-            tally.absorb(morsel_tally);
-        }
+            },
+            |(local, morsel_tally)| {
+                rows.extend(local);
+                tally.absorb(morsel_tally);
+                Ok(())
+            },
+        )?;
         self.engine
             .note_morsel_scan(morsels.len() as u64, threads as u64);
         Ok(rows)
@@ -1353,7 +766,7 @@ impl<'e> Executor<'e> {
     /// UDF calls) for rows a compiled conjunct rejects, whatever their
     /// WHERE-clause order. Callers pre-bound `range` at the scan's snapshot
     /// watermark.
-    fn scan_range(
+    pub(crate) fn scan_range(
         &self,
         cols: &ColumnBucket,
         range: std::ops::Range<usize>,
@@ -1362,15 +775,19 @@ impl<'e> Executor<'e> {
         outer: Option<&Env>,
         out: &mut Vec<SharedRow>,
     ) -> Result<ScanTally> {
-        let (sel, tally) = kernel_select(cols, &range, filter);
+        let (sel, mut tally) = kernel_select(cols, &range, filter);
+        tally.materialized = sel.count() as u64;
+        if cols.dict_column_count() > 0 {
+            // Qualifying rows decode their dictionary columns while
+            // materializing.
+            tally.dict += tally.materialized;
+        }
         let interpreted: Vec<&CompiledPred> = filter.iter().filter(|p| !p.is_fast()).collect();
         if interpreted.is_empty() {
             sel.for_each(|i| out.push(cols.materialize(range.start + i)));
             return Ok(tally);
         }
-        let mut survivors: Vec<usize> = Vec::with_capacity(sel.count());
-        sel.for_each(|i| survivors.push(range.start + i));
-        'rows: for i in survivors {
+        'rows: for i in sel.iter().map(|i| range.start + i) {
             let row = cols.materialize(i);
             for pred in &interpreted {
                 if !self.filter_matches(std::slice::from_ref(*pred), schema, &row, outer)? {
@@ -1384,36 +801,37 @@ impl<'e> Executor<'e> {
 
     /// The full pushed filter of a scan — pruning predicates followed by the
     /// residual ones — as applied to loose rows and un-pruned scans.
-    pub(crate) fn compile_full_scan_filter(&self, scan: &SeqScan) -> Vec<CompiledPred> {
-        let mut preds = self.compile_filter(&scan.pruning, &scan.schema);
-        preds.extend(self.compile_filter(&scan.residual, &scan.schema));
-        preds
+    pub(crate) fn compile_full_scan_filter(&self, scan: &SeqScan) -> Result<Vec<CompiledPred>> {
+        bound_arity("SeqScan", scan.pruning.len(), scan.bound.pruning.len())?;
+        let mut preds = self.compile_filter(&scan.bound.pruning);
+        preds.extend(self.compile_bucket_filter(scan, true)?);
+        Ok(preds)
     }
 
     /// The filter applied to rows *inside* the scanned partition buckets:
     /// when pruning selected the buckets, rows satisfy the pruning
     /// predicates by construction (the bucket key *is* the partition value)
     /// and only the residual conjuncts run; otherwise the full pushed
-    /// filter applies. Shared by the batch scan, the code-space grouping
-    /// scan and the streaming cursor so the choice can never drift apart.
-    pub(crate) fn compile_bucket_filter(&self, scan: &SeqScan, pruned: bool) -> Vec<CompiledPred> {
-        if pruned {
-            self.compile_filter(&scan.residual, &scan.schema)
-        } else {
-            self.compile_full_scan_filter(scan)
+    /// filter applies. Shared by the batch scan, the streaming aggregate and
+    /// the streaming cursor so the choice can never drift apart.
+    pub(crate) fn compile_bucket_filter(
+        &self,
+        scan: &SeqScan,
+        pruned: bool,
+    ) -> Result<Vec<CompiledPred>> {
+        if !pruned {
+            return self.compile_full_scan_filter(scan);
         }
+        bound_arity("SeqScan", scan.residual.len(), scan.bound.residual.len())?;
+        Ok(self.compile_filter(&scan.bound.residual))
     }
 
     /// Does this scan's per-bucket filter compile entirely to fast predicate
     /// forms? Fast filters run fully as column kernels. (Used by the EXPLAIN
     /// renderer.)
     pub(crate) fn scan_compiles_fast(&self, scan: &SeqScan) -> bool {
-        let filter = if scan.prune_keys.is_some() {
-            self.compile_filter(&scan.residual, &scan.schema)
-        } else {
-            self.compile_full_scan_filter(scan)
-        };
-        filter.iter().all(CompiledPred::is_fast)
+        self.compile_bucket_filter(scan, scan.prune_keys.is_some())
+            .is_ok_and(|filter| filter.iter().all(CompiledPred::is_fast))
     }
 
     /// Evaluate a column- and sub-query-free expression to a constant. Also
@@ -1433,133 +851,94 @@ impl<'e> Executor<'e> {
         self.eval(expr, &env).ok()
     }
 
-    fn filter_relation(
-        &self,
-        rel: &Relation,
-        predicates: &[Expr],
-        outer: Option<&Env>,
-    ) -> Result<Relation> {
-        let compiled = self.compile_filter(predicates, &rel.schema);
-        let mut rows = Vec::with_capacity(rel.rows.len());
-        for row in &rel.rows {
-            if self.filter_matches(&compiled, &rel.schema, row, outer)? {
-                rows.push(SharedRow::clone(row));
-            }
-        }
-        Ok(Relation {
-            schema: rel.schema.clone(),
-            rows,
-        })
-    }
-
     // ------------------------------------------------------------------
     // Compiled scan filters
     // ------------------------------------------------------------------
 
-    /// Compile conjuncts into the fast per-row predicate forms where possible
-    /// (pre-resolved column index, pre-folded constants, precompiled LIKE
-    /// patterns); everything else falls back to interpreted evaluation.
-    pub(crate) fn compile_filter(&self, conjuncts: &[Expr], schema: &Schema) -> Vec<CompiledPred> {
-        conjuncts
-            .iter()
-            .map(|c| self.compile_pred(c, schema))
-            .collect()
+    /// Compile bound conjuncts into the fast per-row predicate forms where
+    /// possible (`column <cmp> constant`, `IN`, `BETWEEN`, `LIKE` against a
+    /// literal — constants evaluated now that parameters are bound);
+    /// everything else keeps its bound expression.
+    pub(crate) fn compile_filter(&self, conjuncts: &[BoundExpr]) -> Vec<CompiledPred> {
+        conjuncts.iter().map(|c| self.compile_pred(c)).collect()
     }
 
-    fn compile_pred(&self, conjunct: &Expr, schema: &Schema) -> CompiledPred {
-        let column_index = |e: &Expr| match e {
-            Expr::Column(c) => schema.resolve(c),
+    /// The value of a row-independent operand, when it has one.
+    fn constant_of(&self, expr: &BoundExpr) -> Option<Value> {
+        let row_free = !expr.any(|e| matches!(e, BoundExpr::Slot(_) | BoundExpr::Interpreted(_)));
+        row_free
+            .then(|| self.eval_bound(expr, &Frame::empty()).ok())
+            .flatten()
+    }
+
+    fn compile_pred(&self, conjunct: &BoundExpr) -> CompiledPred {
+        let column = |e: &BoundExpr| match e {
+            BoundExpr::Slot(Slot::Input(idx)) => Some(*idx),
             _ => None,
         };
-        match conjunct {
-            Expr::BinaryOp { left, op, right }
-                if matches!(
-                    op,
-                    BinaryOperator::Eq
-                        | BinaryOperator::NotEq
-                        | BinaryOperator::Lt
-                        | BinaryOperator::LtEq
-                        | BinaryOperator::Gt
-                        | BinaryOperator::GtEq
-                ) =>
-            {
-                if let (Some(idx), Some(value)) = (column_index(left), self.fold_const(right)) {
-                    return CompiledPred::Compare {
+        let compiled = match conjunct {
+            BoundExpr::Binary { op, left, right } if op.is_comparison() => {
+                match (column(left), column(right)) {
+                    (Some(idx), _) => self.constant_of(right).map(|value| CompiledPred::Compare {
                         idx,
                         op: *op,
                         value,
-                    };
+                    }),
+                    (None, Some(idx)) => {
+                        self.constant_of(left).map(|value| CompiledPred::Compare {
+                            idx,
+                            op: flip_comparison(*op),
+                            value,
+                        })
+                    }
+                    (None, None) => None,
                 }
-                if let (Some(idx), Some(value)) = (column_index(right), self.fold_const(left)) {
-                    return CompiledPred::Compare {
-                        idx,
-                        op: flip_comparison(*op),
-                        value,
-                    };
-                }
-                CompiledPred::Generic(conjunct.clone())
             }
-            Expr::InList {
+            BoundExpr::InList {
                 expr,
                 list,
                 negated,
-            } => {
-                if let Some(idx) = column_index(expr) {
-                    let values: Option<Vec<Value>> =
-                        list.iter().map(|i| self.fold_const(i)).collect();
-                    if let Some(values) = values {
-                        return CompiledPred::InSet {
-                            idx,
-                            values,
-                            negated: *negated,
-                        };
-                    }
-                }
-                CompiledPred::Generic(conjunct.clone())
-            }
-            Expr::Between {
+            } => column(expr).and_then(|idx| {
+                let values = list
+                    .iter()
+                    .map(|i| self.constant_of(i))
+                    .collect::<Option<_>>()?;
+                Some(CompiledPred::InSet {
+                    idx,
+                    values,
+                    negated: *negated,
+                })
+            }),
+            BoundExpr::Between {
                 expr,
                 low,
                 high,
                 negated,
-            } => {
-                if let (Some(idx), Some(lo), Some(hi)) = (
-                    column_index(expr),
-                    self.fold_const(low),
-                    self.fold_const(high),
-                ) {
-                    return CompiledPred::Between {
-                        idx,
-                        lo,
-                        hi,
-                        negated: *negated,
-                    };
-                }
-                CompiledPred::Generic(conjunct.clone())
-            }
-            Expr::Like {
+            } => column(expr).and_then(|idx| {
+                Some(CompiledPred::Between {
+                    idx,
+                    lo: self.constant_of(low)?,
+                    hi: self.constant_of(high)?,
+                    negated: *negated,
+                })
+            }),
+            BoundExpr::Like {
                 expr,
-                pattern,
+                pattern: LikeArg::Compiled(pattern),
                 negated,
-            } => {
-                if let (Some(idx), Expr::Literal(Literal::String(p))) =
-                    (column_index(expr), pattern.as_ref())
-                {
-                    return CompiledPred::Like {
-                        idx,
-                        pattern: self.compiled_like(p),
-                        negated: *negated,
-                    };
-                }
-                CompiledPred::Generic(conjunct.clone())
-            }
-            other => CompiledPred::Generic(other.clone()),
-        }
+            } => column(expr).map(|idx| CompiledPred::Like {
+                idx,
+                pattern: Arc::clone(pattern),
+                negated: *negated,
+            }),
+            _ => None,
+        };
+        compiled.unwrap_or_else(|| CompiledPred::Generic(conjunct.clone()))
     }
 
     /// `true` when every compiled conjunct accepts the row. The fast forms
-    /// compare against borrowed values; only the generic fallback builds an
-    /// evaluation environment.
+    /// compare against borrowed values; only the generic fallback evaluates
+    /// an expression.
     pub(crate) fn filter_matches(
         &self,
         filter: &[CompiledPred],
@@ -1569,14 +948,10 @@ impl<'e> Executor<'e> {
     ) -> Result<bool> {
         for pred in filter {
             let ok = match pred {
-                CompiledPred::Generic(expr) => {
-                    let env = Env {
-                        schema,
-                        row,
-                        parent: outer,
-                    };
-                    self.eval(expr, &env)?.as_bool().unwrap_or(false)
-                }
+                CompiledPred::Generic(expr) => self
+                    .eval_bound(expr, &Frame::row(schema, row, outer))?
+                    .as_bool()
+                    .unwrap_or(false),
                 fast => fast_pred_matches(fast, row),
             };
             if !ok {
@@ -1586,68 +961,57 @@ impl<'e> Executor<'e> {
         Ok(true)
     }
 
-    fn hash_join(
+    /// Evaluate one side's join keys for `row` into the reusable `key`
+    /// buffer; `false` when a key is NULL (NULL equals nothing).
+    fn join_key<'k>(
+        &self,
+        exprs: impl Iterator<Item = &'k BoundExpr>,
+        frame: &Frame,
+        key: &mut Vec<Value>,
+    ) -> Result<bool> {
+        key.clear();
+        for e in exprs {
+            key.push(self.eval_bound(e, frame)?);
+        }
+        Ok(!key.iter().any(Value::is_null))
+    }
+
+    pub(crate) fn hash_join(
         &self,
         left: &Relation,
         right: &Relation,
-        keys: &[(Expr, Expr)],
-        residual: &[Expr],
+        join: &BoundJoin,
         kind: JoinKind,
         outer: Option<&Env>,
     ) -> Result<Relation> {
         let schema = left.schema.concat(&right.schema);
         // Build hash table on the right input.
         let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+        let mut key: Vec<Value> = Vec::with_capacity(join.keys.len());
         for (i, row) in right.rows.iter().enumerate() {
-            let env = Env {
-                schema: &right.schema,
-                row,
-                parent: outer,
-            };
-            let key = keys
-                .iter()
-                .map(|(_, r)| self.eval(r, &env))
-                .collect::<Result<Vec<_>>>()?;
-            if key.iter().any(Value::is_null) {
-                continue;
+            let frame = Frame::row(&right.schema, row, outer);
+            if self.join_key(join.keys.iter().map(|(_, r)| r), &frame, &mut key)? {
+                match table.get_mut(key.as_slice()) {
+                    Some(rows) => rows.push(i),
+                    None => {
+                        table.insert(key.clone(), vec![i]);
+                    }
+                }
             }
-            table.entry(key).or_default().push(i);
         }
         let right_width = right.schema.len();
         let mut rows = Vec::new();
         for lrow in &left.rows {
-            let lenv = Env {
-                schema: &left.schema,
-                row: lrow,
-                parent: outer,
-            };
-            let key = keys
-                .iter()
-                .map(|(l, _)| self.eval(l, &lenv))
-                .collect::<Result<Vec<_>>>()?;
+            let frame = Frame::row(&left.schema, lrow, outer);
             let mut matched = false;
-            if !key.iter().any(Value::is_null) {
-                if let Some(candidates) = table.get(&key) {
-                    for &ri in candidates {
-                        let combined = concat_rows(lrow, &right.rows[ri]);
-                        if residual.is_empty() || {
-                            let env = Env {
-                                schema: &schema,
-                                row: &combined,
-                                parent: outer,
-                            };
-                            let mut ok = true;
-                            for r in residual {
-                                if !self.eval(r, &env)?.as_bool().unwrap_or(false) {
-                                    ok = false;
-                                    break;
-                                }
-                            }
-                            ok
-                        } {
-                            matched = true;
-                            rows.push(combined.into());
-                        }
+            if self.join_key(join.keys.iter().map(|(l, _)| l), &frame, &mut key)? {
+                for &ri in table.get(key.as_slice()).into_iter().flatten() {
+                    let combined = concat_rows(lrow, &right.rows[ri]);
+                    if self
+                        .bound_all_true(&join.residual, &Frame::row(&schema, &combined, outer))?
+                    {
+                        matched = true;
+                        rows.push(combined.into());
                     }
                 }
             }
@@ -1665,39 +1029,30 @@ impl<'e> Executor<'e> {
     /// emitting probe rows unchanged and in order. When the probe side is a
     /// base-table scan with plain column keys, the probe runs *inside* the
     /// scan pipeline ([`Executor::key_join_scan`]); otherwise the probe plan
-    /// materializes and filters row-wise through the environment chain.
+    /// materializes and filters row-wise.
     fn key_join(
         &self,
         left: &Plan,
         right: &Plan,
-        keys: &[(Expr, Expr)],
-        residual: &[Expr],
+        join: &BoundJoin,
         variant: JoinVariant,
         outer: Option<&Env>,
     ) -> Result<Relation> {
         let build = self.execute_plan(right, outer)?;
         let mut map: HashMap<Vec<Value>, usize> = HashMap::with_capacity(build.rows.len());
+        let mut key: Vec<Value> = Vec::with_capacity(join.keys.len());
         for (i, row) in build.rows.iter().enumerate() {
-            let env = Env {
-                schema: &build.schema,
-                row,
-                parent: outer,
-            };
-            let key = keys
-                .iter()
-                .map(|(_, r)| self.eval(r, &env))
-                .collect::<Result<Vec<_>>>()?;
-            if key.iter().any(Value::is_null) {
-                continue;
+            let frame = Frame::row(&build.schema, row, outer);
+            if self.join_key(join.keys.iter().map(|(_, r)| r), &frame, &mut key)?
+                && !map.contains_key(key.as_slice())
+            {
+                map.insert(key.clone(), i);
             }
-            map.entry(key).or_insert(i);
         }
         self.engine.note_subquery_unnested(1);
 
         if let Plan::SeqScan(scan) = left {
-            if let Some(rel) =
-                self.key_join_scan(scan, keys, residual, variant, &build, &map, outer)?
-            {
+            if let Some(rel) = self.key_join_scan(scan, join, variant, &build, &map, outer)? {
                 return Ok(rel);
             }
         }
@@ -1705,18 +1060,9 @@ impl<'e> Executor<'e> {
         let combined = l.schema.concat(&build.schema);
         let mut rows = Vec::new();
         for lrow in &l.rows {
-            let env = Env {
-                schema: &l.schema,
-                row: lrow,
-                parent: outer,
-            };
-            let key = keys
-                .iter()
-                .map(|(p, _)| self.eval(p, &env))
-                .collect::<Result<Vec<_>>>()?;
-            if self.key_probe_matches(
-                &key, variant, &map, &build, residual, lrow, &combined, outer,
-            )? {
+            let frame = Frame::row(&l.schema, lrow, outer);
+            self.join_key(join.keys.iter().map(|(p, _)| p), &frame, &mut key)?;
+            if self.key_probe_matches(&key, variant, &map, &build, join, lrow, &combined, outer)? {
                 rows.push(SharedRow::clone(lrow));
             }
         }
@@ -1738,7 +1084,7 @@ impl<'e> Executor<'e> {
         variant: JoinVariant,
         map: &HashMap<Vec<Value>, usize>,
         build: &Relation,
-        residual: &[Expr],
+        join: &BoundJoin,
         lrow: &[Value],
         combined: &Schema,
         outer: Option<&Env>,
@@ -1756,23 +1102,12 @@ impl<'e> Executor<'e> {
                 let row = match hit {
                     Some(i) => concat_rows(lrow, &build.rows[i]),
                     None => {
-                        let mut r = Vec::with_capacity(lrow.len() + build.schema.len());
-                        r.extend_from_slice(lrow);
-                        r.extend(std::iter::repeat_n(Value::Null, build.schema.len()));
-                        r
+                        let mut row = lrow.to_vec();
+                        row.resize(lrow.len() + build.schema.len(), Value::Null);
+                        row
                     }
                 };
-                let env = Env {
-                    schema: combined,
-                    row: &row,
-                    parent: outer,
-                };
-                for r in residual {
-                    if !self.eval(r, &env)?.as_bool().unwrap_or(false) {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
+                self.bound_all_true(&join.residual, &Frame::row(combined, &row, outer))
             }
             JoinVariant::Plain(_) => unreachable!("plain joins use hash_join"),
         }
@@ -1786,33 +1121,28 @@ impl<'e> Executor<'e> {
     /// the key probe running per morsel on the workers. Returns `None`
     /// when a probe key is not a plain scan column; the caller falls back to
     /// materialize-then-filter (correctness never depends on this path).
-    #[allow(clippy::too_many_arguments)]
     fn key_join_scan(
         &self,
         scan: &SeqScan,
-        keys: &[(Expr, Expr)],
-        residual: &[Expr],
+        join: &BoundJoin,
         variant: JoinVariant,
         build: &Relation,
         map: &HashMap<Vec<Value>, usize>,
         outer: Option<&Env>,
     ) -> Result<Option<Relation>> {
-        let mut key_cols = Vec::with_capacity(keys.len());
-        for (probe, _) in keys {
-            let Expr::Column(c) = probe else {
+        let mut key_cols = Vec::with_capacity(join.keys.len());
+        for (probe, _) in &join.keys {
+            let BoundExpr::Slot(Slot::Input(idx)) = probe else {
                 return Ok(None);
             };
-            let Some(idx) = scan.schema.resolve(c) else {
-                return Ok(None);
-            };
-            key_cols.push(idx);
+            key_cols.push(*idx);
         }
 
         let table = self.engine.database().table(&scan.table)?;
         let prune_keys = self.effective_prune_keys(scan, table.partition_column());
         let (selected, buckets_scanned, buckets_pruned) =
             select_buckets(table, &prune_keys, self.snapshot.as_ref());
-        let mut bucket_filter = self.compile_bucket_filter(scan, prune_keys.is_some());
+        let mut bucket_filter = self.compile_bucket_filter(scan, prune_keys.is_some())?;
         // Per-column build-key sets are a superset filter for multi-key
         // joins; the exact tuple probe below still runs on the survivors.
         // Anti/aggregate joins keep (or NULL-extend) non-matching rows, so
@@ -1821,8 +1151,8 @@ impl<'e> Executor<'e> {
             for (i, &idx) in key_cols.iter().enumerate() {
                 // The only legal key-set injection site: a decorrelated
                 // probe's own scan columns. Under verification, re-check the
-                // resolved index against the scan schema before the kernel
-                // is installed (the static verifier cannot see this far).
+                // bound slot against the scan schema before the kernel is
+                // installed (the static verifier cannot see this far).
                 if crate::verify::verify_enabled(&self.engine.config) && idx >= scan.schema.len() {
                     return Err(crate::verify::PlanError {
                         class: crate::verify::PlanErrorClass::Variant,
@@ -1863,7 +1193,7 @@ impl<'e> Executor<'e> {
                 for row in scanned {
                     probe_key(&mut key, &row);
                     if exec.key_probe_matches(
-                        &key, variant, map, build, residual, &row, &combined, outer,
+                        &key, variant, map, build, join, &row, &combined, outer,
                     )? {
                         kept.push(row);
                     }
@@ -1879,7 +1209,7 @@ impl<'e> Executor<'e> {
         } else if self.visible_loose_rows(table).is_empty() {
             None
         } else {
-            Some(self.compile_full_scan_filter(scan))
+            Some(self.compile_full_scan_filter(scan)?)
         };
         if let Some(full_filter) = &full_filter {
             let mut key: Vec<Value> = Vec::with_capacity(key_cols.len());
@@ -1887,9 +1217,9 @@ impl<'e> Executor<'e> {
                 tally.visited += 1;
                 if self.filter_matches(full_filter, &scan.schema, row, outer)? {
                     probe_key(&mut key, row);
-                    if self.key_probe_matches(
-                        &key, variant, map, build, residual, row, &combined, outer,
-                    )? {
+                    if self
+                        .key_probe_matches(&key, variant, map, build, join, row, &combined, outer)?
+                    {
                         rows.push(SharedRow::clone(row));
                     }
                 }
@@ -1911,7 +1241,7 @@ impl<'e> Executor<'e> {
         &self,
         left: &Relation,
         right: &Relation,
-        conjuncts: &[Expr],
+        conjuncts: &[BoundExpr],
         kind: JoinKind,
         outer: Option<&Env>,
     ) -> Result<Relation> {
@@ -1922,19 +1252,7 @@ impl<'e> Executor<'e> {
             let mut matched = false;
             for rrow in &right.rows {
                 let combined = concat_rows(lrow, rrow);
-                let env = Env {
-                    schema: &schema,
-                    row: &combined,
-                    parent: outer,
-                };
-                let mut ok = true;
-                for c in conjuncts {
-                    if !self.eval(c, &env)?.as_bool().unwrap_or(false) {
-                        ok = false;
-                        break;
-                    }
-                }
-                if ok {
+                if self.bound_all_true(conjuncts, &Frame::row(&schema, &combined, outer))? {
                     matched = true;
                     rows.push(combined.into());
                 }
@@ -1947,235 +1265,6 @@ impl<'e> Executor<'e> {
     }
 
     // ------------------------------------------------------------------
-    // Aggregates
-    // ------------------------------------------------------------------
-
-    /// Evaluate one aggregate over a group's member rows: collect the
-    /// argument's non-null values in row order, then fold them via
-    /// [`Executor::fold_aggregate`].
-    fn eval_aggregate(
-        &self,
-        agg: &FunctionCall,
-        input: &Relation,
-        members: &[usize],
-        outer: Option<&Env>,
-    ) -> Result<Value> {
-        // COUNT(*) — no argument; folds from the member count alone.
-        let Some(arg) = agg.args.first() else {
-            return self.fold_aggregate(agg, Vec::new(), members.len());
-        };
-        let mut values = Vec::with_capacity(members.len());
-        for &i in members {
-            let env = Env {
-                schema: &input.schema,
-                row: &input.rows[i],
-                parent: outer,
-            };
-            let v = self.eval(arg, &env)?;
-            if !v.is_null() {
-                values.push(v);
-            }
-        }
-        self.fold_aggregate(agg, values, members.len())
-    }
-
-    /// Fold an aggregate over its collected non-null argument values (in
-    /// row order — float SUM/AVG are not associative, so the order is part
-    /// of result identity). The morsel-parallel path concatenates per-morsel
-    /// value lists in morsel order and folds here once per group, so DISTINCT
-    /// dedup (first occurrence wins) and the fold itself are shared verbatim
-    /// with the serial path.
-    fn fold_aggregate(
-        &self,
-        agg: &FunctionCall,
-        mut values: Vec<Value>,
-        member_count: usize,
-    ) -> Result<Value> {
-        let name = agg.name.to_ascii_uppercase();
-        if agg.args.is_empty() {
-            if name != "COUNT" {
-                return err(format!("aggregate `{name}` requires an argument"));
-            }
-            return Ok(Value::Int(member_count as i64));
-        }
-        if agg.distinct {
-            let mut seen = std::collections::HashSet::new();
-            values.retain(|v| seen.insert(v.clone()));
-        }
-        match name.as_str() {
-            "COUNT" => Ok(Value::Int(values.len() as i64)),
-            "SUM" => {
-                if values.is_empty() {
-                    return Ok(Value::Null);
-                }
-                let mut acc = Value::Int(0);
-                for v in &values {
-                    acc = acc.add(v)?;
-                }
-                Ok(acc)
-            }
-            "AVG" => {
-                if values.is_empty() {
-                    return Ok(Value::Null);
-                }
-                let mut acc = 0.0;
-                for v in &values {
-                    acc += v
-                        .as_f64()
-                        .ok_or_else(|| EngineError::new("AVG over non-numeric value"))?;
-                }
-                Ok(Value::Float(acc / values.len() as f64))
-            }
-            "MIN" => Ok(values
-                .into_iter()
-                .reduce(|a, b| {
-                    if b.compare(&a) == Some(Ordering::Less) {
-                        b
-                    } else {
-                        a
-                    }
-                })
-                .unwrap_or(Value::Null)),
-            "MAX" => Ok(values
-                .into_iter()
-                .reduce(|a, b| {
-                    if b.compare(&a) == Some(Ordering::Greater) {
-                        b
-                    } else {
-                        a
-                    }
-                })
-                .unwrap_or(Value::Null)),
-            other => err(format!("unsupported aggregate `{other}`")),
-        }
-    }
-
-    fn eval_in_group(&self, expr: &Expr, ctx: &GroupContext) -> Result<Value> {
-        // Group-by expressions evaluate to the group key.
-        for (i, g) in ctx.group_exprs.iter().enumerate() {
-            if g == expr {
-                return Ok(ctx.group_key[i].clone());
-            }
-        }
-        // Aggregates evaluate to their precomputed value.
-        if let Expr::Function(fc) = expr {
-            if fc.is_aggregate() {
-                for (i, a) in ctx.aggregates.iter().enumerate() {
-                    if a == fc {
-                        return Ok(ctx.agg_values[i].clone());
-                    }
-                }
-                return err(format!("aggregate `{}` was not precomputed", fc.name));
-            }
-        }
-        match expr {
-            Expr::Column(_) | Expr::Literal(_) => self.eval(expr, &ctx.env),
-            Expr::BinaryOp { left, op, right } => {
-                let l = self.eval_in_group(left, ctx)?;
-                let r = self.eval_in_group(right, ctx)?;
-                apply_binary(*op, l, r)
-            }
-            Expr::UnaryOp { op, expr: inner } => {
-                let v = self.eval_in_group(inner, ctx)?;
-                apply_unary(*op, v)
-            }
-            Expr::Case {
-                operand,
-                when_then,
-                else_expr,
-            } => {
-                let operand_val = operand
-                    .as_ref()
-                    .map(|o| self.eval_in_group(o, ctx))
-                    .transpose()?;
-                for (cond, out) in when_then {
-                    let hit = match &operand_val {
-                        Some(op_val) => {
-                            let c = self.eval_in_group(cond, ctx)?;
-                            op_val.sql_eq(&c).unwrap_or(false)
-                        }
-                        None => self.eval_in_group(cond, ctx)?.as_bool().unwrap_or(false),
-                    };
-                    if hit {
-                        return self.eval_in_group(out, ctx);
-                    }
-                }
-                match else_expr {
-                    Some(e) => self.eval_in_group(e, ctx),
-                    None => Ok(Value::Null),
-                }
-            }
-            Expr::Function(fc) => {
-                let args = fc
-                    .args
-                    .iter()
-                    .map(|a| self.eval_in_group(a, ctx))
-                    .collect::<Result<Vec<_>>>()?;
-                self.call_scalar(&fc.name, &args)
-            }
-            Expr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => {
-                let v = self.eval_in_group(expr, ctx)?;
-                let lo = self.eval_in_group(low, ctx)?;
-                let hi = self.eval_in_group(high, ctx)?;
-                Ok(Value::Bool(between_matches(&v, &lo, &hi, *negated)))
-            }
-            Expr::InList {
-                expr,
-                list,
-                negated,
-            } => {
-                let v = self.eval_in_group(expr, ctx)?;
-                if v.is_null() {
-                    return Ok(Value::Bool(false));
-                }
-                let mut found = false;
-                for item in list {
-                    if v.sql_eq(&self.eval_in_group(item, ctx)?) == Some(true) {
-                        found = true;
-                        break;
-                    }
-                }
-                Ok(Value::Bool(found != *negated))
-            }
-            Expr::IsNull { expr, negated } => {
-                let v = self.eval_in_group(expr, ctx)?;
-                Ok(Value::Bool(v.is_null() != *negated))
-            }
-            Expr::Like {
-                expr,
-                pattern,
-                negated,
-            } => {
-                let v = self.eval_in_group(expr, ctx)?;
-                let outcome = match v.as_str() {
-                    None => None,
-                    Some(text) => self
-                        .eval_in_group(pattern, ctx)?
-                        .as_str()
-                        .map(|p| self.compiled_like(p).matches(text)),
-                };
-                Ok(Value::Bool(outcome.map(|m| m != *negated).unwrap_or(false)))
-            }
-            Expr::Cast {
-                expr: inner,
-                data_type,
-            } => {
-                let v = self.eval_in_group(inner, ctx)?;
-                cast_value(v, *data_type)
-            }
-            // Everything else (sub-queries, EXTRACT/SUBSTRING over group
-            // values, ...) falls back to row-level evaluation against the
-            // group's representative row.
-            _ => self.eval(expr, &ctx.env),
-        }
-    }
-
-    // ------------------------------------------------------------------
     // Scalar expression evaluation
     // ------------------------------------------------------------------
 
@@ -2183,20 +1272,11 @@ impl<'e> Executor<'e> {
     pub fn eval(&self, expr: &Expr, env: &Env) -> Result<Value> {
         match expr {
             Expr::Literal(l) => literal_value(l),
-            Expr::Param(index) => match self.params.get(*index) {
-                Some(v) => Ok(v.clone()),
-                None => err(format!(
-                    "parameter ${} is not bound ({} value(s) bound)",
-                    index + 1,
-                    self.params.len()
-                )),
-            },
+            Expr::Param(index) => self.param(*index),
             Expr::Column(c) => match env.lookup_ref(c) {
                 Some((v, escaped)) => {
                     if escaped {
-                        // Escaped to an outer row: this (sub-)query is
-                        // correlated.
-                        self.correlation_witness.set(true);
+                        self.note_correlated();
                     }
                     Ok(v.clone())
                 }
@@ -2350,23 +1430,16 @@ impl<'e> Executor<'e> {
                 start,
                 length,
             } => {
-                let v = self.eval(expr, env)?;
-                let s = match v {
-                    Value::Str(s) => s.to_string(),
+                let text = match self.eval(expr, env)? {
                     Value::Null => return Ok(Value::Null),
                     other => other.to_string(),
                 };
                 let start = self.eval(start, env)?.as_i64().unwrap_or(1).max(1) as usize;
-                let chars: Vec<char> = s.chars().collect();
-                let from = (start - 1).min(chars.len());
-                let to = match length {
-                    Some(len) => {
-                        let l = self.eval(len, env)?.as_i64().unwrap_or(0).max(0) as usize;
-                        (from + l).min(chars.len())
-                    }
-                    None => chars.len(),
+                let length = match length {
+                    Some(len) => Some(self.eval(len, env)?.as_i64().unwrap_or(0).max(0)),
+                    None => None,
                 };
-                Ok(Value::str(chars[from..to].iter().collect::<String>()))
+                Ok(substring(&text, start, length))
             }
             Expr::Cast { expr, data_type } => {
                 let v = self.eval(expr, env)?;
@@ -2407,37 +1480,12 @@ impl<'e> Executor<'e> {
         }
     }
 
-    /// Evaluate a scalar (non-aggregate) function: engine built-ins first,
-    /// then registered UDFs.
+    /// Evaluate a scalar (non-aggregate) function by name (interpreted call
+    /// sites; bound call sites hold the resolved [`ScalarFn`]).
     fn call_scalar(&self, name: &str, args: &[Value]) -> Result<Value> {
-        match name.to_ascii_uppercase().as_str() {
-            "CONCAT" => {
-                let mut out = String::new();
-                for a in args {
-                    if a.is_null() {
-                        return Ok(Value::Null);
-                    }
-                    out.push_str(&a.to_string());
-                }
-                Ok(Value::str(out))
-            }
-            "CHAR_LENGTH" | "LENGTH" => match args.first() {
-                Some(Value::Str(s)) => Ok(Value::Int(s.chars().count() as i64)),
-                Some(Value::Null) | None => Ok(Value::Null),
-                Some(other) => Ok(Value::Int(other.to_string().chars().count() as i64)),
-            },
-            "COALESCE" => Ok(args
-                .iter()
-                .find(|a| !a.is_null())
-                .cloned()
-                .unwrap_or(Value::Null)),
-            "ABS" => match args.first() {
-                Some(Value::Int(i)) => Ok(Value::Int(i.abs())),
-                Some(Value::Float(f)) => Ok(Value::Float(f.abs())),
-                Some(Value::Null) | None => Ok(Value::Null),
-                Some(other) => err(format!("ABS of non-numeric {other:?}")),
-            },
-            _ => self.engine.udfs().call(name, args),
+        match ScalarFn::resolve(name, self.engine.udfs()) {
+            Some(func) => func.call(self.engine.udfs(), args),
+            None => err(format!("unknown function `{name}`")),
         }
     }
 
@@ -2483,98 +1531,21 @@ impl<'e> Executor<'e> {
         }
         Ok(rel)
     }
-
-    pub(crate) fn project_row(&self, projection: &[SelectItem], env: &Env) -> Result<Row> {
-        let mut out = Vec::with_capacity(projection.len());
-        for item in projection {
-            match item {
-                SelectItem::Wildcard => out.extend(env.row.iter().cloned()),
-                SelectItem::QualifiedWildcard(q) => {
-                    for idx in env.schema.indices_of_qualifier(q) {
-                        out.push(env.row[idx].clone());
-                    }
-                }
-                SelectItem::Expr { expr, .. } => out.push(self.eval(expr, env)?),
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// Grouped aggregation input: the input relation plus group keys and
-/// per-group member row indices, in first-seen group order. Produced by
-/// either grouping path (by value, or in dictionary code space) and consumed
-/// by the shared aggregate/HAVING/projection back half.
-struct GroupedInput {
-    input: Relation,
-    keys: Vec<Vec<Value>>,
-    members: Vec<Vec<usize>>,
-}
-
-/// Partial aggregation state of one morsel (and the coordinator's merge
-/// target): groups in first-seen order, a representative (first) row per
-/// group, member counts, and — per aggregate — the non-null argument values
-/// in row order. Merging partials in morsel order reproduces the serial
-/// path's first-seen group order and exact fold order.
-#[derive(Default)]
-struct AggPartial {
-    tally: ScanTally,
-    keys: Vec<Vec<Value>>,
-    reps: Vec<SharedRow>,
-    counts: Vec<u64>,
-    /// `args[a][g]` = non-null values of aggregate `a`'s argument in group
-    /// `g`, in row order. Aggregates without arguments (`COUNT(*)`) keep
-    /// empty lists and fold from the member count alone.
-    args: Vec<Vec<Vec<Value>>>,
-}
-
-impl AggPartial {
-    /// Empty state sized for `n` aggregates.
-    fn with_aggregates(n: usize) -> Self {
-        AggPartial {
-            args: vec![Vec::new(); n],
-            ..AggPartial::default()
-        }
-    }
-
-    /// Group index for `key`, creating the group — with `rep` as its
-    /// representative row — on first sight. `index` is the caller's
-    /// key-to-group map (kept outside so merge loops can reuse it).
-    fn group_of(
-        &mut self,
-        key: Vec<Value>,
-        index: &mut HashMap<Vec<Value>, usize>,
-        rep: &SharedRow,
-    ) -> usize {
-        match index.get(key.as_slice()) {
-            Some(&g) => g,
-            None => {
-                self.keys.push(key.clone());
-                self.reps.push(SharedRow::clone(rep));
-                self.counts.push(0);
-                for per_agg in &mut self.args {
-                    per_agg.push(Vec::new());
-                }
-                index.insert(key, self.keys.len() - 1);
-                self.keys.len() - 1
-            }
-        }
-    }
-}
-
-/// Group-evaluation context: key values, precomputed aggregates and a
-/// representative row for functionally dependent columns.
-struct GroupContext<'a> {
-    group_exprs: &'a [Expr],
-    group_key: &'a [Value],
-    aggregates: &'a [FunctionCall],
-    agg_values: &'a [Value],
-    env: Env<'a>,
 }
 
 // ---------------------------------------------------------------------------
 // Helpers
 // ---------------------------------------------------------------------------
+
+/// An operator whose expression list and bound list differ in length was
+/// never bound (or was edited after binding): refuse to run it.
+pub(crate) fn bound_arity(node: &str, exprs: usize, bound: usize) -> Result<()> {
+    if exprs == bound {
+        Ok(())
+    } else {
+        Err(crate::verify::unbound(node).into())
+    }
+}
 
 /// Sort shared rows in place by pre-resolved key columns: comparisons borrow
 /// the row values directly — no per-row key extraction or cloning.
@@ -2596,7 +1567,7 @@ fn sort_rows(rows: &mut [SharedRow], keys: &[SortKey]) {
 
 /// DISTINCT on the visible prefix of each row (hidden sort-key columns do not
 /// participate), keeping the first occurrence.
-fn dedup_visible(rows: &mut Vec<SharedRow>, width: usize) {
+pub(crate) fn dedup_visible(rows: &mut Vec<SharedRow>, width: usize) {
     let mut seen = std::collections::HashSet::new();
     rows.retain(|row| seen.insert(row[..width].to_vec()));
 }
@@ -2607,7 +1578,7 @@ pub(crate) fn literal_value(l: &Literal) -> Result<Value> {
         Literal::Boolean(b) => Value::Bool(*b),
         Literal::Integer(i) => Value::Int(*i),
         Literal::Float(f) => Value::Float(*f),
-        Literal::String(s) => Value::str(s.clone()),
+        Literal::String(s) => Value::str(s.as_str()),
         Literal::Date(d) => Value::Date(parse_date(d)?),
         Literal::Interval { value, unit } => match unit {
             // Intervals participate in date arithmetic; days become plain
@@ -2750,7 +1721,7 @@ fn cross_product(left: &Relation, right: &Relation) -> Relation {
 }
 
 /// Concatenate two rows into a fresh build-time row.
-fn concat_rows(left: &[Value], right: &[Value]) -> Row {
+pub(crate) fn concat_rows(left: &[Value], right: &[Value]) -> Row {
     let mut combined = Vec::with_capacity(left.len() + right.len());
     combined.extend_from_slice(left);
     combined.extend_from_slice(right);
@@ -2827,7 +1798,12 @@ mod tests {
         let (big, small) = (bucket_of(10_000), bucket_of(100));
         // The second bucket's visible length is snapshot-bounded below its
         // physical length; morsels must never cross the watermark.
-        let selected: Vec<(&ColumnBucket, usize)> = vec![(&big, 10_000), (&small, 60)];
+        let selected = |cols, visible| Selected {
+            key: 0,
+            cols,
+            visible,
+        };
+        let selected = [selected(&big, 10_000), selected(&small, 60)];
         let morsels = build_morsels(&selected);
         assert_eq!(morsels.len(), 4, "3 for the big bucket + 1 small");
         assert_eq!((morsels[0].start, morsels[0].end), (0, 4096));
@@ -2836,9 +1812,12 @@ mod tests {
             (morsels[3].bucket, morsels[3].start, morsels[3].end),
             (1, 0, 60)
         );
-        assert_eq!(morsel_count(&selected), morsels.len());
         // A fully invisible bucket contributes no morsels at all.
-        assert_eq!(morsel_count(&[(&small, 0)]), 0);
+        let invisible = Selected {
+            visible: 0,
+            ..selected[1]
+        };
+        assert!(build_morsels(&[invisible]).is_empty());
     }
 
     #[test]

@@ -48,17 +48,22 @@
 //! lowers a query into an operator DAG ([`plan::Plan`] — `SeqScan` with
 //! pushed conjuncts and pruning keys, `Filter`, `HashJoin`,
 //! `NestedLoopJoin`, `HashAggregate`, `Sort`, `Limit`, `Project`,
-//! `Subquery`), and [`exec::Executor`] walks that DAG. Pushdown is a plan
+//! `Subquery`) whose expressions are bound to slots at plan time
+//! ([`bound`]), and [`exec::Executor`] walks that DAG. Pushdown is a plan
 //! transformation, so it also crosses derived-table boundaries (conjuncts
 //! transpose through sub-select projections onto the base scans), and large
 //! scans run *morsel-driven*: the selected buckets are split into fixed-size
 //! row-range morsels pulled by a scoped worker pool
 //! (`EngineConfig::parallel_scan`, overridable at execution time through the
 //! `MT_THREADS` environment variable). Each worker runs the
-//! whole pipeline per morsel — predicate kernels, late materialization and,
-//! when the scan feeds a `HashAggregate`, per-worker partial aggregation
-//! states merged in morsel order — so results are bit-identical to a serial
-//! scan. Interpreted (non-fast-form) conjuncts run hybrid on the workers:
+//! whole pipeline per morsel — predicate kernels, then late
+//! materialization or, when the scan feeds a `HashAggregate`, evaluation of
+//! group ids and aggregate arguments straight off the column vectors
+//! ([`agg`]); the coordinator folds the per-morsel batches in morsel order
+//! — so results are bit-identical to a serial scan. A `HashAggregate` over
+//! the `ttid → Tenant` join conversion inlining emits resolves that join
+//! once per partition bucket instead of per row. Interpreted
+//! (non-fast-form) conjuncts run hybrid on the workers:
 //! kernels narrow the selection first, survivors are checked interpreted.
 //! `EXPLAIN <query>` (or [`Engine::explain_query`]) renders the plan,
 //! including pushed conjuncts, live partition-pruning counts and morsel
@@ -83,7 +88,7 @@
 //! after pruning), `partitions_scanned` / `partitions_pruned` (bucket
 //! accounting per scan), `morsels_dispatched` / `morsel_workers` /
 //! `partial_agg_merges` (morsel-pool accounting: row ranges pulled by
-//! workers, workers spawned, and partial aggregate states merged back into
+//! workers, workers spawned, and per-morsel aggregate batches folded into
 //! the final aggregate), `rows_vectorized` / `late_materialized` (bucket-scan
 //! accounting: rows covered by column kernels vs. rows actually built) and
 //! the UDF call/cache counters. Pruning can be disabled per engine
@@ -105,6 +110,8 @@
 //! assert_eq!(rs.rows, vec![vec![Value::Int(2)]]);
 //! ```
 
+pub mod agg;
+pub mod bound;
 pub mod conjuncts;
 pub mod cursor;
 pub mod decorrelate;
@@ -190,7 +197,7 @@ pub struct EngineConfig {
     /// Maximum worker threads a single base-table scan may fan out to. `0`
     /// or `1` scans serially. Pooled scans split their selected buckets into
     /// fixed-size row-range morsels (4096 rows) pulled by the workers, and
-    /// per-morsel outputs — row batches, or partial aggregate states when
+    /// per-morsel outputs — row batches, or evaluated aggregate batches when
     /// the scan feeds a `HashAggregate` — are merged in morsel order, so
     /// results are identical to a serial scan. Scans smaller than the pool
     /// engagement threshold (8192 rows) always run serially. The
@@ -687,7 +694,7 @@ impl Engine {
         self.counters.add_morsel_scan(morsels, workers);
     }
 
-    /// Note partial aggregate states merged into a final aggregate.
+    /// Note per-morsel aggregate batches folded in from pool workers.
     pub(crate) fn note_partial_agg_merges(&self, n: u64) {
         self.counters.add_partial_agg_merges(n);
     }

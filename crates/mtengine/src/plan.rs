@@ -27,6 +27,15 @@
 //! This is what lets the o2/o3 rewrites of the paper — which wrap scans in
 //! sub-selects — keep the scan-time tenant pruning of PR 1.
 //!
+//! The last planning step, [`Planner::bind`], binds every expression of the
+//! DAG against its operator's input schema ([`crate::bound`]) — column
+//! references become slots, constants fold, functions resolve to handles —
+//! and recognises the streaming-aggregation pipelines: a `HashAggregate`
+//! directly over an inner join of a partitioned scan on its partition column
+//! (the `X.ttid = T_tenant_key` join conversion inlining emits) marks that
+//! join [per-bucket](BoundJoin::per_bucket) and reads its build side through
+//! bucket-constant slots.
+//!
 //! [`explain`] renders a plan as an indented operator tree (the `EXPLAIN`
 //! statement surface), including pushed conjuncts, live partition-pruning
 //! counts and parallel-scan eligibility.
@@ -36,6 +45,7 @@ use std::collections::{BTreeSet, HashMap};
 use mtsql::ast::*;
 use mtsql::visit::{collect_aggregate_calls, contains_subquery, split_conjuncts};
 
+use crate::bound::{Binder, BoundAggregate, BoundExpr};
 use crate::conjuncts::{
     contains_aggregate, equi_join_keys, expr_resolvable, is_consumed_equi_key,
     is_param_partition_key_conjunct, map_columns, partition_keys_of_conjunct, take_applicable,
@@ -43,6 +53,7 @@ use crate::conjuncts::{
 use crate::error::Result;
 use crate::exec::Executor;
 use crate::schema::Schema;
+use crate::verify::PlanError;
 use crate::Engine;
 
 /// One ORDER BY key of a [`Plan::Sort`]: a column index into the input rows
@@ -79,6 +90,17 @@ pub struct SeqScan {
     /// intersects those into the effective pruning set — prepared statements
     /// keep scan-time tenant pruning without replanning per bind.
     pub param_pruning: Vec<Expr>,
+    /// The pushed conjuncts, bound (boxed: it keeps [`Plan`] small).
+    pub bound: Box<BoundScan>,
+}
+
+/// The bound form of a [`SeqScan`]'s pushed conjuncts, against the scan
+/// schema. The executor compiles them to kernels per execution (parameters
+/// are bound by then); what has no kernel form evaluates as bound.
+#[derive(Debug, Clone, Default)]
+pub struct BoundScan {
+    pub pruning: Vec<BoundExpr>,
+    pub residual: Vec<BoundExpr>,
 }
 
 impl SeqScan {
@@ -99,6 +121,9 @@ pub struct Project {
     pub distinct: bool,
     /// Schema of the visible output.
     pub schema: Schema,
+    /// `items` bound against the input, one entry per output column
+    /// (wildcards expanded).
+    pub bound: Vec<BoundExpr>,
 }
 
 /// Grouping/aggregation head of a query block.
@@ -114,6 +139,26 @@ pub struct HashAggregate {
     pub visible_width: usize,
     pub distinct: bool,
     pub schema: Schema,
+    /// Everything above, bound: what the streaming operator evaluates
+    /// (boxed: it keeps [`Plan`] small).
+    pub bound: Box<BoundAggregate>,
+}
+
+/// The bound form of a [`Plan::HashJoin`].
+#[derive(Debug, Clone, Default)]
+pub struct BoundJoin {
+    /// `(probe key, build key)`, each bound against its own side.
+    pub keys: Vec<(BoundExpr, BoundExpr)>,
+    /// Bound against the concatenated probe+build row.
+    pub residual: Vec<BoundExpr>,
+    /// The join is *elided*: its probe side is a scan of a partitioned table
+    /// and its one key pair equates that table's partition column with a
+    /// build key, so every row of a bucket joins the same build row. The
+    /// `HashAggregate` directly above looks that row up once per bucket and
+    /// reads it through [`crate::bound::Slot::BucketConst`] slots. Set by
+    /// [`Planner::bind`] only; a build side whose key turns out not to be
+    /// unique falls back to the generic join at execution time.
+    pub per_bucket: bool,
 }
 
 /// How a [`Plan::HashJoin`] combines its probe (left) and build (right)
@@ -157,6 +202,8 @@ pub enum Plan {
     Filter {
         input: Box<Plan>,
         predicates: Vec<Expr>,
+        /// `predicates`, bound against the input.
+        bound: Vec<BoundExpr>,
     },
     HashJoin {
         left: Box<Plan>,
@@ -169,6 +216,7 @@ pub enum Plan {
         residual: Vec<Expr>,
         kind: JoinVariant,
         schema: Schema,
+        bound: BoundJoin,
     },
     NestedLoopJoin {
         left: Box<Plan>,
@@ -176,6 +224,8 @@ pub enum Plan {
         predicates: Vec<Expr>,
         kind: JoinKind,
         schema: Schema,
+        /// `predicates`, bound against the concatenated row.
+        bound: Vec<BoundExpr>,
     },
     /// A derived table or expanded view, re-qualified under `alias`.
     Subquery {
@@ -198,6 +248,53 @@ pub enum Plan {
 }
 
 impl Plan {
+    /// A filter whose predicates are not bound yet (see [`Planner::bind`]).
+    pub fn filter(input: Plan, predicates: Vec<Expr>) -> Plan {
+        Plan::Filter {
+            input: Box::new(input),
+            predicates,
+            bound: Vec::new(),
+        }
+    }
+
+    /// A hash join whose keys and residual are not bound yet.
+    pub fn hash_join(
+        left: Plan,
+        right: Plan,
+        keys: Vec<(Expr, Expr)>,
+        residual: Vec<Expr>,
+        kind: JoinVariant,
+        schema: Schema,
+    ) -> Plan {
+        Plan::HashJoin {
+            left: Box::new(left),
+            right: Box::new(right),
+            keys,
+            residual,
+            kind,
+            schema,
+            bound: BoundJoin::default(),
+        }
+    }
+
+    /// A nested-loop join whose predicates are not bound yet.
+    pub fn nested_loop(
+        left: Plan,
+        right: Plan,
+        predicates: Vec<Expr>,
+        kind: JoinKind,
+        schema: Schema,
+    ) -> Plan {
+        Plan::NestedLoopJoin {
+            left: Box::new(left),
+            right: Box::new(right),
+            predicates,
+            kind,
+            schema,
+            bound: Vec::new(),
+        }
+    }
+
     /// The (visible) output schema of this operator.
     pub fn schema(&self) -> &Schema {
         match self {
@@ -226,9 +323,11 @@ impl<'e> Planner<'e> {
         Planner { engine }
     }
 
-    /// Lower a query into a physical plan.
+    /// Lower a query into a physical plan and bind its expressions.
     pub fn plan_query(&self, query: &Query) -> Result<Plan> {
-        self.plan(query, Vec::new())
+        let mut plan = self.plan(query, Vec::new())?;
+        self.bind(&mut plan)?;
+        Ok(plan)
     }
 
     /// Lower a query with extra conjuncts pushed down from an enclosing
@@ -306,6 +405,7 @@ impl<'e> Planner<'e> {
                 visible_width,
                 distinct: select.distinct,
                 schema: out_schema,
+                bound: Box::default(),
             })
         } else {
             Plan::Project(Project {
@@ -314,6 +414,7 @@ impl<'e> Planner<'e> {
                 visible_width,
                 distinct: select.distinct,
                 schema: out_schema,
+                bound: Vec::new(),
             })
         };
         if !sort_keys.is_empty() {
@@ -348,10 +449,7 @@ impl<'e> Planner<'e> {
                 schema: Schema::new(),
             };
             if !conjuncts.is_empty() {
-                plan = Plan::Filter {
-                    input: Box::new(plan),
-                    predicates: conjuncts,
-                };
+                plan = Plan::filter(plan, conjuncts);
             }
             return Ok(plan);
         }
@@ -380,25 +478,19 @@ impl<'e> Planner<'e> {
                     let right = items.remove(i);
                     remaining.retain(|c| !is_consumed_equi_key(c, &keys));
                     let schema = current.schema().concat(right.schema());
-                    Plan::HashJoin {
-                        left: Box::new(current),
-                        right: Box::new(right),
+                    Plan::hash_join(
+                        current,
+                        right,
                         keys,
-                        residual: Vec::new(),
-                        kind: JoinVariant::Plain(JoinKind::Inner),
+                        Vec::new(),
+                        JoinVariant::Plain(JoinKind::Inner),
                         schema,
-                    }
+                    )
                 }
                 None => {
                     let right = items.remove(0);
                     let schema = current.schema().concat(right.schema());
-                    Plan::NestedLoopJoin {
-                        left: Box::new(current),
-                        right: Box::new(right),
-                        predicates: Vec::new(),
-                        kind: JoinKind::Cross,
-                        schema,
-                    }
+                    Plan::nested_loop(current, right, Vec::new(), JoinKind::Cross, schema)
                 }
             };
             // Apply predicates that became resolvable, to keep intermediate
@@ -413,10 +505,7 @@ impl<'e> Planner<'e> {
                 }
             }
             if !apply.is_empty() {
-                current = Plan::Filter {
-                    input: Box::new(current),
-                    predicates: apply,
-                };
+                current = Plan::filter(current, apply);
             }
             remaining = still;
         }
@@ -429,10 +518,7 @@ impl<'e> Planner<'e> {
             remaining = self.decorrelate_conjuncts(&mut current, remaining)?;
         }
         if !remaining.is_empty() {
-            current = Plan::Filter {
-                input: Box::new(current),
-                predicates: remaining,
-            };
+            current = Plan::filter(current, remaining);
         }
         Ok(current)
     }
@@ -506,13 +592,7 @@ impl<'e> Planner<'e> {
                         let l = self.plan_table_ref(left, &mut Vec::new())?;
                         let r = self.plan_table_ref(right, &mut Vec::new())?;
                         let schema = l.schema().concat(r.schema());
-                        let node = Plan::NestedLoopJoin {
-                            left: Box::new(l),
-                            right: Box::new(r),
-                            predicates: Vec::new(),
-                            kind: JoinKind::Cross,
-                            schema,
-                        };
+                        let node = Plan::nested_loop(l, r, Vec::new(), JoinKind::Cross, schema);
                         return Ok(filter_applicable(node, pool));
                     }
                 };
@@ -523,22 +603,9 @@ impl<'e> Planner<'e> {
                     .collect();
                 let schema = l.schema().concat(r.schema());
                 let node = if keys.is_empty() {
-                    Plan::NestedLoopJoin {
-                        left: Box::new(l),
-                        right: Box::new(r),
-                        predicates: residual,
-                        kind: *kind,
-                        schema,
-                    }
+                    Plan::nested_loop(l, r, residual, *kind, schema)
                 } else {
-                    Plan::HashJoin {
-                        left: Box::new(l),
-                        right: Box::new(r),
-                        keys,
-                        residual,
-                        kind: JoinVariant::Plain(*kind),
-                        schema,
-                    }
+                    Plan::hash_join(l, r, keys, residual, JoinVariant::Plain(*kind), schema)
                 };
                 Ok(filter_applicable(node, pool))
             }
@@ -602,10 +669,7 @@ impl<'e> Planner<'e> {
             schema,
         };
         if !above.is_empty() {
-            node = Plan::Filter {
-                input: Box::new(node),
-                predicates: above,
-            };
+            node = Plan::filter(node, above);
         }
         Ok(node)
     }
@@ -655,7 +719,130 @@ impl<'e> Planner<'e> {
             residual,
             prune_keys,
             param_pruning,
+            bound: Box::default(),
         }
+    }
+
+    /// Bind every expression of `plan` against its operator's input schema
+    /// (see [`crate::bound`]) and recognise the streaming-aggregation
+    /// pipelines: a `HashAggregate` directly over a per-bucket-eligible join
+    /// (see [`BoundJoin::per_bucket`]) binds the build side's columns as
+    /// bucket constants and marks the join elided. Unknown scalar functions
+    /// and malformed aggregate calls are rejected here, at plan time.
+    /// [`Planner::plan_query`] calls this; hand-assembled plans call it
+    /// before execution.
+    pub fn bind(&self, plan: &mut Plan) -> std::result::Result<(), PlanError> {
+        let exec = Executor::new(self.engine);
+        self.bind_node(&exec, plan)
+    }
+
+    fn bind_node(&self, exec: &Executor, plan: &mut Plan) -> std::result::Result<(), PlanError> {
+        let binder = |schema, node| Binder {
+            exec,
+            schema,
+            split: None,
+            group: None,
+            node,
+        };
+        match plan {
+            Plan::Empty { .. } => {}
+            Plan::SeqScan(scan) => {
+                let scan_binder = binder(&scan.schema, "SeqScan");
+                *scan.bound = BoundScan {
+                    pruning: scan_binder.bind_all(scan.pruning.iter())?,
+                    residual: scan_binder.bind_all(scan.residual.iter())?,
+                };
+            }
+            Plan::Subquery { input, .. } | Plan::Sort { input, .. } | Plan::Limit { input, .. } => {
+                self.bind_node(exec, input)?
+            }
+            Plan::Filter {
+                input,
+                predicates,
+                bound,
+            } => {
+                self.bind_node(exec, input)?;
+                *bound = binder(input.schema(), "Filter").bind_all(predicates.iter())?;
+            }
+            Plan::HashJoin {
+                left,
+                right,
+                keys,
+                residual,
+                kind,
+                schema,
+                bound,
+            } => {
+                self.bind_node(exec, left)?;
+                self.bind_node(exec, right)?;
+                let (probe, build) = (
+                    binder(left.schema(), "HashJoin"),
+                    binder(right.schema(), "HashJoin"),
+                );
+                // The residual sees the concatenated row: a plain join's own
+                // schema; the filtering variants emit the probe schema only.
+                let concat;
+                let joined = match kind {
+                    JoinVariant::Plain(_) => &*schema,
+                    _ => {
+                        concat = left.schema().concat(right.schema());
+                        &concat
+                    }
+                };
+                *bound = BoundJoin {
+                    keys: keys
+                        .iter()
+                        .map(|(l, r)| Ok((probe.bind(l)?, build.bind(r)?)))
+                        .collect::<std::result::Result<_, PlanError>>()?,
+                    residual: binder(joined, "HashJoin").bind_all(residual.iter())?,
+                    per_bucket: false,
+                };
+            }
+            Plan::NestedLoopJoin {
+                left,
+                right,
+                predicates,
+                schema,
+                bound,
+                ..
+            } => {
+                self.bind_node(exec, left)?;
+                self.bind_node(exec, right)?;
+                *bound = binder(schema, "NestedLoopJoin").bind_all(predicates.iter())?;
+            }
+            Plan::Project(p) => {
+                self.bind_node(exec, &mut p.input)?;
+                p.bound = binder(p.input.schema(), "Project").bind_items(&p.items)?;
+            }
+            Plan::HashAggregate(a) => {
+                self.bind_node(exec, &mut a.input)?;
+                let split = per_bucket_split(self.engine, &a.input);
+                let bind_with = |split| {
+                    Binder {
+                        split,
+                        ..binder(a.input.schema(), "HashAggregate")
+                    }
+                    .bind_aggregate(
+                        &a.group_exprs,
+                        &a.aggregates,
+                        a.having.as_ref(),
+                        &a.items,
+                    )
+                };
+                let mut bound = bind_with(split)?;
+                let per_bucket = split.is_some() && bound.columnar;
+                if split.is_some() && !per_bucket {
+                    // Interpreted keys or arguments need the joined row
+                    // materialized: keep the generic join.
+                    bound = bind_with(None)?;
+                }
+                *a.bound = bound;
+                if let (true, Plan::HashJoin { bound: join, .. }) = (per_bucket, a.input.as_mut()) {
+                    join.per_bucket = true;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Schema of a FROM item when it is a plain base table (not a view);
@@ -679,11 +866,37 @@ fn filter_applicable(node: Plan, pool: &mut Vec<Expr>) -> Plan {
     if applicable.is_empty() {
         node
     } else {
-        Plan::Filter {
-            input: Box::new(node),
-            predicates: applicable,
-        }
+        Plan::filter(node, applicable)
     }
+}
+
+/// Is `plan` an inner hash join whose probe side scans a partitioned table
+/// and whose single key pair equates that table's partition column with a
+/// build-side key? Then every row of one partition bucket joins the same
+/// build row(s), and the result is the probe schema's width — the *split*
+/// behind which a parent binds build columns as bucket constants.
+pub(crate) fn per_bucket_split(engine: &Engine, plan: &Plan) -> Option<usize> {
+    let Plan::HashJoin {
+        left,
+        keys,
+        residual,
+        kind: JoinVariant::Plain(JoinKind::Inner),
+        ..
+    } = plan
+    else {
+        return None;
+    };
+    let (Plan::SeqScan(scan), [(Expr::Column(probe_key), _)]) = (left.as_ref(), keys.as_slice())
+    else {
+        return None;
+    };
+    let partition = engine
+        .database()
+        .table(&scan.table)
+        .ok()?
+        .partition_column()?;
+    (residual.is_empty() && scan.schema.resolve(probe_key) == Some(partition))
+        .then_some(scan.schema.len())
 }
 
 /// Rewrites conjuncts over a derived table's output columns into conjuncts
@@ -993,22 +1206,29 @@ fn scan_pool_workers(engine: &Engine, scan: &SeqScan) -> Option<usize> {
     Some(crate::exec::scan_worker_count(budget, morsels, total))
 }
 
-/// Mirror of the executor's morsel-parallel aggregation gate
-/// (`try_parallel_aggregate`): a plain base-table scan input, sub-query-free
-/// group and aggregate expressions, and a scan the pool would engage.
+/// Mirror of the executor's gate for running an aggregation on the worker
+/// pool: the input streams off a scan (directly, or through a per-bucket
+/// join), keys and arguments evaluate off column vectors, and the scan is
+/// one the pool would engage.
 fn aggregate_pools(engine: &Engine, agg: &HashAggregate) -> bool {
-    let Plan::SeqScan(scan) = agg.input.as_ref() else {
-        return false;
-    };
-    if agg.group_exprs.iter().any(contains_subquery)
-        || agg
-            .aggregates
-            .iter()
-            .any(|c| c.args.iter().any(contains_subquery))
-    {
-        return false;
+    agg.bound.columnar
+        && streamed_scan(&agg.input)
+            .and_then(|scan| scan_pool_workers(engine, scan))
+            .is_some_and(|workers| workers > 1)
+}
+
+/// The scan a `HashAggregate` over `input` streams from without
+/// materializing rows: the input itself, or the probe side of a join the
+/// planner marked per-bucket.
+fn streamed_scan(input: &Plan) -> Option<&SeqScan> {
+    match input {
+        Plan::SeqScan(scan) => Some(scan),
+        Plan::HashJoin { left, bound, .. } if bound.per_bucket => match left.as_ref() {
+            Plan::SeqScan(scan) => Some(scan),
+            _ => None,
+        },
+        _ => None,
     }
-    scan_pool_workers(engine, scan).is_some_and(|workers| workers > 1)
 }
 
 fn render(engine: &Engine, plan: &Plan, depth: usize, out: &mut String) {
@@ -1092,7 +1312,9 @@ fn render(engine: &Engine, plan: &Plan, depth: usize, out: &mut String) {
             }
             out.push('\n');
         }
-        Plan::Filter { input, predicates } => {
+        Plan::Filter {
+            input, predicates, ..
+        } => {
             out.push_str(&format!("Filter [{}]\n", join_exprs(predicates)));
             render(engine, input, depth + 1, out);
         }
@@ -1102,6 +1324,7 @@ fn render(engine: &Engine, plan: &Plan, depth: usize, out: &mut String) {
             keys,
             residual,
             kind,
+            bound,
             ..
         } => {
             let keys_text = keys
@@ -1128,6 +1351,11 @@ fn render(engine: &Engine, plan: &Plan, depth: usize, out: &mut String) {
                     out.push_str(" [bloom: build-key set probe]")
                 }
                 JoinVariant::Plain(_) => {}
+            }
+            // The aggregate above resolves this join once per partition
+            // bucket instead of probing per row.
+            if bound.per_bucket {
+                out.push_str(" [per-bucket]");
             }
             out.push('\n');
             render(engine, left, depth + 1, out);

@@ -28,10 +28,11 @@ pub struct StatsSnapshot {
     /// running 3 workers adds 3). `morsels_dispatched / morsel_workers` is
     /// the average pull depth per worker.
     pub morsel_workers: u64,
-    /// Partial `HashAggregate` states merged into a final aggregate: one per
-    /// morsel whose partial groups were folded into the coordinator's state.
-    /// Zero for scans without an aggregation pipeline (plain pooled scans
-    /// merge row batches, not aggregate states).
+    /// Per-morsel `HashAggregate` batches (group ids and evaluated argument
+    /// values) that pool workers produced and the coordinator folded into
+    /// the aggregate's state, one per morsel. Zero for serial aggregations
+    /// and for scans without an aggregation pipeline (plain pooled scans
+    /// merge row batches).
     pub partial_agg_merges: u64,
     /// Rows whose scan predicates were evaluated column-at-a-time by the
     /// vectorized kernels (partition buckets; loose rows are row-form).

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::RwLock;
 
 use crate::error::{err, Result};
 use crate::value::Value;
@@ -39,11 +39,25 @@ pub struct UdfStats {
     pub cache_hits: u64,
 }
 
-/// Registry of UDFs plus the immutable-result cache.
+/// A resolved UDF: the registry slot a bound call site invokes without a
+/// name lookup. Slots are append-only (re-registering a name replaces the
+/// function in place), so a handle held by a cached plan stays valid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UdfHandle(usize);
+
+/// One registry slot: the function plus its own immutable-result cache,
+/// keyed by the argument values alone.
+struct Slot {
+    udf: Udf,
+    cache: RwLock<HashMap<Vec<Value>, Value>>,
+}
+
+/// Registry of UDFs plus the immutable-result caches.
 pub struct UdfRegistry {
-    functions: HashMap<String, Udf>,
+    slots: Vec<Slot>,
+    /// Lower-cased name → slot.
+    by_name: HashMap<String, usize>,
     cache_enabled: bool,
-    cache: Mutex<HashMap<(String, Vec<Value>), Value>>,
     calls: AtomicU64,
     cache_hits: AtomicU64,
 }
@@ -53,9 +67,9 @@ impl UdfRegistry {
     /// deterministic function results (disable it to model "System C").
     pub fn new(cache_enabled: bool) -> Self {
         UdfRegistry {
-            functions: HashMap::new(),
+            slots: Vec::new(),
+            by_name: HashMap::new(),
             cache_enabled,
-            cache: Mutex::new(HashMap::new()),
             calls: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
         }
@@ -64,39 +78,66 @@ impl UdfRegistry {
     /// Register (or replace) a UDF.
     pub fn register(&mut self, name: impl Into<String>, immutable: bool, implementation: UdfImpl) {
         let name = name.into();
-        self.functions.insert(
-            name.to_ascii_lowercase(),
-            Udf {
+        let key = name.to_ascii_lowercase();
+        let slot = Slot {
+            udf: Udf {
                 name,
                 immutable,
                 implementation,
             },
-        );
+            cache: RwLock::new(HashMap::new()),
+        };
+        match self.by_name.get(&key) {
+            Some(&i) => self.slots[i] = slot,
+            None => {
+                self.by_name.insert(key, self.slots.len());
+                self.slots.push(slot);
+            }
+        }
+    }
+
+    /// Resolve a function name (case-insensitive) to its handle — done once
+    /// per call site when a plan is bound.
+    pub fn resolve(&self, name: &str) -> Option<UdfHandle> {
+        self.by_name
+            .get(&name.to_ascii_lowercase())
+            .map(|&i| UdfHandle(i))
     }
 
     /// Is a function with this name registered?
     pub fn contains(&self, name: &str) -> bool {
-        self.functions.contains_key(&name.to_ascii_lowercase())
+        self.resolve(name).is_some()
     }
 
-    /// Invoke a UDF, consulting the immutable-result cache when allowed.
-    pub fn call(&self, name: &str, args: &[Value]) -> Result<Value> {
-        let Some(udf) = self.functions.get(&name.to_ascii_lowercase()) else {
-            return err(format!("unknown function `{name}`"));
+    /// Invoke a resolved UDF, consulting its immutable-result cache when
+    /// allowed. A hit probes with the borrowed arguments (no key is built)
+    /// under a shared lock — pool workers hitting the cache do not exclude
+    /// each other — and no lock is ever held across the function body.
+    pub fn call(&self, handle: UdfHandle, args: &[Value]) -> Result<Value> {
+        let Some(slot) = self.slots.get(handle.0) else {
+            return err(format!("stale UDF handle {}", handle.0));
         };
-        if self.cache_enabled && udf.immutable {
-            let key = (name.to_ascii_lowercase(), args.to_vec());
-            if let Some(hit) = self.cache.lock().get(&key) {
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(hit.clone());
-            }
+        if !(self.cache_enabled && slot.udf.immutable) {
             self.calls.fetch_add(1, Ordering::Relaxed);
-            let result = (udf.implementation)(args)?;
-            self.cache.lock().insert(key, result.clone());
-            return Ok(result);
+            return (slot.udf.implementation)(args);
+        }
+        if let Some(hit) = slot.cache.read().get(args) {
+            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(hit.clone());
         }
         self.calls.fetch_add(1, Ordering::Relaxed);
-        (udf.implementation)(args)
+        let result = (slot.udf.implementation)(args)?;
+        slot.cache.write().insert(args.to_vec(), result.clone());
+        Ok(result)
+    }
+
+    /// Resolve and invoke in one step (interpreted call sites and the
+    /// middleware's write-path conversions).
+    pub fn call_by_name(&self, name: &str, args: &[Value]) -> Result<Value> {
+        match self.resolve(name) {
+            Some(handle) => self.call(handle, args),
+            None => err(format!("unknown function `{name}`")),
+        }
     }
 
     /// Snapshot the counters.
@@ -111,7 +152,9 @@ impl UdfRegistry {
     pub fn reset(&self) {
         self.calls.store(0, Ordering::Relaxed);
         self.cache_hits.store(0, Ordering::Relaxed);
-        self.cache.lock().clear();
+        for slot in &self.slots {
+            slot.cache.write().clear();
+        }
     }
 
     /// Whether immutable-result caching is enabled.
@@ -137,16 +180,30 @@ mod tests {
         let mut reg = UdfRegistry::new(false);
         let hits = Arc::new(AtomicUsize::new(0));
         reg.register("double", true, make_counting_udf(hits.clone()));
-        let v = reg.call("DOUBLE", &[Value::Int(21)]).unwrap();
+        let v = reg.call_by_name("DOUBLE", &[Value::Int(21)]).unwrap();
         assert_eq!(v, Value::Float(42.0));
         assert_eq!(reg.stats().calls, 1);
         assert_eq!(reg.stats().cache_hits, 0);
     }
 
     #[test]
+    fn handles_survive_later_registrations_and_replacement() {
+        let mut reg = UdfRegistry::new(true);
+        reg.register("first", true, Arc::new(|_: &[Value]| Ok(Value::Int(1))));
+        let first = reg.resolve("FIRST").unwrap();
+        reg.register("second", true, Arc::new(|_: &[Value]| Ok(Value::Int(2))));
+        assert_eq!(reg.call(first, &[]).unwrap(), Value::Int(1));
+        // Re-registering replaces the function (and its cache) in place.
+        reg.register("first", true, Arc::new(|_: &[Value]| Ok(Value::Int(10))));
+        assert_eq!(reg.resolve("first"), Some(first));
+        assert_eq!(reg.call(first, &[]).unwrap(), Value::Int(10));
+        assert!(reg.resolve("third").is_none());
+    }
+
+    #[test]
     fn unknown_function_errors() {
         let reg = UdfRegistry::new(false);
-        assert!(reg.call("nope", &[]).is_err());
+        assert!(reg.call_by_name("nope", &[]).is_err());
     }
 
     #[test]
@@ -155,7 +212,7 @@ mod tests {
         let executions = Arc::new(AtomicUsize::new(0));
         reg.register("double", true, make_counting_udf(executions.clone()));
         for _ in 0..5 {
-            reg.call("double", &[Value::Int(3)]).unwrap();
+            reg.call_by_name("double", &[Value::Int(3)]).unwrap();
         }
         assert_eq!(executions.load(Ordering::SeqCst), 1);
         let stats = reg.stats();
@@ -169,7 +226,7 @@ mod tests {
         let executions = Arc::new(AtomicUsize::new(0));
         reg.register("double", true, make_counting_udf(executions.clone()));
         for _ in 0..5 {
-            reg.call("double", &[Value::Int(3)]).unwrap();
+            reg.call_by_name("double", &[Value::Int(3)]).unwrap();
         }
         assert_eq!(executions.load(Ordering::SeqCst), 5);
         assert_eq!(reg.stats().cache_hits, 0);
@@ -181,7 +238,7 @@ mod tests {
         let executions = Arc::new(AtomicUsize::new(0));
         reg.register("volatile_fn", false, make_counting_udf(executions.clone()));
         for _ in 0..3 {
-            reg.call("volatile_fn", &[Value::Int(3)]).unwrap();
+            reg.call_by_name("volatile_fn", &[Value::Int(3)]).unwrap();
         }
         assert_eq!(executions.load(Ordering::SeqCst), 3);
     }
@@ -191,10 +248,10 @@ mod tests {
         let mut reg = UdfRegistry::new(true);
         let executions = Arc::new(AtomicUsize::new(0));
         reg.register("double", true, make_counting_udf(executions.clone()));
-        reg.call("double", &[Value::Int(3)]).unwrap();
+        reg.call_by_name("double", &[Value::Int(3)]).unwrap();
         reg.reset();
         assert_eq!(reg.stats(), UdfStats::default());
-        reg.call("double", &[Value::Int(3)]).unwrap();
+        reg.call_by_name("double", &[Value::Int(3)]).unwrap();
         assert_eq!(executions.load(Ordering::SeqCst), 2);
     }
 }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::error::{err, Result};
+use crate::error::{err, EngineError, EngineErrorKind, Result};
 
 /// A runtime value. Dates are stored as days since 1970-01-01 (can be
 /// negative); decimals are evaluated in double precision which is sufficient
@@ -110,7 +110,7 @@ impl Value {
     pub fn add(&self, other: &Value) -> Result<Value> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-            (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a + b)),
+            (Value::Int(a), Value::Int(b)) => checked_int(a.checked_add(*b), "+"),
             (Value::Date(d), Value::Int(days)) => Ok(Value::Date(d + *days as i32)),
             (Value::Int(days), Value::Date(d)) => Ok(Value::Date(d + *days as i32)),
             (Value::Str(a), Value::Str(b)) => Ok(Value::str(format!("{a}{b}"))),
@@ -125,7 +125,7 @@ impl Value {
     pub fn sub(&self, other: &Value) -> Result<Value> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-            (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a - b)),
+            (Value::Int(a), Value::Int(b)) => checked_int(a.checked_sub(*b), "-"),
             (Value::Date(d), Value::Int(days)) => Ok(Value::Date(d - *days as i32)),
             (Value::Date(a), Value::Date(b)) => Ok(Value::Int((*a - *b) as i64)),
             _ => match (self.as_f64(), other.as_f64()) {
@@ -139,7 +139,7 @@ impl Value {
     pub fn mul(&self, other: &Value) -> Result<Value> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-            (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a * b)),
+            (Value::Int(a), Value::Int(b)) => checked_int(a.checked_mul(*b), "*"),
             _ => match (self.as_f64(), other.as_f64()) {
                 (Some(a), Some(b)) => Ok(Value::Float(a * b)),
                 _ => err(format!("cannot multiply {self:?} and {other:?}")),
@@ -168,7 +168,7 @@ impl Value {
     pub fn modulo(&self, other: &Value) -> Result<Value> {
         match (self.as_i64(), other.as_i64()) {
             (Some(_), Some(0)) => err("modulo by zero"),
-            (Some(a), Some(b)) => Ok(Value::Int(a % b)),
+            (Some(a), Some(b)) => checked_int(a.checked_rem(b), "%"),
             _ => Ok(Value::Null),
         }
     }
@@ -177,11 +177,27 @@ impl Value {
     pub fn neg(&self) -> Result<Value> {
         match self {
             Value::Null => Ok(Value::Null),
-            Value::Int(i) => Ok(Value::Int(-i)),
+            Value::Int(i) => checked_int(i.checked_neg(), "negation"),
             Value::Float(f) => Ok(Value::Float(-f)),
             _ => err(format!("cannot negate {self:?}")),
         }
     }
+}
+
+/// `i64` arithmetic is checked: an overflow is a typed
+/// [`EngineErrorKind::Arithmetic`] error — never a debug-build panic or a
+/// silent release-build wrap inside a `SUM`.
+fn checked_int(result: Option<i64>, op: &str) -> Result<Value> {
+    result.map(Value::Int).ok_or_else(|| int_overflow(op))
+}
+
+/// The typed error of an overflowing `i64` operation (shared with the
+/// aggregate accumulator's integer `SUM`).
+pub(crate) fn int_overflow(op: &str) -> EngineError {
+    EngineError::with_kind(
+        EngineErrorKind::Arithmetic,
+        format!("integer overflow in `{op}`"),
+    )
 }
 
 impl PartialEq for Value {
@@ -369,6 +385,25 @@ mod tests {
             Value::Float(2.5)
         );
         assert!(Value::Int(1).div(&Value::Int(0)).is_err());
+    }
+
+    #[test]
+    fn integer_overflow_is_a_typed_error_not_a_panic() {
+        let max = Value::Int(i64::MAX);
+        for overflowing in [
+            max.add(&Value::Int(1)),
+            Value::Int(i64::MIN).sub(&Value::Int(1)),
+            max.mul(&Value::Int(2)),
+            Value::Int(i64::MIN).neg(),
+        ] {
+            let e = overflowing.unwrap_err();
+            assert_eq!(e.kind(), EngineErrorKind::Arithmetic, "{e}");
+        }
+        // The boundary itself is still representable.
+        assert_eq!(
+            Value::Int(i64::MAX - 1).add(&Value::Int(1)).unwrap(),
+            Value::Int(i64::MAX)
+        );
     }
 
     #[test]

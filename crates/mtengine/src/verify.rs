@@ -35,6 +35,15 @@
 //!   plus hidden ORDER BY keys — and `prune_to` strips exactly back to the
 //!   visible width; parameter placeholders stay below the bound-parameter
 //!   count.
+//! * **Binding.** Every operator's bound expression list matches its AST
+//!   list in length; every bound input slot is below its input's width,
+//!   every group-key / aggregate slot below the aggregate's key / call count,
+//!   every aggregate's argument index inside the argument list; a
+//!   bucket-constant slot appears only in a `HashAggregate` directly over a
+//!   join marked per-bucket, below the build side's width; and the
+//!   per-bucket mark sits only on a join of the eligible shape (inner, one
+//!   key pair, probe side a scan keyed on its table's partition column)
+//!   directly beneath a `HashAggregate`.
 //! * **Snapshot discipline.** Under a pinned cursor epoch, every scanned
 //!   table's rewrite epoch is at or below the pin — the per-bucket
 //!   watermarks addressed by `visible_bucket_len` are only meaningful then.
@@ -52,6 +61,7 @@ use std::fmt;
 use mtsql::ast::{ColumnRef, Expr, SelectItem};
 use mtsql::visit::{collect_columns, contains_subquery, max_param_index};
 
+use crate::bound::{BoundAggregate, BoundExpr, Slot};
 use crate::conjuncts::CompiledPred;
 use crate::error::{EngineError, EngineErrorKind};
 use crate::exec::Executor;
@@ -87,6 +97,13 @@ pub enum PlanErrorClass {
     /// A scan under a pinned cursor epoch has no valid watermark (the table
     /// was rewritten past the pin).
     Snapshot,
+    /// An unknown scalar function, or an aggregate call with the wrong
+    /// number of arguments — reported by the planner while binding.
+    Function,
+    /// An operator's bound expressions disagree with its inputs: a missing
+    /// binding, a slot past its input's width, a bucket-constant slot or a
+    /// per-bucket mark outside a per-bucket join.
+    Binding,
 }
 
 impl fmt::Display for PlanErrorClass {
@@ -101,6 +118,8 @@ impl fmt::Display for PlanErrorClass {
             PlanErrorClass::Param => "param",
             PlanErrorClass::Bounds => "bounds",
             PlanErrorClass::Snapshot => "snapshot",
+            PlanErrorClass::Function => "function",
+            PlanErrorClass::Binding => "binding",
         };
         f.write_str(tag)
     }
@@ -125,6 +144,16 @@ impl PlanError {
             detail: detail.into(),
         }
     }
+}
+
+/// The rejection of an operator that reached execution without (or with a
+/// stale) binding — [`crate::plan::Planner::bind`] was never run on it.
+pub(crate) fn unbound(node: &str) -> PlanError {
+    PlanError::new(
+        PlanErrorClass::Binding,
+        node,
+        "expressions are not bound (Planner::bind was not run on this plan)",
+    )
 }
 
 impl fmt::Display for PlanError {
@@ -206,6 +235,7 @@ pub fn verify_plan_with(
         engine,
         opts,
         report: VerifyReport::default(),
+        per_bucket_legal: false,
     };
     // Transaction discipline: a snapshot may only pin the committed floor.
     // Epochs above it belong to open (uncommitted) transactions — pinning
@@ -250,6 +280,30 @@ struct Verifier<'e> {
     engine: &'e Engine,
     opts: VerifyOptions,
     report: VerifyReport,
+    /// Set by a `HashAggregate` for the walk of its direct input: the one
+    /// position where a per-bucket join is legal.
+    per_bucket_legal: bool,
+}
+
+/// What the bound expressions of one operator may read.
+#[derive(Clone, Copy, Default)]
+struct SlotBounds {
+    /// Width of the input row.
+    input: usize,
+    /// Width of the per-bucket build row; `None` outside a per-bucket join.
+    consts: Option<usize>,
+    /// `(group keys, aggregates)` in group context.
+    group: Option<(usize, usize)>,
+}
+
+impl SlotBounds {
+    /// Plain operators read their input row and nothing else.
+    fn input(width: usize) -> Self {
+        SlotBounds {
+            input: width,
+            ..SlotBounds::default()
+        }
+    }
 }
 
 impl Verifier<'_> {
@@ -285,6 +339,54 @@ impl Verifier<'_> {
         Ok(())
     }
 
+    /// One bound list per AST list, and every slot inside `bounds`.
+    fn check_bound<'b>(
+        &mut self,
+        node: &str,
+        exprs: usize,
+        bound: impl ExactSizeIterator<Item = &'b BoundExpr>,
+        bounds: SlotBounds,
+    ) -> Result<(), PlanError> {
+        self.check();
+        if exprs != bound.len() {
+            return Err(PlanError::new(
+                PlanErrorClass::Binding,
+                node,
+                format!("{exprs} expression(s) but {} bound", bound.len()),
+            ));
+        }
+        for expr in bound {
+            let mut bad: Option<String> = None;
+            expr.walk(&mut |e| {
+                let BoundExpr::Slot(slot) = e else { return };
+                self.report.checks += 1;
+                let (limit, what) = match slot {
+                    Slot::Input(_) => (Some(bounds.input), "input"),
+                    Slot::BucketConst(_) => (bounds.consts, "bucket-constant"),
+                    Slot::GroupKey(_) => (bounds.group.map(|g| g.0), "group-key"),
+                    Slot::Agg(_) => (bounds.group.map(|g| g.1), "aggregate"),
+                    Slot::Outer(_) => return,
+                };
+                let (Slot::Input(i) | Slot::BucketConst(i) | Slot::GroupKey(i) | Slot::Agg(i)) =
+                    slot
+                else {
+                    return;
+                };
+                match limit {
+                    None => bad = Some(format!("{what} slot {i} is not legal here")),
+                    Some(width) if *i >= width => {
+                        bad = Some(format!("{what} slot {i} out of width {width}"))
+                    }
+                    Some(_) => {}
+                }
+            });
+            if let Some(detail) = bad {
+                return Err(PlanError::new(PlanErrorClass::Binding, node, detail));
+            }
+        }
+        Ok(())
+    }
+
     /// The runtime row width an operator produces — its schema width, plus
     /// the hidden ORDER BY key columns a projection head appends behind it.
     fn row_width(&self, plan: &Plan) -> usize {
@@ -297,16 +399,24 @@ impl Verifier<'_> {
 
     fn walk(&mut self, plan: &Plan) -> Result<(), PlanError> {
         self.report.operators += 1;
+        if !matches!(plan, Plan::HashJoin { .. }) {
+            self.per_bucket_legal = false;
+        }
         match plan {
             Plan::Empty { .. } => Ok(()),
             Plan::SeqScan(scan) => self.verify_scan(scan),
-            Plan::Filter { input, predicates } => {
+            Plan::Filter {
+                input,
+                predicates,
+                bound,
+            } => {
                 self.walk(input)?;
                 let node = "Filter";
                 for p in predicates {
                     self.columns_resolve(p, input.schema(), node, true)?;
                 }
-                Ok(())
+                let bounds = SlotBounds::input(input.schema().len());
+                self.check_bound(node, predicates.len(), bound.iter(), bounds)
             }
             Plan::HashJoin {
                 left,
@@ -315,16 +425,20 @@ impl Verifier<'_> {
                 residual,
                 kind,
                 schema,
+                bound,
             } => {
+                let under_aggregate = std::mem::take(&mut self.per_bucket_legal);
                 self.walk(left)?;
                 self.walk(right)?;
-                self.verify_hash_join(left, right, keys, residual, *kind, schema)
+                self.verify_hash_join(left, right, keys, residual, *kind, schema)?;
+                self.verify_join_binding(plan, bound, under_aggregate)
             }
             Plan::NestedLoopJoin {
                 left,
                 right,
                 predicates,
                 schema,
+                bound,
                 ..
             } => {
                 self.walk(left)?;
@@ -347,7 +461,8 @@ impl Verifier<'_> {
                 for p in predicates {
                     self.columns_resolve(p, &concat, node, true)?;
                 }
-                Ok(())
+                let bounds = SlotBounds::input(concat.len());
+                self.check_bound(node, predicates.len(), bound.iter(), bounds)
             }
             Plan::Subquery {
                 input,
@@ -505,8 +620,16 @@ impl Verifier<'_> {
         // The compiled filter: fast forms carry in-bounds column indices and
         // the compiler never emits the executor-injected key-set kernel.
         let executor = Executor::new(self.engine);
-        let compiled = executor.compile_filter(&scan.pruning, &scan.schema);
-        let residual = executor.compile_filter(&scan.residual, &scan.schema);
+        let bounds = SlotBounds::input(scan.schema.len());
+        self.check_bound(&node, scan.pruning.len(), scan.bound.pruning.iter(), bounds)?;
+        self.check_bound(
+            &node,
+            scan.residual.len(),
+            scan.bound.residual.iter(),
+            bounds,
+        )?;
+        let compiled = executor.compile_filter(&scan.bound.pruning);
+        let residual = executor.compile_filter(&scan.bound.residual);
         for pred in compiled.iter().chain(&residual) {
             self.check();
             if matches!(pred, CompiledPred::KeySet { .. }) {
@@ -678,11 +801,62 @@ impl Verifier<'_> {
                 self.columns_resolve(expr, p.input.schema(), node, true)?;
             }
         }
+        let bounds = SlotBounds::input(p.input.schema().len());
+        self.check_bound(node, width, p.bound.iter(), bounds)
+    }
+
+    /// The join's own binding, and the per-bucket mark: legal only on a
+    /// join of the eligible shape directly beneath a `HashAggregate`.
+    fn verify_join_binding(
+        &mut self,
+        join: &Plan,
+        bound: &crate::plan::BoundJoin,
+        under_aggregate: bool,
+    ) -> Result<(), PlanError> {
+        let Plan::HashJoin {
+            left,
+            right,
+            keys,
+            residual,
+            ..
+        } = join
+        else {
+            return Ok(());
+        };
+        let node = "HashJoin";
+        let side = |plan: &Plan| SlotBounds::input(plan.schema().len());
+        self.check_bound(
+            node,
+            keys.len(),
+            bound.keys.iter().map(|(l, _)| l),
+            side(left),
+        )?;
+        self.check_bound(
+            node,
+            keys.len(),
+            bound.keys.iter().map(|(_, r)| r),
+            side(right),
+        )?;
+        let concat = SlotBounds::input(left.schema().len() + right.schema().len());
+        self.check_bound(node, residual.len(), bound.residual.iter(), concat)?;
+        self.check();
+        if bound.per_bucket
+            && !(under_aggregate && crate::plan::per_bucket_split(self.engine, join).is_some())
+        {
+            return Err(PlanError::new(
+                PlanErrorClass::Binding,
+                node,
+                "per-bucket mark on a join that is not an inner single-key join of a \
+                 partitioned scan on its partition column directly beneath a HashAggregate",
+            ));
+        }
         Ok(())
     }
 
     fn verify_aggregate(&mut self, a: &HashAggregate) -> Result<(), PlanError> {
+        self.per_bucket_legal = true;
         self.walk(&a.input)?;
+        self.per_bucket_legal = false;
         let node = "HashAggregate";
         let width = items_width(&a.items, a.input.schema());
         self.check();
@@ -715,7 +889,61 @@ impl Verifier<'_> {
                 self.columns_resolve(expr, input_schema, node, true)?;
             }
         }
-        Ok(())
+        self.verify_aggregate_binding(a, width)
+    }
+
+    /// Keys and arguments read the input (bucket constants only above a
+    /// per-bucket join); HAVING and the items additionally read group keys
+    /// and finished aggregates.
+    fn verify_aggregate_binding(
+        &mut self,
+        a: &HashAggregate,
+        items_width: usize,
+    ) -> Result<(), PlanError> {
+        let node = "HashAggregate";
+        let BoundAggregate {
+            keys,
+            args,
+            aggs,
+            having,
+            items,
+            ..
+        } = a.bound.as_ref();
+        let per_row = match a.input.as_ref() {
+            Plan::HashJoin {
+                left, right, bound, ..
+            } if bound.per_bucket => SlotBounds {
+                input: left.schema().len(),
+                consts: Some(right.schema().len()),
+                group: None,
+            },
+            input => SlotBounds::input(input.schema().len()),
+        };
+        self.check_bound(node, a.group_exprs.len(), keys.iter(), per_row)?;
+        self.check_bound(node, args.len(), args.iter(), per_row)?;
+        self.check();
+        if aggs.len() != a.aggregates.len()
+            || aggs
+                .iter()
+                .any(|agg| agg.arg.is_some_and(|i| i >= args.len()))
+        {
+            return Err(PlanError::new(
+                PlanErrorClass::Binding,
+                node,
+                format!(
+                    "{} aggregate call(s) but {} bound over {} argument(s)",
+                    a.aggregates.len(),
+                    aggs.len(),
+                    args.len()
+                ),
+            ));
+        }
+        let in_group = SlotBounds {
+            group: Some((keys.len(), aggs.len())),
+            ..per_row
+        };
+        self.check_bound(node, a.having.iter().len(), having.iter(), in_group)?;
+        self.check_bound(node, items_width, items.iter(), in_group)
     }
 
     /// Highest `Expr::Param` index anywhere in the plan must stay below the
@@ -894,7 +1122,9 @@ fn each_expr<'p>(plan: &'p Plan, f: &mut impl FnMut(&'p Expr)) {
                 f(e);
             }
         }
-        Plan::Filter { input, predicates } => {
+        Plan::Filter {
+            input, predicates, ..
+        } => {
             predicates.iter().for_each(&mut *f);
             each_expr(input, f);
         }
@@ -971,6 +1201,22 @@ mod tests {
         engine
             .plan_query(&mtsql::parse_query(sql).unwrap())
             .unwrap()
+    }
+
+    /// A hand-assembled hash join, bound like the planner would bind it.
+    #[allow(clippy::too_many_arguments)]
+    fn hash_join(
+        engine: &Engine,
+        left: Plan,
+        right: Plan,
+        keys: Vec<(Expr, Expr)>,
+        residual: Vec<Expr>,
+        kind: JoinVariant,
+        schema: Schema,
+    ) -> Plan {
+        let mut plan = Plan::hash_join(left, right, keys, residual, kind, schema);
+        crate::plan::Planner::new(engine).bind(&mut plan).unwrap();
+        plan
     }
 
     fn class_of(err: PlanError) -> PlanErrorClass {
@@ -1095,40 +1341,43 @@ mod tests {
             mtsql::parse_expression("k").unwrap(),
         )];
         // Wrong output schema: semi joins must emit the probe schema.
-        let bad_schema = Plan::HashJoin {
-            left: Box::new(probe.clone()),
-            right: Box::new(build.clone()),
-            keys: keys.clone(),
-            residual: vec![],
-            kind: JoinVariant::Semi,
-            schema: probe.schema().concat(build.schema()),
-        };
+        let bad_schema = hash_join(
+            &e,
+            probe.clone(),
+            build.clone(),
+            keys.clone(),
+            vec![],
+            JoinVariant::Semi,
+            probe.schema().concat(build.schema()),
+        );
         assert_eq!(
             class_of(verify_plan(&e, &bad_schema).unwrap_err()),
             PlanErrorClass::Variant
         );
         // A residual on a semi join means decorrelation failed to bail out.
-        let bad_residual = Plan::HashJoin {
-            left: Box::new(probe.clone()),
-            right: Box::new(build.clone()),
-            keys: keys.clone(),
-            residual: vec![mtsql::parse_expression("a > 0").unwrap()],
-            kind: JoinVariant::Semi,
-            schema: probe.schema().clone(),
-        };
+        let bad_residual = hash_join(
+            &e,
+            probe.clone(),
+            build.clone(),
+            keys.clone(),
+            vec![mtsql::parse_expression("a > 0").unwrap()],
+            JoinVariant::Semi,
+            probe.schema().clone(),
+        );
         assert_eq!(
             class_of(verify_plan(&e, &bad_residual).unwrap_err()),
             PlanErrorClass::Variant
         );
         // The well-formed semi join passes.
-        let good = Plan::HashJoin {
-            left: Box::new(probe.clone()),
-            right: Box::new(build),
+        let good = hash_join(
+            &e,
+            probe.clone(),
+            build,
             keys,
-            residual: vec![],
-            kind: JoinVariant::Semi,
-            schema: probe.schema().clone(),
-        };
+            vec![],
+            JoinVariant::Semi,
+            probe.schema().clone(),
+        );
         verify_plan(&e, &good).unwrap();
     }
 
@@ -1139,17 +1388,18 @@ mod tests {
         let build = plan_of(&e, "SELECT v FROM u");
         // `a` is an Int column, `v` a Str column: the semi join could never
         // match and must be rejected as a decorrelation defect.
-        let plan = Plan::HashJoin {
-            left: Box::new(probe.clone()),
-            right: Box::new(build),
-            keys: vec![(
+        let plan = hash_join(
+            &e,
+            probe.clone(),
+            build,
+            vec![(
                 mtsql::parse_expression("a").unwrap(),
                 mtsql::parse_expression("v").unwrap(),
             )],
-            residual: vec![],
-            kind: JoinVariant::Semi,
-            schema: probe.schema().clone(),
-        };
+            vec![],
+            JoinVariant::Semi,
+            probe.schema().clone(),
+        );
         let err = verify_plan(&e, &plan).unwrap_err();
         assert_eq!(class_of(err), PlanErrorClass::JoinKey);
     }
@@ -1159,14 +1409,15 @@ mod tests {
         let e = engine();
         let probe = plan_of(&e, "SELECT a FROM t");
         let build = plan_of(&e, "SELECT k FROM u");
-        let plan = Plan::HashJoin {
-            left: Box::new(probe.clone()),
-            right: Box::new(build),
-            keys: vec![],
-            residual: vec![],
-            kind: JoinVariant::Semi,
-            schema: probe.schema().clone(),
-        };
+        let plan = hash_join(
+            &e,
+            probe.clone(),
+            build,
+            vec![],
+            vec![],
+            JoinVariant::Semi,
+            probe.schema().clone(),
+        );
         assert_eq!(
             class_of(verify_plan(&e, &plan).unwrap_err()),
             PlanErrorClass::JoinKey
@@ -1213,10 +1464,8 @@ mod tests {
         // A filter referencing a column of the *enclosing* query: strict
         // mode rejects, outer mode assumes outer-scope binding.
         let input = plan_of(&e, "SELECT k FROM u");
-        let plan = Plan::Filter {
-            input: Box::new(input),
-            predicates: vec![mtsql::parse_expression("k = t.a").unwrap()],
-        };
+        let mut plan = Plan::filter(input, vec![mtsql::parse_expression("k = t.a").unwrap()]);
+        crate::plan::Planner::new(&e).bind(&mut plan).unwrap();
         assert_eq!(
             class_of(verify_plan(&e, &plan).unwrap_err()),
             PlanErrorClass::Column

@@ -237,6 +237,39 @@ fn vectorized_path_engages_on_partition_buckets() {
     assert_eq!(stats.late_materialized, 0);
 }
 
+/// Q1 and Q6 aggregate off the column vectors — directly over the scan (o2)
+/// and through the per-bucket conversion join (o4) — and late-materialize no
+/// scan row. The counters are engine-global, so this runs on a deployment no
+/// other test touches.
+#[test]
+fn scan_fed_aggregates_materialize_no_row() {
+    let config = MthConfig {
+        scale: 0.05,
+        tenants: TENANTS,
+        distribution: TenantDistribution::Uniform,
+        seed: 42,
+    };
+    let dep = loader::load(config, EngineConfig::postgres_like());
+    let mut conn = dep.server.connect(1);
+    conn.execute("SET SCOPE = \"IN (1, 2, 3, 4)\"").unwrap();
+    for level in [OptLevel::O2, OptLevel::O4] {
+        conn.set_opt_level(level);
+        for query in [1usize, 6] {
+            let before = dep.server.stats();
+            conn.query(&queries::query(query)).unwrap();
+            let stats = dep.server.stats().delta_from(&before);
+            assert!(
+                stats.rows_vectorized > 0,
+                "Q{query} at {level:?}: {stats:?}"
+            );
+            assert_eq!(
+                stats.late_materialized, 0,
+                "Q{query} at {level:?}: {stats:?}"
+            );
+        }
+    }
+}
+
 /// The parallel configuration must actually exercise the parallel scan path
 /// (otherwise the property above would vacuously compare serial to serial).
 #[test]
@@ -552,5 +585,224 @@ fn having_composite_aggregates_agree_across_levels() {
             }
             previous = Some(rs);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The streaming HashAggregate against a naive reference
+// ---------------------------------------------------------------------------
+
+/// One seeded random table pair on a serial and a pooled engine. `f(ttid, k,
+/// ks, x, y, m, s, d)` is partitioned by `ttid` into three 3 000-row buckets
+/// (enough for the pool to engage) plus loose rows whose `ttid` is NULL or
+/// the float `2.0`. `k` is a NULL-bearing dictionary column; `ks` is
+/// low-cardinality in buckets 1 and 3 and passes the dictionary threshold in
+/// bucket 2 (a demoted bucket); `x`/`y` are NULL-bearing ints/floats; `m`
+/// alternates ints and floats (a `Mixed` column); `s`/`d` are strings and
+/// dates for MIN/MAX. `b(bk, fac)` is a Tenant-like build side with unique
+/// keys, `b2` repeats key 2 (the per-bucket join must fall back).
+struct AggFixture {
+    serial: mtengine::Engine,
+    pooled: mtengine::Engine,
+}
+
+fn agg_fixture(seed: u64) -> &'static AggFixture {
+    use mtbase::Value;
+    static FIXTURES: [OnceLock<AggFixture>; 3] =
+        [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+    FIXTURES[seed as usize % 3].get_or_init(|| {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut rows: Vec<Vec<Value>> = Vec::new();
+        let row_of = |ttid: Value, r: u64| {
+            let null = |every: u64, v: Value| {
+                if r.is_multiple_of(every) {
+                    Value::Null
+                } else {
+                    v
+                }
+            };
+            let bucket2 = ttid == Value::Int(2);
+            vec![
+                ttid,
+                null(19, Value::str(["A", "B", "C", "D"][(r % 4) as usize])),
+                null(
+                    31,
+                    match bucket2 {
+                        true => Value::str(format!("v{}", r % 300)),
+                        false => Value::str(["p", "q", "r"][(r % 3) as usize]),
+                    },
+                ),
+                null(11, Value::Int((r % 101) as i64 - 50)),
+                null(
+                    13,
+                    Value::Float((r % 9973) as f64 * 0.1 + 1.0 / (1 + r % 7) as f64),
+                ),
+                null(
+                    23,
+                    match r % 2 {
+                        0 => Value::Int((r % 17) as i64),
+                        _ => Value::Float((r % 29) as f64 / 3.0),
+                    },
+                ),
+                Value::str(format!("w{:02}", r % 40)),
+                Value::Date(8000 + (r % 500) as i32),
+            ]
+        };
+        for t in 1..=3i64 {
+            for _ in 0..3000 {
+                rows.push(row_of(Value::Int(t), next() >> 8));
+            }
+        }
+        for i in 0..30u64 {
+            let ttid = if i % 3 == 0 {
+                Value::Float(2.0)
+            } else {
+                Value::Null
+            };
+            rows.push(row_of(ttid, next() >> 8));
+        }
+        let build = |config: EngineConfig| {
+            let mut e = mtengine::Engine::new(config);
+            e.create_table("f", &["ttid", "k", "ks", "x", "y", "m", "s", "d"]);
+            e.set_table_partition("f", "ttid").unwrap();
+            e.insert_values("f", rows.clone()).unwrap();
+            for (table, keys) in [("b", &[1i64, 2, 3, 7][..]), ("b2", &[1, 2, 2, 3][..])] {
+                e.create_table(table, &["bk", "fac"]);
+                // `fac` depends on the key alone, so a repeated key repeats it.
+                let row = |&k: &i64| vec![Value::Int(k), Value::Float(1.0 + k as f64 / 3.0)];
+                e.insert_values(table, keys.iter().map(row).collect())
+                    .unwrap();
+            }
+            e
+        };
+        AggFixture {
+            serial: build(EngineConfig::default()),
+            pooled: build(EngineConfig::default().with_parallel_scan(4)),
+        }
+    })
+}
+
+/// Input shapes: `(FROM … WHERE prefix, the build-side factor column)`.
+const AGG_SHAPES: [(&str, &str); 4] = [
+    ("FROM f WHERE", "2.5"),
+    ("FROM f, b WHERE b.bk = f.ttid AND", "fac"),
+    ("FROM f, b2 WHERE b2.bk = f.ttid AND", "fac"),
+    (
+        "FROM (SELECT ttid, k, ks, x, y, m, s, d FROM f) AS f WHERE",
+        "2.5",
+    ),
+];
+const AGG_PREDICATES: [&str; 5] = [
+    "x >= -50",
+    "x > 1000",
+    "y < 400.0 AND s LIKE 'w1%'",
+    "x + 0 >= 0",
+    "d >= DATE '1992-01-01' AND k IN ('A', 'C')",
+];
+const AGG_KEYS: [&[&str]; 6] = [
+    &[],
+    &["k"],
+    &["k", "ks"],
+    &["k", "f.ttid"],
+    &["x"],
+    &["ks", "m"],
+];
+/// `(function, argument, DISTINCT)`; `{fac}` is the shape's factor column.
+const AGG_CALLS: [(&str, &str, bool); 15] = [
+    ("COUNT", "*", false),
+    ("COUNT", "x", false),
+    ("SUM", "x", false),
+    ("SUM", "y", false),
+    ("AVG", "y", false),
+    ("SUM", "m", false),
+    ("MIN", "s", false),
+    ("MAX", "s", false),
+    ("MIN", "d", false),
+    ("MAX", "d", false),
+    ("COUNT", "x", true),
+    ("SUM", "y", true),
+    ("SUM", "y * {fac}", false),
+    // Float arithmetic over an int column and an int constant (the column
+    // kernel promotes lane-wise exactly like the row-wise evaluator).
+    ("SUM", "y * x", false),
+    ("AVG", "x - y * 2", false),
+];
+
+proptest! {
+    /// The streaming aggregate must agree bit for bit — float sums, NULL
+    /// handling, group order — with `testkit::naive_aggregate` folding the
+    /// same input rows (as the projection path delivers them) in row order,
+    /// over every input shape, serial and pooled.
+    #[test]
+    fn streaming_aggregate_matches_the_naive_reference(
+        seed in 0_u64..3,
+        shape in 0_usize..AGG_SHAPES.len(),
+        pred in 0_usize..AGG_PREDICATES.len(),
+        keys in 0_usize..AGG_KEYS.len(),
+    ) {
+        use mtbase::{testkit::naive_aggregate, Value};
+        let fixture = agg_fixture(seed);
+        let (from_where, fac) = AGG_SHAPES[shape];
+        // Grouped by the partition column, a join shape also selects the
+        // bare build column (read off the group's first row); it is a
+        // function of `f.ttid`, so the reference simply groups by it too.
+        let mut keys = AGG_KEYS[keys].to_vec();
+        let dependent = (keys.contains(&"f.ttid") && fac == "fac").then_some("fac");
+        keys.extend(dependent);
+        let keys = keys.as_slice();
+        let args: Vec<String> = AGG_CALLS.iter().skip(1).map(|c| c.1.replace("{fac}", fac)).collect();
+        let calls: Vec<String> = AGG_CALLS
+            .iter()
+            .map(|(f, arg, distinct)| {
+                let distinct = if *distinct { "DISTINCT " } else { "" };
+                format!("{f}({distinct}{})", arg.replace("{fac}", fac))
+            })
+            .collect();
+        let tail = format!("{from_where} {}", AGG_PREDICATES[pred]);
+        let group_by = match &keys[..keys.len() - dependent.iter().len()] {
+            [] => String::new(),
+            grouped => format!(" GROUP BY {}", grouped.join(", ")),
+        };
+        let flat = format!("SELECT {} {tail}", [keys, &args.iter().map(String::as_str).collect::<Vec<_>>()].concat().join(", "));
+        let grouped = format!("SELECT {} {tail}{group_by}", [keys, &calls.iter().map(String::as_str).collect::<Vec<_>>()].concat().join(", "));
+        let reference_calls: Vec<(&str, Option<usize>, bool)> = AGG_CALLS
+            .iter()
+            .enumerate()
+            .map(|(i, &(f, _, distinct))| (f, i.checked_sub(1), distinct))
+            .collect();
+        let bits = |rows: &[Vec<Value>]| -> Vec<Vec<String>> {
+            let bits = |v: &Value| match v {
+                Value::Float(f) => format!("Float({:#018x})", f.to_bits()),
+                other => format!("{other:?}"),
+            };
+            rows.iter().map(|row| row.iter().map(bits).collect()).collect()
+        };
+
+        let mut results = Vec::new();
+        for (engine, pooled) in [(&fixture.serial, false), (&fixture.pooled, true)] {
+            let input = engine.query(&flat).unwrap_or_else(|e| panic!("`{flat}`: {e}"));
+            let expected = naive_aggregate(&input.rows, keys.len(), &reference_calls);
+            let got = engine.query(&grouped).unwrap_or_else(|e| panic!("`{grouped}`: {e}"));
+            prop_assert_eq!(bits(&got.rows), bits(&expected));
+
+            // Engagement, read off the plan rather than off shared counters.
+            let plan = engine
+                .explain_query(&mtsql::parse_query(&grouped).unwrap())
+                .unwrap();
+            let plan: Vec<&str> = plan.rows.iter().filter_map(|r| r[0].as_str()).collect();
+            let plan = plan.join("\n");
+            prop_assert_eq!(plan.contains("[per-bucket]"), shape == 1 || shape == 2);
+            prop_assert_eq!(plan.contains("morsel partials"), pooled && shape < 3);
+            prop_assert!(plan.contains("verified ("));
+            results.push(got.rows);
+        }
+        // And the pool is invisible.
+        prop_assert_eq!(bits(&results[0]), bits(&results[1]));
     }
 }

@@ -8,7 +8,8 @@
 
 use std::collections::BTreeSet;
 
-use mtengine::plan::{JoinVariant, Plan, SeqScan, SortKey};
+use mtengine::bound::{BoundAggregate, BoundExpr, Slot};
+use mtengine::plan::{BoundJoin, JoinVariant, Plan, Planner, SeqScan, SortKey};
 use mtengine::schema::Schema;
 use mtengine::verify::{self, VerifyOptions};
 use mtengine::{Engine, EngineConfig, PlanErrorClass, Value};
@@ -41,6 +42,24 @@ fn plan_of(engine: &Engine, sql: &str) -> Plan {
 
 fn expr(sql: &str) -> mtsql::Expr {
     mtsql::parse_expression(sql).expect("expression parses")
+}
+
+/// A hand-assembled hash join, bound like the planner would bind it.
+#[allow(clippy::too_many_arguments)]
+fn hash_join(
+    engine: &Engine,
+    left: Plan,
+    right: Plan,
+    keys: Vec<(mtsql::Expr, mtsql::Expr)>,
+    residual: Vec<mtsql::Expr>,
+    kind: JoinVariant,
+    schema: Schema,
+) -> Plan {
+    let mut plan = Plan::hash_join(left, right, keys, residual, kind, schema);
+    Planner::new(engine)
+        .bind(&mut plan)
+        .expect("hand-built join binds");
+    plan
 }
 
 /// Apply `f` to the first scan in the plan.
@@ -105,14 +124,15 @@ fn defect_mismatched_join_key_types() {
     let build = plan_of(&e, "SELECT v FROM u");
     // Int probe key against Str build key: such a decorrelated semi join
     // can never match a row — a rewrite defect, rejected statically.
-    let plan = Plan::HashJoin {
-        left: Box::new(probe.clone()),
-        right: Box::new(build),
-        keys: vec![(expr("a"), expr("v"))],
-        residual: vec![],
-        kind: JoinVariant::Semi,
-        schema: probe.schema().clone(),
-    };
+    let plan = hash_join(
+        &e,
+        probe.clone(),
+        build,
+        vec![(expr("a"), expr("v"))],
+        vec![],
+        JoinVariant::Semi,
+        probe.schema().clone(),
+    );
     assert_eq!(rejection(&e, &plan), PlanErrorClass::JoinKey);
 }
 
@@ -123,14 +143,15 @@ fn defect_wrong_semi_join_schema() {
     let build = plan_of(&e, "SELECT k FROM u");
     // Semi joins emit the probe schema unchanged; the concatenated schema
     // is the plain-join shape and must be rejected.
-    let plan = Plan::HashJoin {
-        left: Box::new(probe.clone()),
-        right: Box::new(build.clone()),
-        keys: vec![(expr("a"), expr("k"))],
-        residual: vec![],
-        kind: JoinVariant::Semi,
-        schema: probe.schema().concat(build.schema()),
-    };
+    let plan = hash_join(
+        &e,
+        probe.clone(),
+        build.clone(),
+        vec![(expr("a"), expr("k"))],
+        vec![],
+        JoinVariant::Semi,
+        probe.schema().concat(build.schema()),
+    );
     assert_eq!(rejection(&e, &plan), PlanErrorClass::Variant);
 }
 
@@ -192,6 +213,150 @@ fn defect_sort_key_out_of_bounds() {
         other => panic!("expected a Sort head, got {other:?}"),
     }
     assert_eq!(rejection(&e, &plan), PlanErrorClass::Bounds);
+}
+
+// --- Binding: one seeded mutation per bound-slot check -----------------------
+
+/// The first node of the plan (walking inputs, probe side first) `pick`
+/// accepts.
+fn find_node<'p, T>(
+    plan: &'p mut Plan,
+    pick: &mut dyn FnMut(&'p mut Plan) -> Result<T, &'p mut Plan>,
+) -> Option<T> {
+    let plan = match pick(plan) {
+        Ok(found) => return Some(found),
+        Err(plan) => plan,
+    };
+    match plan {
+        Plan::Filter { input, .. }
+        | Plan::Subquery { input, .. }
+        | Plan::Sort { input, .. }
+        | Plan::Limit { input, .. } => find_node(input, pick),
+        Plan::Project(p) => find_node(&mut p.input, pick),
+        Plan::HashAggregate(a) => find_node(&mut a.input, pick),
+        Plan::HashJoin { left, right, .. } | Plan::NestedLoopJoin { left, right, .. } => {
+            find_node(left, pick).or_else(|| find_node(right, pick))
+        }
+        Plan::SeqScan(_) | Plan::Empty { .. } => None,
+    }
+}
+
+fn join_binding(plan: &mut Plan) -> &mut BoundJoin {
+    find_node(plan, &mut |p| match p {
+        Plan::HashJoin { bound, .. } => Ok(bound),
+        other => Err(other),
+    })
+    .expect("plan contains a hash join")
+}
+
+fn aggregate_binding(plan: &mut Plan) -> &mut BoundAggregate {
+    find_node(plan, &mut |p| match p {
+        Plan::HashAggregate(a) => Ok(&mut a.bound),
+        other => Err(other),
+    })
+    .expect("plan contains an aggregate")
+}
+
+#[test]
+fn defect_bound_input_slot_past_the_input_width() {
+    let e = engine();
+    let mut plan = plan_of(&e, "SELECT a, s FROM t");
+    match &mut plan {
+        Plan::Project(p) => p.bound[1] = BoundExpr::Slot(Slot::Input(3)),
+        other => panic!("expected a Project head, got {other:?}"),
+    }
+    assert_eq!(rejection(&e, &plan), PlanErrorClass::Binding);
+}
+
+#[test]
+fn defect_operator_without_its_binding() {
+    let e = engine();
+    let mut plan = plan_of(&e, "SELECT t.a FROM t, u WHERE t.a = u.k AND t.a + u.k > 3");
+    let dropped = find_node(&mut plan, &mut |p| match p {
+        Plan::Filter { bound, .. } => Ok(std::mem::take(bound)),
+        other => Err(other),
+    });
+    assert_eq!(
+        dropped.map(|b| b.len()),
+        Some(1),
+        "a residual Filter above the join"
+    );
+    assert_eq!(rejection(&e, &plan), PlanErrorClass::Binding);
+}
+
+#[test]
+fn defect_group_slot_outside_a_group_context() {
+    let e = engine();
+    let mut plan = plan_of(&e, "SELECT t.a FROM t, u WHERE t.a = u.k AND t.a + u.k > 3");
+    find_node(&mut plan, &mut |p| match p {
+        Plan::Filter { bound, .. } => {
+            bound[0] = BoundExpr::Slot(Slot::Agg(0));
+            Ok(())
+        }
+        other => Err(other),
+    })
+    .expect("a residual Filter above the join");
+    assert_eq!(rejection(&e, &plan), PlanErrorClass::Binding);
+}
+
+#[test]
+fn defect_bucket_constant_outside_a_per_bucket_join() {
+    let e = engine();
+    let mut plan = plan_of(&e, "SELECT SUM(a) FROM t");
+    aggregate_binding(&mut plan).args[0] = BoundExpr::Slot(Slot::BucketConst(0));
+    assert_eq!(rejection(&e, &plan), PlanErrorClass::Binding);
+}
+
+#[test]
+fn defect_aggregate_argument_index_out_of_range() {
+    let e = engine();
+    let mut plan = plan_of(&e, "SELECT ttid, SUM(a) FROM t GROUP BY ttid");
+    aggregate_binding(&mut plan).aggs[0].arg = Some(7);
+    assert_eq!(rejection(&e, &plan), PlanErrorClass::Binding);
+}
+
+#[test]
+fn defect_per_bucket_mark_on_an_ineligible_join() {
+    let e = engine();
+    // Not beneath an aggregate.
+    let mut plan = plan_of(&e, "SELECT t.a, u.v FROM t, u WHERE u.k = t.ttid");
+    join_binding(&mut plan).per_bucket = true;
+    assert_eq!(rejection(&e, &plan), PlanErrorClass::Binding);
+    // Beneath an aggregate, but not keyed on the probe's partition column.
+    let mut plan = plan_of(&e, "SELECT COUNT(*) FROM t, u WHERE u.k = t.a");
+    assert!(!join_binding(&mut plan).per_bucket);
+    join_binding(&mut plan).per_bucket = true;
+    assert_eq!(rejection(&e, &plan), PlanErrorClass::Binding);
+}
+
+/// The eligible shape: the planner marks the join, the aggregate reads the
+/// build side through bucket-constant slots, and the plan verifies and runs.
+#[test]
+fn per_bucket_join_binds_bucket_constants_and_executes() {
+    let e = engine();
+    let mut plan = plan_of(
+        &e,
+        "SELECT t.ttid, COUNT(*), MAX(u.v), u.v FROM t, u WHERE u.k = t.ttid GROUP BY t.ttid",
+    );
+    assert!(join_binding(&mut plan).per_bucket);
+    let bound = aggregate_binding(&mut plan);
+    assert!(matches!(
+        bound.args[0],
+        BoundExpr::Slot(Slot::BucketConst(1))
+    ));
+    assert!(bound.rep_consts && !bound.rep_input);
+    verify::verify_plan(&e, &plan).expect("the per-bucket plan verifies");
+    // `u` holds key 1 only: tenant 2's bucket joins nothing.
+    let rs = e.execute_plan(&plan, &[]).expect("executes");
+    assert_eq!(
+        rs.rows,
+        vec![vec![
+            Value::Int(1),
+            Value::Int(1),
+            Value::str("z"),
+            Value::str("z")
+        ]]
+    );
 }
 
 #[test]
