@@ -43,7 +43,6 @@ use crate::exec::{
     Relation, ScanTally, Selected, MORSEL_ROWS,
 };
 use crate::plan::{HashAggregate, JoinVariant, Plan, SeqScan};
-use crate::schema::Schema;
 use crate::table::{Column, ColumnBucket, ColumnVec, DictColumn, SharedRow};
 use crate::value::{int_overflow, Value};
 
@@ -387,7 +386,7 @@ impl<'c> CodeMemo<'c> {
             match key {
                 BoundExpr::Const(_)
                 | BoundExpr::Param(_)
-                | BoundExpr::Slot(Slot::BucketConst(_) | Slot::Outer(_)) => {}
+                | BoundExpr::Slot(Slot::BucketConst(_) | Slot::Outer { .. }) => {}
                 BoundExpr::Slot(Slot::Input(c)) if Some(*c) == fixed_col => {}
                 BoundExpr::Slot(Slot::Input(c)) => {
                     let column = cols.column(*c);
@@ -452,7 +451,6 @@ impl<'a> Joined<'a> {
 /// The scan-side inputs of one streamed aggregation, shared by every morsel.
 struct ScanStream<'a> {
     spec: &'a BoundAggregate,
-    schema: &'a Schema,
     filter: &'a [CompiledPred],
     /// The scanned table's partition column (constant within a bucket).
     partition_col: Option<usize>,
@@ -529,7 +527,7 @@ impl Executor<'_> {
         }
         let mut by_key = HashMap::with_capacity(build.rows.len());
         for (i, row) in build.rows.iter().enumerate() {
-            let key = self.eval_bound(build_key, &Frame::row(&build.schema, row, outer))?;
+            let key = self.eval_bound(build_key, &Frame::row(row, outer))?;
             // NULL keys join nothing.
             if !key.is_null() && by_key.insert(key, i).is_some() {
                 return Ok(None);
@@ -557,7 +555,6 @@ impl Executor<'_> {
         let filter = self.compile_bucket_filter(scan, prune_keys.is_some())?;
         let stream = ScanStream {
             spec,
-            schema: &scan.schema,
             filter: &filter,
             partition_col: table.partition_column(),
             split: build.map(|_| scan.schema.len()),
@@ -642,7 +639,7 @@ impl Executor<'_> {
                 batch.clear();
                 for row in chunk {
                     tally.visited += 1;
-                    if !self.filter_matches(full_filter, &scan.schema, row, outer)? {
+                    if !self.filter_matches(full_filter, row, outer)? {
                         continue;
                     }
                     let join = match (build, stream.partition_col) {
@@ -680,8 +677,7 @@ impl Executor<'_> {
         let (cols, spec, consts) = (bucket.cols, stream.spec, join.consts());
         if !stream.filter.iter().all(CompiledPred::is_fast) {
             let mut rows: Vec<SharedRow> = Vec::new();
-            batch.tally =
-                self.scan_range(cols, range, stream.filter, stream.schema, outer, &mut rows)?;
+            batch.tally = self.scan_range(cols, range, stream.filter, outer, &mut rows)?;
             if !matches!(join, Joined::Nothing) {
                 for row in &rows {
                     self.batch_row(stream, row, consts, outer, batch)?;
@@ -701,7 +697,6 @@ impl Executor<'_> {
         let mut frame = Frame {
             src: Source::Bucket(cols, 0),
             consts: consts.map_or(&[], |c| c),
-            schema: stream.schema,
             outer,
             group: None,
         };
@@ -798,9 +793,9 @@ impl Executor<'_> {
         let frame = match consts {
             Some(c) => Frame {
                 consts: c,
-                ..Frame::row(stream.schema, row, outer)
+                ..Frame::row(row, outer)
             },
-            None => Frame::joined_row(stream.schema, row, stream.split, outer),
+            None => Frame::joined_row(row, stream.split, outer),
         };
         let gid = self.batch_group(stream.spec, &frame, batch, consts, || match consts {
             Some(c) => concat_rows(row, c).into(),
@@ -831,7 +826,6 @@ impl Executor<'_> {
     ) -> Result<()> {
         let stream = ScanStream {
             spec,
-            schema: &input.schema,
             filter: &[],
             partition_col: None,
             split,
@@ -870,7 +864,7 @@ impl Executor<'_> {
                     None => split.and_then(|s| row.get(s..)).unwrap_or(&[]),
                 },
                 group: Some((&key, &values)),
-                ..Frame::row(schema, row, outer)
+                ..Frame::row(row, outer)
             };
             if let Some(having) = &spec.having {
                 if !self.eval_bound(having, &frame)?.as_bool().unwrap_or(false) {

@@ -1,25 +1,32 @@
-//! Plan-time-bound expressions: the form every plan operator evaluates.
+//! Plan-time-bound expressions: the one form every expression is evaluated
+//! in.
 //!
 //! The planner lowers each [`Expr`] it places in a [`crate::plan::Plan`]
-//! into a [`BoundExpr`] once, against the operator's input schema:
+//! into a [`BoundExpr`] once, against the operator's input schema — and so
+//! do the DML paths (UPDATE / DELETE predicates and assignments against the
+//! table schema, INSERT `VALUES` and partition-key expressions against the
+//! empty schema):
 //!
 //! * column references become [`Slot`]s — an index into the input row, an
 //!   index into the *bucket constants* of a per-bucket join (the build row
 //!   the executor looks up once per partition bucket), a group key or a
 //!   finished aggregate of the enclosing `HashAggregate`, or — for names
-//!   the local schema cannot resolve — an outer reference resolved through
-//!   the environment chain of a correlated sub-query;
+//!   only an enclosing query resolves — `(depth, index)` into the chain of
+//!   enclosing rows a correlated sub-plan runs under. A name no scope
+//!   resolves is a plan-time [`PlanError`];
 //! * literals and every other constant sub-tree fold to one [`Value`]
 //!   (`DATE '1998-12-01' - INTERVAL '90' DAY` is computed once per plan,
-//!   not once per row);
+//!   not once per row); a malformed literal is a plan-time error;
 //! * scalar functions resolve to a [`ScalarFn`] — a built-in or a
 //!   [`UdfHandle`] — so a call site never looks a name up again. An
-//!   unknown function is a plan-time [`PlanError`].
-//!
-//! Sub-query-bearing nodes stay [`BoundExpr::Interpreted`]: they keep
-//! their AST and evaluate through the name-resolving
-//! [`Executor::eval`](crate::exec::Executor::eval), which owns sub-query
-//! planning and result caching.
+//!   unknown function, or an aggregate outside an aggregation context, is a
+//!   plan-time error;
+//! * `EXISTS`, `IN (SELECT …)` and scalar sub-queries are planned right
+//!   away, with the operator's input as the innermost enclosing scope, into
+//!   a [`BoundExpr::Subquery`] holding the sub-plan. Whether it is
+//!   correlated is read off its slots: an uncorrelated sub-plan runs at most
+//!   once per executor (its rows are cached per sub-plan node), a
+//!   correlated one once per outer row.
 //!
 //! Evaluation (`Executor::eval_bound`) reads its slots from a `Frame`:
 //! either a materialized row or row `i` of a column bucket — the streaming
@@ -30,9 +37,10 @@ use std::sync::Arc;
 
 use mtsql::ast::*;
 
-use crate::conjuncts::{between_matches, LikePattern};
-use crate::error::{err, Result};
+use crate::conjuncts::{between_matches, in_list_matches, LikePattern};
+use crate::error::{err, EngineError, Result};
 use crate::exec::{apply_binary, apply_unary, cast_value, literal_value, Env, Executor};
+use crate::plan::{Plan, Planner};
 use crate::schema::Schema;
 use crate::table::{ColumnBucket, ColumnVec};
 use crate::udf::{UdfHandle, UdfRegistry};
@@ -53,10 +61,10 @@ pub enum Slot {
     GroupKey(usize),
     /// Finished aggregate `i` of the enclosing `HashAggregate`.
     Agg(usize),
-    /// A name the local schema does not resolve: looked up through the
-    /// enclosing queries' rows when the plan runs as a correlated
-    /// sub-query.
-    Outer(ColumnRef),
+    /// Column `index` of an enclosing query's row, `depth` sub-query
+    /// boundaries out: `0` is the row of the operator whose expression
+    /// holds the sub-query, `1` the row that operator's plan runs under, …
+    Outer { depth: usize, index: usize },
 }
 
 /// A scalar function resolved at bind time.
@@ -191,20 +199,39 @@ pub enum BoundExpr {
         expr: Box<BoundExpr>,
         data_type: DataType,
     },
-    /// A sub-query-bearing node (or one whose evaluation is an error the
-    /// interpreter reports, e.g. a malformed date literal): evaluated by
-    /// name against the frame's materialized row.
-    Interpreted(Expr),
+    /// An expression sub-query, planned with the enclosing scopes.
+    Subquery {
+        kind: SubqueryKind,
+        plan: Arc<Plan>,
+        /// The sub-plan reads a row of an enclosing query (an outer slot
+        /// reaches past it): it runs once per outer row instead of once per
+        /// executor.
+        correlated: bool,
+    },
+}
+
+/// What an expression sub-query's rows turn into.
+#[derive(Debug, Clone)]
+pub enum SubqueryKind {
+    /// `[NOT] EXISTS (…)`: whether it yields a row.
+    Exists { negated: bool },
+    /// `expr [NOT] IN (SELECT …)`: membership among its first column.
+    In { expr: Box<BoundExpr>, negated: bool },
+    /// `(SELECT …)`: the first column of its first row, NULL when empty.
+    Scalar,
 }
 
 impl BoundExpr {
-    /// Visit the direct operands of this node.
+    /// Visit the direct operands of this node (a sub-query's plan is not
+    /// an operand; an `IN`'s left-hand side is).
     fn for_each_operand<'s>(&'s self, f: &mut dyn FnMut(&'s BoundExpr)) {
         match self {
-            BoundExpr::Const(_)
-            | BoundExpr::Param(_)
-            | BoundExpr::Slot(_)
-            | BoundExpr::Interpreted(_) => {}
+            BoundExpr::Const(_) | BoundExpr::Param(_) | BoundExpr::Slot(_) => {}
+            BoundExpr::Subquery { kind, .. } => {
+                if let SubqueryKind::In { expr, .. } = kind {
+                    f(expr);
+                }
+            }
             BoundExpr::Binary { left, right, .. } => {
                 f(left);
                 f(right);
@@ -308,14 +335,14 @@ pub struct BoundAggregate {
     /// One entry per output column (wildcards expanded).
     pub items: Vec<BoundExpr>,
     /// HAVING or an output item reads an input column of the group's first
-    /// row (or interprets a sub-query against it): the operator keeps that
-    /// row per group.
+    /// row (or runs a sub-query under it): the operator keeps that row per
+    /// group.
     pub rep_input: bool,
     /// HAVING or an output item reads a bucket constant: the operator keeps
     /// the first row's build row per group.
     pub rep_consts: bool,
-    /// Keys and arguments hold no interpreted node: they evaluate straight
-    /// off a bucket's column vectors.
+    /// Keys and arguments hold no sub-query: they evaluate straight off a
+    /// bucket's column vectors.
     pub columnar: bool,
 }
 
@@ -326,8 +353,9 @@ pub struct BoundAggregate {
 /// Binds expressions against one operator input.
 #[derive(Clone, Copy)]
 pub(crate) struct Binder<'a> {
-    /// Folds constant sub-trees and owns the UDF registry.
-    pub exec: &'a Executor<'a>,
+    /// Resolves functions and plans sub-queries; its scopes are the inputs
+    /// of the enclosing queries' operators, innermost first.
+    pub planner: &'a Planner<'a>,
     pub schema: &'a Schema,
     /// Above a per-bucket join: input columns at or past this index are the
     /// build side's and bind as [`Slot::BucketConst`].
@@ -339,13 +367,25 @@ pub(crate) struct Binder<'a> {
     pub node: &'a str,
 }
 
-impl Binder<'_> {
-    fn function_error(&self, detail: String) -> PlanError {
+impl<'a> Binder<'a> {
+    /// A binder for plain (non-group) expressions over `schema`.
+    pub fn new(planner: &'a Planner<'a>, schema: &'a Schema, node: &'a str) -> Self {
+        Binder {
+            planner,
+            schema,
+            split: None,
+            group: None,
+            node,
+        }
+    }
+
+    fn error(&self, class: PlanErrorClass, detail: String) -> EngineError {
         PlanError {
-            class: PlanErrorClass::Function,
+            class,
             node: self.node.to_string(),
             detail,
         }
+        .into()
     }
 
     fn slot_of(&self, idx: usize) -> Slot {
@@ -355,19 +395,50 @@ impl Binder<'_> {
         }
     }
 
+    /// The input column a name resolves to, else the nearest enclosing
+    /// scope's.
+    fn resolve(&self, col: &ColumnRef) -> Result<Slot> {
+        if let Some(idx) = self.schema.resolve(col) {
+            return Ok(self.slot_of(idx));
+        }
+        let mut scopes = self.planner.scopes.iter().enumerate();
+        let found = scopes.find_map(|(depth, scope)| Some((depth, scope.resolve(col)?)));
+        let Some((depth, index)) = found else {
+            return Err(self.error(
+                PlanErrorClass::Column,
+                format!("unknown column `{}`", col.to_display()),
+            ));
+        };
+        self.planner.note_reach(depth + 1);
+        Ok(Slot::Outer { depth, index })
+    }
+
+    /// Plan an expression sub-query with this binder's input as the
+    /// innermost enclosing scope. It is correlated when its slots reach
+    /// past that scope's row; what reaches further out, past this query,
+    /// counts for this query.
+    fn subquery(&self, query: &Query, kind: SubqueryKind) -> Result<BoundExpr> {
+        let planner = self.planner.nested(self.schema);
+        let plan = planner.plan_query(query)?;
+        let reach = planner.reach.get();
+        self.planner.note_reach(reach.saturating_sub(1));
+        Ok(BoundExpr::Subquery {
+            kind,
+            plan: Arc::new(plan),
+            correlated: reach > 0,
+        })
+    }
+
     /// Bind a list of conjuncts / items.
     pub fn bind_all<'e>(
         &self,
         exprs: impl IntoIterator<Item = &'e Expr>,
-    ) -> std::result::Result<Vec<BoundExpr>, PlanError> {
+    ) -> Result<Vec<BoundExpr>> {
         exprs.into_iter().map(|e| self.bind(e)).collect()
     }
 
     /// Bind projection items, expanding wildcards into input slots.
-    pub fn bind_items(
-        &self,
-        items: &[SelectItem],
-    ) -> std::result::Result<Vec<BoundExpr>, PlanError> {
+    pub fn bind_items(&self, items: &[SelectItem]) -> Result<Vec<BoundExpr>> {
         let mut out = Vec::with_capacity(items.len());
         for item in items {
             match item {
@@ -387,7 +458,7 @@ impl Binder<'_> {
     }
 
     /// Bind one expression.
-    pub fn bind(&self, expr: &Expr) -> std::result::Result<BoundExpr, PlanError> {
+    pub fn bind(&self, expr: &Expr) -> Result<BoundExpr> {
         if let Some((group_exprs, aggregates)) = self.group {
             if let Some(i) = group_exprs.iter().position(|g| g == expr) {
                 return Ok(BoundExpr::Slot(Slot::GroupKey(i)));
@@ -396,26 +467,21 @@ impl Binder<'_> {
                 if fc.is_aggregate() {
                     return match aggregates.iter().position(|a| a == fc) {
                         Some(i) => Ok(BoundExpr::Slot(Slot::Agg(i))),
-                        None => Err(self.function_error(format!(
-                            "aggregate `{}` was not collected by the planner",
-                            fc.name
-                        ))),
+                        None => Err(self.error(
+                            PlanErrorClass::Function,
+                            format!("aggregate `{}` was not collected by the planner", fc.name),
+                        )),
                     };
                 }
             }
         }
         let sub = |e: &Expr| self.bind(e).map(Box::new);
         let bound = match expr {
-            // A malformed literal stays an evaluation-time error.
-            Expr::Literal(l) => match literal_value(l) {
-                Ok(v) => BoundExpr::Const(v),
-                Err(_) => BoundExpr::Interpreted(expr.clone()),
-            },
+            Expr::Literal(l) => BoundExpr::Const(
+                literal_value(l).map_err(|e| self.error(PlanErrorClass::Literal, e.message))?,
+            ),
             Expr::Param(i) => BoundExpr::Param(*i),
-            Expr::Column(c) => BoundExpr::Slot(match self.schema.resolve(c) {
-                Some(idx) => self.slot_of(idx),
-                None => Slot::Outer(c.clone()),
-            }),
+            Expr::Column(c) => BoundExpr::Slot(self.resolve(c)?),
             Expr::BinaryOp { left, op, right } => BoundExpr::Binary {
                 op: *op,
                 left: sub(left)?,
@@ -425,12 +491,21 @@ impl Binder<'_> {
                 op: *op,
                 expr: sub(expr)?,
             },
-            // An aggregate outside an aggregation context is an
-            // evaluation-time error the interpreter words.
-            Expr::Function(fc) if fc.is_aggregate() => BoundExpr::Interpreted(expr.clone()),
+            Expr::Function(fc) if fc.is_aggregate() => {
+                return Err(self.error(
+                    PlanErrorClass::Function,
+                    format!(
+                        "aggregate `{}` used outside of an aggregation context",
+                        fc.name
+                    ),
+                ))
+            }
             Expr::Function(fc) => {
-                let Some(func) = ScalarFn::resolve(&fc.name, self.exec.engine().udfs()) else {
-                    return Err(self.function_error(format!("unknown function `{}`", fc.name)));
+                let Some(func) = ScalarFn::resolve(&fc.name, self.planner.engine.udfs()) else {
+                    return Err(self.error(
+                        PlanErrorClass::Function,
+                        format!("unknown function `{}`", fc.name),
+                    ));
                 };
                 BoundExpr::Call {
                     func,
@@ -446,7 +521,7 @@ impl Binder<'_> {
                 when_then: when_then
                     .iter()
                     .map(|(w, t)| Ok((self.bind(w)?, self.bind(t)?)))
-                    .collect::<std::result::Result<_, PlanError>>()?,
+                    .collect::<Result<_>>()?,
                 else_expr: else_expr.as_deref().map(sub).transpose()?,
             },
             Expr::IsNull { expr, negated } => BoundExpr::IsNull {
@@ -504,23 +579,36 @@ impl Binder<'_> {
                 expr: sub(expr)?,
                 data_type: *data_type,
             },
-            Expr::Exists { .. } | Expr::InSubquery { .. } | Expr::ScalarSubquery(_) => {
-                BoundExpr::Interpreted(expr.clone())
+            Expr::Exists { query, negated } => {
+                self.subquery(query, SubqueryKind::Exists { negated: *negated })?
             }
+            Expr::InSubquery {
+                expr,
+                query,
+                negated,
+            } => self.subquery(
+                query,
+                SubqueryKind::In {
+                    expr: sub(expr)?,
+                    negated: *negated,
+                },
+            )?,
+            Expr::ScalarSubquery(query) => self.subquery(query, SubqueryKind::Scalar)?,
         };
         Ok(self.fold(bound))
     }
 
     /// Fold a node whose operands are all constants. UDF calls never fold
-    /// (their invocations are counted per row); a constant whose evaluation
-    /// fails stays unfolded, so the error still surfaces per evaluated row.
+    /// (their invocations are counted per row), nor do sub-queries; a
+    /// constant whose evaluation fails stays unfolded, so the error still
+    /// surfaces per evaluated row.
     fn fold(&self, bound: BoundExpr) -> BoundExpr {
         let pure = !matches!(
             bound,
             BoundExpr::Const(_)
                 | BoundExpr::Param(_)
                 | BoundExpr::Slot(_)
-                | BoundExpr::Interpreted(_)
+                | BoundExpr::Subquery { .. }
                 | BoundExpr::Call {
                     func: ScalarFn::Udf(_),
                     ..
@@ -531,7 +619,8 @@ impl Binder<'_> {
         let mut operands_const = true;
         bound.for_each_operand(&mut |e| operands_const &= matches!(e, BoundExpr::Const(_)));
         if pure && operands_const {
-            if let Ok(v) = self.exec.eval_bound(&bound, &Frame::empty()) {
+            let exec = Executor::new(self.planner.engine);
+            if let Ok(v) = exec.eval_bound(&bound, &Frame::empty()) {
                 return BoundExpr::Const(v);
             }
         }
@@ -546,7 +635,7 @@ impl Binder<'_> {
         aggregates: &[FunctionCall],
         having: Option<&Expr>,
         items: &[SelectItem],
-    ) -> std::result::Result<BoundAggregate, PlanError> {
+    ) -> Result<BoundAggregate> {
         let keys = self.bind_all(group_exprs)?;
         let mut args: Vec<BoundExpr> = Vec::new();
         // Source expression of each shareable (UDF-free) entry of `args`.
@@ -565,7 +654,10 @@ impl Binder<'_> {
                 .iter()
                 .find(|(n, _)| n.eq_ignore_ascii_case(name))
             else {
-                return Err(self.function_error(format!("unknown aggregate `{name}`")));
+                return Err(self.error(
+                    PlanErrorClass::Function,
+                    format!("unknown aggregate `{name}`"),
+                ));
             };
             let arg = match (func, call.args.as_slice()) {
                 (AggFunc::Count, []) => None,
@@ -579,7 +671,7 @@ impl Binder<'_> {
                                 BoundExpr::Call {
                                     func: ScalarFn::Udf(_),
                                     ..
-                                } | BoundExpr::Interpreted(_)
+                                } | BoundExpr::Subquery { .. }
                             )
                         });
                         args.push(bound);
@@ -590,11 +682,14 @@ impl Binder<'_> {
                     }
                 }),
                 (_, other) => {
-                    return Err(self.function_error(format!(
-                        "aggregate `{}` takes exactly one argument, got {}",
-                        call.name,
-                        other.len()
-                    )))
+                    return Err(self.error(
+                        PlanErrorClass::Function,
+                        format!(
+                            "aggregate `{}` takes exactly one argument, got {}",
+                            call.name,
+                            other.len()
+                        ),
+                    ))
                 }
             };
             aggs.push(BoundAgg {
@@ -614,14 +709,14 @@ impl Binder<'_> {
             rep_input: reads(|e| {
                 matches!(
                     e,
-                    BoundExpr::Slot(Slot::Input(_)) | BoundExpr::Interpreted(_)
+                    BoundExpr::Slot(Slot::Input(_)) | BoundExpr::Subquery { .. }
                 )
             }),
             rep_consts: reads(|e| matches!(e, BoundExpr::Slot(Slot::BucketConst(_)))),
             columnar: !keys
                 .iter()
                 .chain(&args)
-                .any(|e| e.any(|n| matches!(n, BoundExpr::Interpreted(_)))),
+                .any(|e| e.any(|n| matches!(n, BoundExpr::Subquery { .. }))),
             keys,
             args,
             aggs,
@@ -650,29 +745,23 @@ pub(crate) struct Frame<'a> {
     pub src: Source<'a>,
     /// The per-bucket join's build row ([`Slot::BucketConst`]).
     pub consts: &'a [Value],
-    /// The input schema — what [`BoundExpr::Interpreted`] nodes resolve
-    /// names against (with `src` a materialized row of that schema).
-    pub schema: &'a Schema,
     /// The enclosing queries' rows ([`Slot::Outer`]).
     pub outer: Option<&'a Env<'a>>,
     /// `(group key, finished aggregates)` in group context.
     pub group: Option<(&'a [Value], &'a [Value])>,
 }
 
-static EMPTY_SCHEMA: Schema = Schema { cols: Vec::new() };
-
 impl<'a> Frame<'a> {
     /// No row at all: constant folding.
     pub fn empty() -> Frame<'static> {
-        Frame::row(&EMPTY_SCHEMA, &[], None)
+        Frame::row(&[], None)
     }
 
-    /// A materialized row of `schema`.
-    pub fn row(schema: &'a Schema, row: &'a [Value], outer: Option<&'a Env<'a>>) -> Self {
+    /// A materialized input row.
+    pub fn row(row: &'a [Value], outer: Option<&'a Env<'a>>) -> Self {
         Frame {
             src: Source::Row(row),
             consts: &[],
-            schema,
             outer,
             group: None,
         }
@@ -680,15 +769,10 @@ impl<'a> Frame<'a> {
 
     /// A materialized row above a per-bucket join: the build columns sit
     /// behind `split` (no split = no bucket constants).
-    pub fn joined_row(
-        schema: &'a Schema,
-        row: &'a [Value],
-        split: Option<usize>,
-        outer: Option<&'a Env<'a>>,
-    ) -> Self {
+    pub fn joined_row(row: &'a [Value], split: Option<usize>, outer: Option<&'a Env<'a>>) -> Self {
         Frame {
             consts: split.and_then(|s| row.get(s..)).unwrap_or(&[]),
-            ..Frame::row(schema, row, outer)
+            ..Frame::row(row, outer)
         }
     }
 }
@@ -719,21 +803,16 @@ impl Executor<'_> {
                 Some(v) => Ok(v.clone()),
                 None => slot_error("aggregate", *i),
             },
-            Slot::Outer(col) => match f.outer.and_then(|env| env.lookup_ref(col)) {
-                Some((v, _)) => {
-                    self.note_correlated();
-                    Ok(v.clone())
-                }
-                None => err(format!("unknown column `{}`", col.to_display())),
+            Slot::Outer { depth, index } => match f.outer.and_then(|env| env.get(*depth, *index)) {
+                Some(v) => Ok(v.clone()),
+                None => slot_error("outer", *index),
             },
         }
     }
 
-    /// Evaluate a bound expression. Mirrors [`Executor::eval`] node for
-    /// node — same operators, same NULL and error behaviour — minus every
-    /// per-row name lookup. The leaves and binary operators every aggregate
-    /// argument is made of stay in this small function; everything else is
-    /// out of line.
+    /// Evaluate a bound expression. The leaves and binary operators every
+    /// aggregate argument is made of stay in this small function;
+    /// everything else is out of line.
     #[inline]
     pub(crate) fn eval_bound(&self, expr: &BoundExpr, f: &Frame) -> Result<Value> {
         match expr {
@@ -819,18 +898,21 @@ impl Executor<'_> {
                 list,
                 negated,
             } => {
+                // `in_list_matches` over lazily evaluated items: a match
+                // decides, a NULL item makes a miss UNKNOWN.
                 let v = self.eval_bound(expr, f)?;
                 if v.is_null() {
                     return Ok(Value::Bool(false));
                 }
-                let mut found = false;
+                let mut saw_null = false;
                 for item in list {
-                    if v.sql_eq(&self.eval_bound(item, f)?) == Some(true) {
-                        found = true;
-                        break;
+                    let item = self.eval_bound(item, f)?;
+                    if v.sql_eq(&item) == Some(true) {
+                        return Ok(Value::Bool(!*negated));
                     }
+                    saw_null |= item.is_null();
                 }
-                Ok(Value::Bool(found != *negated))
+                Ok(Value::Bool(*negated && !saw_null))
             }
             BoundExpr::Between {
                 expr,
@@ -892,17 +974,30 @@ impl Executor<'_> {
             BoundExpr::Cast { expr, data_type } => {
                 cast_value(self.eval_bound(expr, f)?, *data_type)
             }
-            BoundExpr::Interpreted(ast) => match f.src {
-                Source::Row(row) => self.eval(
-                    ast,
-                    &Env {
-                        schema: f.schema,
-                        row,
-                        parent: f.outer,
-                    },
-                ),
-                Source::Bucket(..) => {
-                    err("interpreted expression reached a columnar pipeline (planner defect)")
+            BoundExpr::Subquery {
+                kind,
+                plan,
+                correlated,
+            } => match kind {
+                SubqueryKind::Exists { negated } => {
+                    let rel = self.subquery_rows(plan, *correlated, f)?;
+                    Ok(Value::Bool(rel.rows.is_empty() == *negated))
+                }
+                SubqueryKind::In { expr, negated } => {
+                    // A NULL left-hand side is UNKNOWN without running the
+                    // sub-query at all.
+                    let v = self.eval_bound(expr, f)?;
+                    if v.is_null() {
+                        return Ok(Value::Bool(false));
+                    }
+                    let rel = self.subquery_rows(plan, *correlated, f)?;
+                    let column = rel.rows.iter().filter_map(|r| r.first());
+                    Ok(Value::Bool(in_list_matches(&v, column, *negated)))
+                }
+                SubqueryKind::Scalar => {
+                    let rel = self.subquery_rows(plan, *correlated, f)?;
+                    let first = rel.rows.first().and_then(|r| r.first());
+                    Ok(first.cloned().unwrap_or(Value::Null))
                 }
             },
         }
@@ -1055,16 +1150,31 @@ mod tests {
     fn unknown_functions_and_malformed_aggregates_fail_at_plan_time() {
         // The table is empty: no row would ever evaluate these expressions.
         let e = engine();
-        for sql in [
-            "SELECT nosuchfn(a) FROM t",
-            "SELECT a FROM t WHERE nosuchfn(a) > 1",
-            "SELECT SUM(a, d) FROM t",
-            "SELECT MIN() FROM t",
-            "SELECT COUNT(a, d) FROM t",
+        for (sql, class) in [
+            ("SELECT nosuchfn(a) FROM t", "[function]"),
+            ("SELECT a FROM t WHERE nosuchfn(a) > 1", "[function]"),
+            ("SELECT SUM(a, d) FROM t", "[function]"),
+            ("SELECT MIN() FROM t", "[function]"),
+            ("SELECT COUNT(a, d) FROM t", "[function]"),
+            // Aggregates outside an aggregation context.
+            ("SELECT SUM(a) FROM t WHERE SUM(a) > 1", "[function]"),
+            ("SELECT MAX(SUM(a)) FROM t", "[function]"),
+            (
+                "SELECT a FROM t WHERE a IN (SELECT a FROM t WHERE COUNT(*) > 1)",
+                "[function]",
+            ),
+            // Malformed literals, names no scope resolves.
+            ("SELECT a FROM t WHERE d > DATE 'x'", "[literal]"),
+            ("SELECT DATE '1998-13-45' FROM t", "[literal]"),
+            ("SELECT nosuch FROM t", "[column]"),
+            (
+                "SELECT a FROM t WHERE EXISTS (SELECT 1 FROM t AS u WHERE u.a = v.a)",
+                "[column]",
+            ),
         ] {
             let err = plan(&e, sql).unwrap_err();
             assert_eq!(err.kind(), EngineErrorKind::Plan, "{sql}: {err}");
-            assert!(err.to_string().contains("[function]"), "{sql}: {err}");
+            assert!(err.to_string().contains(class), "{sql}: {err}");
         }
         plan(
             &e,
@@ -1095,14 +1205,8 @@ mod tests {
         let crate::plan::Plan::SeqScan(scan) = p.input.as_ref() else {
             panic!("expected a scan: {plan:?}");
         };
-        let exec = Executor::new(&e);
-        let binder = Binder {
-            exec: &exec,
-            schema: &scan.schema,
-            split: None,
-            group: None,
-            node: "test",
-        };
+        let planner = Planner::new(&e);
+        let binder = Binder::new(&planner, &scan.schema, "test");
         let bound = binder.bind_all(scan.residual.iter()).unwrap();
         let BoundExpr::Binary { right, .. } = &bound[0] else {
             panic!("expected a comparison: {:?}", bound[0]);

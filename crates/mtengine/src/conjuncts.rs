@@ -98,8 +98,8 @@ pub fn is_consumed_equi_key(conjunct: &Expr, keys: &[(Expr, Expr)]) -> bool {
 /// `None` when the conjunct is not a recognizable key predicate
 /// (`col = constant` / `col IN (constants)` on the partition column). The
 /// `fold` callback evaluates candidate key expressions to constants — the
-/// planner passes the executor's full constant folder so pruning recognises
-/// every constant form a scan filter would.
+/// planner passes the executor's `fold_key` (bind, then evaluate)
+/// so pruning recognises every constant form a scan filter would.
 pub fn partition_keys_of_conjunct(
     conjunct: &Expr,
     schema: &Schema,
@@ -368,7 +368,7 @@ impl CompiledPred {
     }
 
     /// The pre-resolved column index of a fast predicate form; `None` for
-    /// the interpreted fallback. Lets callers that read columns individually
+    /// the generic fallback. Lets callers that read columns individually
     /// (streaming cursors) fetch only the predicate's column.
     pub fn column_index(&self) -> Option<usize> {
         match self {
@@ -408,8 +408,8 @@ fn ord_opt_matches(op: BinaryOperator, ord: Option<Ordering>) -> bool {
 /// incomparable operand makes a leg UNKNOWN, a definite `false` leg makes the
 /// whole AND false, and `NOT` maps UNKNOWN to UNKNOWN — so NULL rows satisfy
 /// neither `BETWEEN` nor `NOT BETWEEN`, matching PostgreSQL. This is the
-/// single definition all three evaluation paths (interpreter, compiled row
-/// predicates, column kernels) share.
+/// single definition all three evaluation paths (bound evaluator, compiled
+/// row predicates, column kernels) share.
 #[inline]
 pub fn between_matches(v: &Value, lo: &Value, hi: &Value, negated: bool) -> bool {
     let ge = v.compare(lo).map(|o| o != Ordering::Less);
@@ -425,22 +425,39 @@ pub fn between_matches(v: &Value, lo: &Value, hi: &Value, negated: bool) -> bool
     }
 }
 
+/// SQL three-valued `v [NOT] IN (items)`, reduced to the WHERE-clause
+/// outcome (UNKNOWN filters the row): a match decides, and a miss is UNKNOWN
+/// when `v` or any item is NULL — so `2 NOT IN (1, NULL)` selects nothing,
+/// like PostgreSQL. The one definition the bound evaluator's sub-query `IN`,
+/// the compiled row predicate and (through it) every column kernel share.
+pub fn in_list_matches<'v>(
+    v: &Value,
+    items: impl IntoIterator<Item = &'v Value>,
+    negated: bool,
+) -> bool {
+    if v.is_null() {
+        return false;
+    }
+    let mut saw_null = false;
+    for item in items {
+        if v.sql_eq(item) == Some(true) {
+            return !negated;
+        }
+        saw_null |= item.is_null();
+    }
+    negated && !saw_null
+}
+
 /// Evaluate one *fast* compiled predicate against a single value (the value
 /// of the predicate's column in some row). Panics on
-/// [`CompiledPred::Generic`] — callers route those through the interpreter.
+/// [`CompiledPred::Generic`] — callers route those through the bound
+/// evaluator.
 pub fn fast_pred_value(pred: &CompiledPred, v: &Value) -> bool {
     match pred {
         CompiledPred::Compare { op, value, .. } => ord_opt_matches(*op, v.compare(value)),
         CompiledPred::InSet {
             values, negated, ..
-        } => {
-            if v.is_null() {
-                false
-            } else {
-                let found = values.iter().any(|i| v.sql_eq(i) == Some(true));
-                found != *negated
-            }
-        }
+        } => in_list_matches(v, values, *negated),
         CompiledPred::Between {
             lo, hi, negated, ..
         } => between_matches(v, lo, hi, *negated),
@@ -865,6 +882,10 @@ pub fn eval_vectorized_range(
         } => {
             let col = bucket.column(*idx);
             let negated = *negated;
+            // The typed kernels take NULL-free lists only (a miss is then
+            // plainly false); a NULL item makes every miss UNKNOWN, which
+            // the `in_list_matches` fallback — and the dictionary bitmap
+            // above — apply.
             match col.data() {
                 ColumnVec::Int(xs) if values.iter().all(|v| matches!(v, Value::Int(_))) => {
                     let set: Vec<i64> = values
@@ -971,12 +992,12 @@ mod tests {
         Schema::qualified("t", &["ttid".into(), "v".into()])
     }
 
-    /// The production fold: the executor's full constant folder over an
-    /// empty engine (what the planner passes in).
+    /// The production fold: bind against the empty schema, evaluate the
+    /// constant, over an empty engine (what the planner passes in).
     fn with_fold(check: impl FnOnce(&dyn Fn(&Expr) -> Option<Value>)) {
         let engine = crate::Engine::new(crate::EngineConfig::default());
         let executor = crate::exec::Executor::new(&engine);
-        check(&|e: &Expr| executor.fold_const(e));
+        check(&|e: &Expr| executor.fold_key(e));
     }
 
     #[test]
@@ -1058,7 +1079,7 @@ mod tests {
     /// fails. Pinned here for the compiled row form; the kernel-equivalence
     /// test below pins the column kernels to this, and the engine-level
     /// `not_between_filters_null_rows_on_every_path` test pins the
-    /// interpreter.
+    /// bound evaluator.
     #[test]
     fn null_rows_satisfy_neither_between_nor_not_between() {
         let inside = CompiledPred::Between {
@@ -1139,6 +1160,12 @@ mod tests {
             values: vec![Value::str("MAIL"), Value::str("SHIP")],
             negated,
         };
+        // A NULL item makes every miss UNKNOWN: `NOT IN` selects no row.
+        let in_null_set = |idx, v: Value, negated| CompiledPred::InSet {
+            idx,
+            values: vec![v, Value::Null],
+            negated,
+        };
         let like = |pattern: &str, negated| CompiledPred::Like {
             idx: 2,
             pattern: Arc::new(LikePattern::new(pattern)),
@@ -1170,6 +1197,10 @@ mod tests {
             between(2, Value::str("AIR"), Value::str("MAILZ"), true),
             in_set(false),
             in_set(true),
+            in_null_set(2, Value::str("MAIL"), false),
+            in_null_set(2, Value::str("MAIL"), true),
+            in_null_set(0, Value::Int(24), false),
+            in_null_set(0, Value::Int(24), true),
             like("MAIL%", false),
             like("MAIL%", true),
             // Empty pattern matches only the empty string.
@@ -1183,6 +1214,14 @@ mod tests {
                     fast_filter_matches(std::slice::from_ref(pred), &loose.loose_rows()[i])
                 })
                 .collect();
+            if let CompiledPred::InSet {
+                values, negated, ..
+            } = pred
+            {
+                // The reference itself: a NULL-bearing NOT IN holds nowhere.
+                let null_item = values.iter().any(Value::is_null);
+                assert!(!(null_item && *negated) || reference.is_empty(), "{pred:?}");
+            }
             for (label, bucket) in [("dict", &dict), ("plain", &plain)] {
                 let mut sel = Selection::all(rows.len());
                 let code_space_rows = eval_vectorized_range(pred, bucket, 0, &mut sel);

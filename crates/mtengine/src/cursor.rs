@@ -244,7 +244,6 @@ impl Engine {
             let opts = crate::verify::VerifyOptions {
                 param_count: Some(params.len()),
                 pinned_epoch: Some(epoch),
-                ..Default::default()
             };
             crate::verify::verify_plan_with(self, plan, opts)?;
             self.counters.add_plans_verified(1);
@@ -255,7 +254,7 @@ impl Engine {
             // Bound the materializing execution at the pin epoch: even under
             // the caller's shared borrow, morsel workers must never size
             // their row ranges past the open-time watermark.
-            executor.pin_snapshot(epoch);
+            executor.pin(Snapshot::At(epoch));
             let rel = executor.execute_plan(plan, None)?;
             state.mode = Some(Mode::Materialized {
                 rows: rel.rows,
@@ -516,19 +515,19 @@ fn fetch_streaming(
             break;
         };
         for pred in remaining {
-            if !executor.filter_matches(std::slice::from_ref(pred), &scan.schema, &row, None)? {
+            if !executor.filter_matches(std::slice::from_ref(pred), &row, None)? {
                 continue 'produce;
             }
         }
         // Residual filter stages above the scan.
         for stage in stage_filters {
-            if !executor.filter_matches(stage, &scan.schema, &row, None)? {
+            if !executor.filter_matches(stage, &row, None)? {
                 continue 'produce;
             }
         }
         // Projection head.
         let out_row = match shape.project {
-            Some(p) => executor.project_row(p, &Frame::row(&scan.schema, &row, None))?,
+            Some(p) => executor.project_row(p, &Frame::row(&row, None))?,
             None => row.to_vec(),
         };
         pos.emitted += 1;

@@ -3,9 +3,9 @@
 //!
 //! The planner's FROM/WHERE lowering leaves sub-query-bearing conjuncts in
 //! the residual pool (they never push into scans or joins); without this
-//! module they end up in a [`Plan::Filter`] whose predicates the executor
-//! interprets *per outer row* — a correlated `EXISTS` over `orders` rescan's
-//! the orders table once per `customer` row. With
+//! module they end up in a [`Plan::Filter`] whose correlated sub-plans the
+//! executor runs *per outer row* — a correlated `EXISTS` over `orders`
+//! rescans the orders table once per `customer` row. With
 //! [`crate::EngineConfig::decorrelation`] on (the default), two rewrite
 //! rules turn those conjuncts into set-at-a-time joins:
 //!
@@ -24,8 +24,8 @@
 //!   aggregate.
 //!
 //! Both rules are *conservative*: any shape whose set-at-a-time equivalent
-//! is not provably identical to per-row interpretation bails and keeps the
-//! interpreted filter. In particular a rewrite requires:
+//! is not provably identical to the per-row sub-plan bails and keeps the
+//! correlated filter. In particular a rewrite requires:
 //!
 //! * every inner FROM item is a plain base table (no views, derived tables
 //!   or explicit joins), so inner resolvability is decidable without
@@ -34,20 +34,19 @@
 //! * every non-local inner conjunct is an equality with one side resolvable
 //!   against the inner schema and the other against the probe schema —
 //!   non-equi correlation (Q21's `l2.l_suppkey <> l1.l_suppkey`) bails;
-//! * at least one correlation key — uncorrelated sub-queries stay on the
-//!   executor's cached interpreted path, which evaluates them exactly once
-//!   anyway;
+//! * at least one correlation key — an uncorrelated sub-plan runs once per
+//!   executor anyway;
 //! * for the aggregate rule: a single projection item whose columns all sit
 //!   inside `SUM`/`AVG`/`MIN`/`MAX` arguments. `COUNT` bails — it folds to
 //!   `0` over an empty inner set while a join miss NULL-extends, and
 //!   `0 != NULL`.
 //!
 //! NULL semantics line up by construction: build rows with a NULL key are
-//! skipped (a NULL key equals nothing, so the interpreted inner set never
+//! skipped (a NULL key equals nothing, so the per-row inner set never
 //! contains them), a NULL probe key matches nothing (`Semi` drops the row,
 //! `Anti` keeps it), and a `Single` miss NULL-extends so the rewritten
 //! comparison evaluates against NULL aggregates — not-true, exactly like
-//! the interpreted aggregate over an empty inner set.
+//! the per-row aggregate over an empty inner set.
 
 use mtsql::ast::*;
 use mtsql::visit::{collect_aggregate_calls, contains_subquery, split_conjuncts};
@@ -102,7 +101,7 @@ fn split_correlation(
     for c in conjuncts {
         if contains_subquery(&c) {
             // Nested sub-queries may reference scopes the hoisted build side
-            // no longer sees; keep the whole predicate interpreted.
+            // no longer sees; keep the whole predicate a per-row sub-plan.
             return None;
         }
         if expr_resolvable(&c, inner_schema) {
@@ -134,8 +133,7 @@ fn split_correlation(
         }
     }
     if keys.is_empty() {
-        // Uncorrelated: the executor's sub-query result cache already
-        // evaluates it exactly once.
+        // Uncorrelated: the sub-plan already runs once per executor.
         return None;
     }
     Some(InnerSplit { locals, keys })
@@ -198,7 +196,7 @@ fn columns_outside_aggregates(expr: &Expr) -> bool {
 impl<'e> Planner<'e> {
     /// Try to rewrite each residual conjunct into a join over `current`;
     /// conjuncts that do not match a rewrite rule are returned for the
-    /// interpreted [`Plan::Filter`]. Joins are stacked in conjunct order —
+    /// [`Plan::Filter`]. Joins are stacked in conjunct order —
     /// each variant emits probe rows unchanged and in order, so the stack
     /// filters exactly like the conjunction it replaces.
     pub(crate) fn decorrelate_conjuncts(
@@ -269,7 +267,7 @@ impl<'e> Planner<'e> {
         }
         // A projection aggregate makes the inner block a one-row group
         // (EXISTS is then unconditionally true); leave that to the
-        // interpreter.
+        // sub-plan.
         let mut aggs = Vec::new();
         for item in &select.projection {
             if let SelectItem::Expr { expr, .. } = item {

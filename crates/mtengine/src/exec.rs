@@ -1,4 +1,4 @@
-//! Plan execution: scans, joins, projection, sub-queries and the
+//! Plan execution: scans, joins, projection, expression sub-queries and the
 //! operator-DAG walker. (Aggregation lives in [`crate::agg`], bound
 //! expression evaluation in [`crate::bound`].)
 //!
@@ -26,29 +26,28 @@
 //! morsel order, so the result is bit-identical to a serial scan. A
 //! `HashAggregate` fed by a scan does not materialize rows at all: it reads
 //! the kernel survivors off the column vectors (see [`crate::agg`]).
-//! Uncorrelated sub-queries are evaluated once per query and cached;
-//! sub-query *plans* are cached even for correlated sub-queries, which are
-//! re-executed per outer row.
+//! Expression sub-queries arrive planned (see [`crate::bound`]): an
+//! uncorrelated sub-plan runs at most once per executor, its rows cached per
+//! sub-plan node; a correlated one runs once per outer row, with that row as
+//! depth 0 of its environment chain.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
 
 use mtsql::ast::*;
-use mtsql::visit::contains_subquery;
 
-use crate::bound::{substring, BoundExpr, Frame, LikeArg, ScalarFn, Slot};
+use crate::bound::{BoundExpr, Frame, LikeArg, Slot, Source};
 use crate::conjuncts::{
-    between_matches, eval_vectorized_range, fast_pred_matches, flip_comparison, has_columns,
-    CompiledPred, Selection,
+    eval_vectorized_range, fast_pred_matches, flip_comparison, CompiledPred, Selection,
 };
 use crate::error::{err, EngineError, Result};
 use crate::plan::{BoundJoin, JoinVariant, Plan, Planner, Project, SeqScan, SortKey};
 use crate::schema::Schema;
 use crate::table::{ColumnBucket, Row, SharedRow, Snapshot};
-use crate::value::{add_months, civil_from_days, parse_date, Value};
+use crate::value::{add_months, parse_date, Value};
 use crate::Engine;
 
 pub use crate::conjuncts::{like_match, LikePattern};
@@ -301,26 +300,23 @@ pub struct Relation {
     pub rows: Vec<SharedRow>,
 }
 
-/// Evaluation environment: the row currently in scope plus the chain of outer
-/// rows for correlated sub-queries.
+/// The rows a correlated sub-plan runs under: the row of the operator whose
+/// expression holds the sub-query, then that operator's own chain.
+/// [`crate::bound::Slot::Outer`] `{ depth, index }` reads column `index`
+/// `depth` links up.
 #[derive(Clone, Copy)]
 pub struct Env<'a> {
-    pub schema: &'a Schema,
     pub row: &'a [Value],
     pub parent: Option<&'a Env<'a>>,
 }
 
 impl<'a> Env<'a> {
-    /// Borrowing column lookup: the resolved value plus whether it came from
-    /// an outer (parent) environment. Comparison-only call sites use the
-    /// borrow directly; owning sites clone the (cheap, `Arc`-interned) value.
-    pub(crate) fn lookup_ref(&self, col: &ColumnRef) -> Option<(&'a Value, bool)> {
-        if let Some(idx) = self.schema.resolve(col) {
-            return Some((&self.row[idx], false));
+    /// Column `index` of the row `depth` links up the chain.
+    pub(crate) fn get(&self, depth: usize, index: usize) -> Option<&'a Value> {
+        match depth {
+            0 => self.row.get(index),
+            _ => self.parent?.get(depth - 1, index),
         }
-        self.parent
-            .and_then(|p| p.lookup_ref(col))
-            .map(|(v, _)| (v, true))
     }
 }
 
@@ -333,16 +329,10 @@ pub struct Executor<'e> {
     /// simply fails (so planning a parameterized query defers those
     /// predicates to execution time).
     params: Vec<Value>,
-    /// Cache of uncorrelated sub-query results, keyed by their SQL text.
-    subquery_cache: RefCell<HashMap<String, Rc<Relation>>>,
-    /// Cache of sub-query plans (correlated sub-queries re-execute per outer
-    /// row but are lowered only once).
-    plan_cache: RefCell<HashMap<String, Rc<Plan>>>,
-    /// LIKE patterns precompiled once per pattern text instead of once per row.
-    like_cache: RefCell<HashMap<String, Arc<LikePattern>>>,
-    /// `true` while the executor detected an escape to an outer row during the
-    /// currently executing sub-query (conservative correlation detection).
-    correlation_witness: Cell<bool>,
+    /// Rows of the uncorrelated expression sub-queries run so far, per
+    /// sub-plan node, found by `Arc` identity — each entry holds its node,
+    /// so no other plan can take its address while the executor lives.
+    subquery_cache: RefCell<Vec<(Arc<Plan>, Rc<Relation>)>>,
     /// When set, every base-table scan of this executor is bounded at this
     /// snapshot: per-bucket visible lengths and the loose-row prefix resolve
     /// through the table's write marks (or an open transaction's pre-rewrite
@@ -365,26 +355,15 @@ impl<'e> Executor<'e> {
         Executor {
             engine,
             params,
-            subquery_cache: RefCell::new(HashMap::new()),
-            plan_cache: RefCell::new(HashMap::new()),
-            like_cache: RefCell::new(HashMap::new()),
-            correlation_witness: Cell::new(false),
+            subquery_cache: RefCell::new(Vec::new()),
             snapshot: None,
         }
     }
 
-    /// Bound every scan of this executor at the given mutation-epoch
-    /// watermark (snapshot-isolated cursors, per-statement floor pins).
-    pub(crate) fn pin_snapshot(&mut self, epoch: u64) {
-        self.snapshot = Some(Snapshot::At(epoch));
-    }
-
-    /// Bound every scan at the committed floor *plus* one transaction's own
-    /// uncommitted epochs — the read-your-writes pin for statements running
-    /// inside that transaction (other open transactions' staged rows stay
-    /// invisible).
-    pub(crate) fn pin_txn_snapshot(&mut self, floor: u64, own: Arc<BTreeSet<u64>>) {
-        self.snapshot = Some(Snapshot::Txn { floor, own });
+    /// Bound every scan of this executor at `snapshot` (snapshot-isolated
+    /// cursors, per-statement floor pins, in-transaction reads).
+    pub(crate) fn pin(&mut self, snapshot: Snapshot) {
+        self.snapshot = Some(snapshot);
     }
 
     pub(crate) fn engine(&self) -> &'e Engine {
@@ -411,47 +390,12 @@ impl<'e> Executor<'e> {
         }
     }
 
-    /// An expression escaped to an outer row: the (sub-)query being
-    /// executed is correlated.
-    pub(crate) fn note_correlated(&self) {
-        self.correlation_witness.set(true);
-    }
-
-    /// The compiled form of a LIKE pattern, cached per executor.
-    fn compiled_like(&self, pattern: &str) -> Arc<LikePattern> {
-        if let Some(hit) = self.like_cache.borrow().get(pattern) {
-            return Arc::clone(hit);
-        }
-        let compiled = Arc::new(LikePattern::new(pattern));
-        self.like_cache
-            .borrow_mut()
-            .insert(pattern.to_string(), Arc::clone(&compiled));
-        compiled
-    }
-
     // ------------------------------------------------------------------
-    // Query execution: lower to a plan, walk the plan
+    // Plan execution
     // ------------------------------------------------------------------
 
-    /// Execute a query with an optional outer environment (for correlated
-    /// sub-queries): lower it to a physical plan and walk that.
-    pub fn execute_query(&self, query: &Query, outer: Option<&Env>) -> Result<Relation> {
-        let plan = Planner::new(self.engine).plan_query(query)?;
-        if crate::verify::verify_enabled(&self.engine.config) {
-            let opts = crate::verify::VerifyOptions {
-                param_count: Some(self.params.len()),
-                // Correlated sub-queries reference enclosing-scope columns
-                // that only resolve against the outer environment.
-                outer: outer.is_some(),
-                ..Default::default()
-            };
-            crate::verify::verify_plan_with(self.engine, &plan, opts)?;
-            self.engine.counters.add_plans_verified(1);
-        }
-        self.execute_plan(&plan, outer)
-    }
-
-    /// Execute a physical plan.
+    /// Execute a physical plan; `outer` is the row chain a correlated
+    /// sub-plan runs under.
     pub fn execute_plan(&self, plan: &Plan, outer: Option<&Env>) -> Result<Relation> {
         match plan {
             Plan::Empty { .. } => Ok(Relation {
@@ -468,7 +412,7 @@ impl<'e> Executor<'e> {
                 let rel = self.execute_plan(input, outer)?;
                 let mut rows = Vec::with_capacity(rel.rows.len());
                 for row in &rel.rows {
-                    if self.bound_all_true(bound, &Frame::row(&rel.schema, row, outer))? {
+                    if self.bound_all_true(bound, &Frame::row(row, outer))? {
                         rows.push(SharedRow::clone(row));
                     }
                 }
@@ -553,7 +497,7 @@ impl<'e> Executor<'e> {
         let input = self.execute_plan(&project.input, outer)?;
         let mut rows: Vec<SharedRow> = Vec::with_capacity(input.rows.len());
         for row in &input.rows {
-            let frame = Frame::row(&input.schema, row, outer);
+            let frame = Frame::row(row, outer);
             rows.push(self.project_row(project, &frame)?.into());
         }
         if project.distinct {
@@ -596,7 +540,6 @@ impl<'e> Executor<'e> {
         let mut rows = self.scan_buckets(
             &selected,
             &bucket_filter,
-            &scan.schema,
             outer,
             &mut tally,
             |_, rows, _| Ok(rows),
@@ -616,7 +559,7 @@ impl<'e> Executor<'e> {
         if let Some(full_filter) = &full_filter {
             for row in self.visible_loose_rows(table) {
                 tally.visited += 1;
-                if self.filter_matches(full_filter, &scan.schema, row, outer)? {
+                if self.filter_matches(full_filter, row, outer)? {
                     rows.push(SharedRow::clone(row));
                 }
             }
@@ -656,7 +599,7 @@ impl<'e> Executor<'e> {
             return Cow::Borrowed(&scan.prune_keys);
         };
         let mut keys = scan.prune_keys.clone();
-        let fold = |e: &Expr| self.fold_const(e);
+        let fold = |e: &Expr| self.fold_key(e);
         for c in &scan.param_pruning {
             if let Some(k) =
                 crate::conjuncts::partition_keys_of_conjunct(c, &scan.schema, pidx, &fold)
@@ -687,15 +630,13 @@ impl<'e> Executor<'e> {
     /// scoped worker pool, each worker runs `scan_range` and `keep` per
     /// morsel through its own executor, and per-morsel outputs merge in
     /// morsel order — results and row order are identical to the serial
-    /// scan by construction. Filters with interpreted conjuncts pool too;
-    /// only correlated scans under an outer row with interpreted conjuncts
-    /// stay serial, because those conjuncts must resolve against the
-    /// coordinator's environment chain.
+    /// scan by construction. Filters with interpreted conjuncts pool too,
+    /// except in a scan running under an outer row (inside a correlated
+    /// sub-plan), which stays on the calling thread.
     fn scan_buckets<F>(
         &self,
         selected: &[Selected],
         filter: &[CompiledPred],
-        schema: &Schema,
         outer: Option<&Env>,
         tally: &mut ScanTally,
         keep: F,
@@ -716,14 +657,7 @@ impl<'e> Executor<'e> {
         let Some((morsels, threads)) = pool else {
             let mut rows: Vec<SharedRow> = Vec::new();
             for s in selected {
-                tally.absorb(self.scan_range(
-                    s.cols,
-                    0..s.visible,
-                    filter,
-                    schema,
-                    outer,
-                    &mut rows,
-                )?);
+                tally.absorb(self.scan_range(s.cols, 0..s.visible, filter, outer, &mut rows)?);
             }
             return keep(self, rows, outer);
         };
@@ -739,7 +673,6 @@ impl<'e> Executor<'e> {
                     selected[m.bucket].cols,
                     m.start..m.end,
                     filter,
-                    schema,
                     None,
                     &mut local,
                 )?;
@@ -771,7 +704,6 @@ impl<'e> Executor<'e> {
         cols: &ColumnBucket,
         range: std::ops::Range<usize>,
         filter: &[CompiledPred],
-        schema: &Schema,
         outer: Option<&Env>,
         out: &mut Vec<SharedRow>,
     ) -> Result<ScanTally> {
@@ -790,7 +722,7 @@ impl<'e> Executor<'e> {
         'rows: for i in sel.iter().map(|i| range.start + i) {
             let row = cols.materialize(i);
             for pred in &interpreted {
-                if !self.filter_matches(std::slice::from_ref(*pred), schema, &row, outer)? {
+                if !self.filter_matches(std::slice::from_ref(*pred), &row, outer)? {
                     continue 'rows;
                 }
             }
@@ -834,21 +766,17 @@ impl<'e> Executor<'e> {
             .is_ok_and(|filter| filter.iter().all(CompiledPred::is_fast))
     }
 
-    /// Evaluate a column- and sub-query-free expression to a constant. Also
-    /// used by the planner to fold partition-key predicates, so pruning
-    /// recognises every constant form the scan filter would (functions and
-    /// UDFs over literals included).
-    pub(crate) fn fold_const(&self, expr: &Expr) -> Option<Value> {
-        if has_columns(expr) || contains_subquery(expr) {
-            return None;
-        }
-        let schema = Schema::new();
-        let env = Env {
-            schema: &schema,
-            row: &[],
-            parent: None,
-        };
-        self.eval(expr, &env).ok()
+    /// The constant a partition-key expression folds to: bound against the
+    /// empty schema and evaluated by [`Executor::constant_of`] with this
+    /// executor's parameters, so pruning recognises every constant form the
+    /// scan filter would (functions and UDFs over literals included). `None`
+    /// for anything reading a column.
+    pub(crate) fn fold_key(&self, expr: &Expr) -> Option<Value> {
+        let planner = Planner::new(self.engine);
+        let bound = planner
+            .bind_expr(expr, &Schema::new(), "partition key")
+            .ok()?;
+        self.constant_of(&bound)
     }
 
     // ------------------------------------------------------------------
@@ -863,9 +791,10 @@ impl<'e> Executor<'e> {
         conjuncts.iter().map(|c| self.compile_pred(c)).collect()
     }
 
-    /// The value of a row-independent operand, when it has one.
+    /// The value of a row-independent operand, when it has one (a sub-query
+    /// is never run here).
     fn constant_of(&self, expr: &BoundExpr) -> Option<Value> {
-        let row_free = !expr.any(|e| matches!(e, BoundExpr::Slot(_) | BoundExpr::Interpreted(_)));
+        let row_free = !expr.any(|e| matches!(e, BoundExpr::Slot(_) | BoundExpr::Subquery { .. }));
         row_free
             .then(|| self.eval_bound(expr, &Frame::empty()).ok())
             .flatten()
@@ -942,14 +871,13 @@ impl<'e> Executor<'e> {
     pub(crate) fn filter_matches(
         &self,
         filter: &[CompiledPred],
-        schema: &Schema,
         row: &[Value],
         outer: Option<&Env>,
     ) -> Result<bool> {
         for pred in filter {
             let ok = match pred {
                 CompiledPred::Generic(expr) => self
-                    .eval_bound(expr, &Frame::row(schema, row, outer))?
+                    .eval_bound(expr, &Frame::row(row, outer))?
                     .as_bool()
                     .unwrap_or(false),
                 fast => fast_pred_matches(fast, row),
@@ -989,7 +917,7 @@ impl<'e> Executor<'e> {
         let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
         let mut key: Vec<Value> = Vec::with_capacity(join.keys.len());
         for (i, row) in right.rows.iter().enumerate() {
-            let frame = Frame::row(&right.schema, row, outer);
+            let frame = Frame::row(row, outer);
             if self.join_key(join.keys.iter().map(|(_, r)| r), &frame, &mut key)? {
                 match table.get_mut(key.as_slice()) {
                     Some(rows) => rows.push(i),
@@ -1002,14 +930,12 @@ impl<'e> Executor<'e> {
         let right_width = right.schema.len();
         let mut rows = Vec::new();
         for lrow in &left.rows {
-            let frame = Frame::row(&left.schema, lrow, outer);
+            let frame = Frame::row(lrow, outer);
             let mut matched = false;
             if self.join_key(join.keys.iter().map(|(l, _)| l), &frame, &mut key)? {
                 for &ri in table.get(key.as_slice()).into_iter().flatten() {
                     let combined = concat_rows(lrow, &right.rows[ri]);
-                    if self
-                        .bound_all_true(&join.residual, &Frame::row(&schema, &combined, outer))?
-                    {
+                    if self.bound_all_true(&join.residual, &Frame::row(&combined, outer))? {
                         matched = true;
                         rows.push(combined.into());
                     }
@@ -1042,7 +968,7 @@ impl<'e> Executor<'e> {
         let mut map: HashMap<Vec<Value>, usize> = HashMap::with_capacity(build.rows.len());
         let mut key: Vec<Value> = Vec::with_capacity(join.keys.len());
         for (i, row) in build.rows.iter().enumerate() {
-            let frame = Frame::row(&build.schema, row, outer);
+            let frame = Frame::row(row, outer);
             if self.join_key(join.keys.iter().map(|(_, r)| r), &frame, &mut key)?
                 && !map.contains_key(key.as_slice())
             {
@@ -1057,12 +983,11 @@ impl<'e> Executor<'e> {
             }
         }
         let l = self.execute_plan(left, outer)?;
-        let combined = l.schema.concat(&build.schema);
         let mut rows = Vec::new();
         for lrow in &l.rows {
-            let frame = Frame::row(&l.schema, lrow, outer);
+            let frame = Frame::row(lrow, outer);
             self.join_key(join.keys.iter().map(|(p, _)| p), &frame, &mut key)?;
-            if self.key_probe_matches(&key, variant, &map, &build, join, lrow, &combined, outer)? {
+            if self.key_probe_matches(&key, variant, &map, &build, join, lrow, outer)? {
                 rows.push(SharedRow::clone(lrow));
             }
         }
@@ -1076,7 +1001,7 @@ impl<'e> Executor<'e> {
     /// `Single` variant looks up its (unique) build row, NULL-extends on a
     /// miss, and evaluates the rewritten comparison over the concatenated
     /// row — a miss therefore compares against NULL aggregates and fails,
-    /// matching the interpreted aggregate over an empty inner set.
+    /// matching the per-row sub-plan's aggregate over an empty inner set.
     #[allow(clippy::too_many_arguments)]
     fn key_probe_matches(
         &self,
@@ -1086,7 +1011,6 @@ impl<'e> Executor<'e> {
         build: &Relation,
         join: &BoundJoin,
         lrow: &[Value],
-        combined: &Schema,
         outer: Option<&Env>,
     ) -> Result<bool> {
         let has_null = key.iter().any(Value::is_null);
@@ -1107,7 +1031,7 @@ impl<'e> Executor<'e> {
                         row
                     }
                 };
-                self.bound_all_true(&join.residual, &Frame::row(combined, &row, outer))
+                self.bound_all_true(&join.residual, &Frame::row(&row, outer))
             }
             JoinVariant::Plain(_) => unreachable!("plain joins use hash_join"),
         }
@@ -1172,7 +1096,6 @@ impl<'e> Executor<'e> {
             }
         }
 
-        let combined = scan.schema.concat(&build.schema);
         let probe_key = |key: &mut Vec<Value>, row: &[Value]| {
             key.clear();
             key.extend(key_cols.iter().map(|&i| row[i].clone()));
@@ -1184,7 +1107,6 @@ impl<'e> Executor<'e> {
         let mut rows = self.scan_buckets(
             &selected,
             &bucket_filter,
-            &scan.schema,
             outer,
             &mut tally,
             |exec, scanned, outer| {
@@ -1192,9 +1114,7 @@ impl<'e> Executor<'e> {
                 let mut key: Vec<Value> = Vec::with_capacity(key_cols.len());
                 for row in scanned {
                     probe_key(&mut key, &row);
-                    if exec.key_probe_matches(
-                        &key, variant, map, build, join, &row, &combined, outer,
-                    )? {
+                    if exec.key_probe_matches(&key, variant, map, build, join, &row, outer)? {
                         kept.push(row);
                     }
                 }
@@ -1215,11 +1135,9 @@ impl<'e> Executor<'e> {
             let mut key: Vec<Value> = Vec::with_capacity(key_cols.len());
             for row in self.visible_loose_rows(table) {
                 tally.visited += 1;
-                if self.filter_matches(full_filter, &scan.schema, row, outer)? {
+                if self.filter_matches(full_filter, row, outer)? {
                     probe_key(&mut key, row);
-                    if self
-                        .key_probe_matches(&key, variant, map, build, join, row, &combined, outer)?
-                    {
+                    if self.key_probe_matches(&key, variant, map, build, join, row, outer)? {
                         rows.push(SharedRow::clone(row));
                     }
                 }
@@ -1252,7 +1170,7 @@ impl<'e> Executor<'e> {
             let mut matched = false;
             for rrow in &right.rows {
                 let combined = concat_rows(lrow, rrow);
-                if self.bound_all_true(conjuncts, &Frame::row(&schema, &combined, outer))? {
+                if self.bound_all_true(conjuncts, &Frame::row(&combined, outer))? {
                     matched = true;
                     rows.push(combined.into());
                 }
@@ -1265,271 +1183,39 @@ impl<'e> Executor<'e> {
     }
 
     // ------------------------------------------------------------------
-    // Scalar expression evaluation
+    // Expression sub-queries
     // ------------------------------------------------------------------
 
-    /// Evaluate an expression in an environment.
-    pub fn eval(&self, expr: &Expr, env: &Env) -> Result<Value> {
-        match expr {
-            Expr::Literal(l) => literal_value(l),
-            Expr::Param(index) => self.param(*index),
-            Expr::Column(c) => match env.lookup_ref(c) {
-                Some((v, escaped)) => {
-                    if escaped {
-                        self.note_correlated();
-                    }
-                    Ok(v.clone())
-                }
-                None => err(format!("unknown column `{}`", c.to_display())),
-            },
-            Expr::BinaryOp { left, op, right } => {
-                // Short-circuit AND/OR on the left operand.
-                match op {
-                    BinaryOperator::And => {
-                        let l = self.eval(left, env)?;
-                        if l.as_bool() == Some(false) {
-                            return Ok(Value::Bool(false));
-                        }
-                        let r = self.eval(right, env)?;
-                        return Ok(Value::Bool(
-                            l.as_bool().unwrap_or(false) && r.as_bool().unwrap_or(false),
-                        ));
-                    }
-                    BinaryOperator::Or => {
-                        let l = self.eval(left, env)?;
-                        if l.as_bool() == Some(true) {
-                            return Ok(Value::Bool(true));
-                        }
-                        let r = self.eval(right, env)?;
-                        return Ok(Value::Bool(
-                            l.as_bool().unwrap_or(false) || r.as_bool().unwrap_or(false),
-                        ));
-                    }
-                    _ => {}
-                }
-                let l = self.eval(left, env)?;
-                let r = self.eval(right, env)?;
-                apply_binary(*op, l, r)
-            }
-            Expr::UnaryOp { op, expr } => {
-                let v = self.eval(expr, env)?;
-                apply_unary(*op, v)
-            }
-            Expr::Function(fc) => {
-                if fc.is_aggregate() {
-                    return err(format!(
-                        "aggregate `{}` used outside of an aggregation context",
-                        fc.name
-                    ));
-                }
-                let args = fc
-                    .args
-                    .iter()
-                    .map(|a| self.eval(a, env))
-                    .collect::<Result<Vec<_>>>()?;
-                self.call_scalar(&fc.name, &args)
-            }
-            Expr::Case {
-                operand,
-                when_then,
-                else_expr,
-            } => {
-                let operand_val = operand.as_ref().map(|o| self.eval(o, env)).transpose()?;
-                for (cond, out) in when_then {
-                    let hit = match &operand_val {
-                        Some(op_val) => {
-                            let c = self.eval(cond, env)?;
-                            op_val.sql_eq(&c).unwrap_or(false)
-                        }
-                        None => self.eval(cond, env)?.as_bool().unwrap_or(false),
-                    };
-                    if hit {
-                        return self.eval(out, env);
-                    }
-                }
-                match else_expr {
-                    Some(e) => self.eval(e, env),
-                    None => Ok(Value::Null),
-                }
-            }
-            Expr::IsNull { expr, negated } => {
-                let v = self.eval(expr, env)?;
-                Ok(Value::Bool(v.is_null() != *negated))
-            }
-            Expr::InList {
-                expr,
-                list,
-                negated,
-            } => {
-                let v = self.eval(expr, env)?;
-                if v.is_null() {
-                    return Ok(Value::Bool(false));
-                }
-                let mut found = false;
-                for item in list {
-                    let iv = self.eval(item, env)?;
-                    if v.sql_eq(&iv) == Some(true) {
-                        found = true;
-                        break;
-                    }
-                }
-                Ok(Value::Bool(found != *negated))
-            }
-            Expr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => {
-                // SQL three-valued logic: a NULL operand makes the outcome
-                // UNKNOWN, which satisfies neither BETWEEN nor NOT BETWEEN.
-                let v = self.eval(expr, env)?;
-                let lo = self.eval(low, env)?;
-                let hi = self.eval(high, env)?;
-                Ok(Value::Bool(between_matches(&v, &lo, &hi, *negated)))
-            }
-            Expr::Like {
-                expr,
-                pattern,
-                negated,
-            } => {
-                let v = self.eval(expr, env)?;
-                // Literal patterns (the common case) are compiled once per
-                // executor; dynamic patterns are compiled per evaluation.
-                let outcome = match v.as_str() {
-                    None => None,
-                    Some(text) => match pattern.as_ref() {
-                        Expr::Literal(Literal::String(p)) => {
-                            Some(self.compiled_like(p).matches(text))
-                        }
-                        dynamic => self
-                            .eval(dynamic, env)?
-                            .as_str()
-                            .map(|pat| LikePattern::new(pat).matches(text)),
-                    },
-                };
-                Ok(Value::Bool(outcome.map(|m| m != *negated).unwrap_or(false)))
-            }
-            Expr::Extract { field, expr } => {
-                let v = self.eval(expr, env)?;
-                match v {
-                    Value::Date(d) => {
-                        let (y, m, day) = civil_from_days(d);
-                        Ok(Value::Int(match field {
-                            DateField::Year => y as i64,
-                            DateField::Month => m as i64,
-                            DateField::Day => day as i64,
-                        }))
-                    }
-                    Value::Null => Ok(Value::Null),
-                    other => err(format!("EXTRACT from non-date value {other:?}")),
-                }
-            }
-            Expr::Substring {
-                expr,
-                start,
-                length,
-            } => {
-                let text = match self.eval(expr, env)? {
-                    Value::Null => return Ok(Value::Null),
-                    other => other.to_string(),
-                };
-                let start = self.eval(start, env)?.as_i64().unwrap_or(1).max(1) as usize;
-                let length = match length {
-                    Some(len) => Some(self.eval(len, env)?.as_i64().unwrap_or(0).max(0)),
-                    None => None,
-                };
-                Ok(substring(&text, start, length))
-            }
-            Expr::Cast { expr, data_type } => {
-                let v = self.eval(expr, env)?;
-                cast_value(v, *data_type)
-            }
-            Expr::Exists { query, negated } => {
-                let rel = self.execute_subquery(query, env)?;
-                Ok(Value::Bool(rel.rows.is_empty() == *negated))
-            }
-            Expr::InSubquery {
-                expr,
-                query,
-                negated,
-            } => {
-                let v = self.eval(expr, env)?;
-                if v.is_null() {
-                    return Ok(Value::Bool(false));
-                }
-                let rel = self.execute_subquery(query, env)?;
-                let mut found = false;
-                for row in &rel.rows {
-                    if let Some(candidate) = row.first() {
-                        if v.sql_eq(candidate) == Some(true) {
-                            found = true;
-                            break;
-                        }
-                    }
-                }
-                Ok(Value::Bool(found != *negated))
-            }
-            Expr::ScalarSubquery(query) => {
-                let rel = self.execute_subquery(query, env)?;
-                match rel.rows.first() {
-                    Some(row) => Ok(row.first().cloned().unwrap_or(Value::Null)),
-                    None => Ok(Value::Null),
-                }
-            }
+    /// The rows of an expression sub-query's plan. An uncorrelated sub-plan
+    /// runs at most once per executor, its rows cached per sub-plan node; a
+    /// correlated one runs for the frame's row, which becomes depth 0 of its
+    /// environment chain.
+    pub(crate) fn subquery_rows(
+        &self,
+        plan: &Arc<Plan>,
+        correlated: bool,
+        f: &Frame,
+    ) -> Result<Rc<Relation>> {
+        if correlated {
+            let Source::Row(row) = f.src else {
+                return err("a correlated sub-query reached a columnar frame (planner defect)");
+            };
+            let env = Env {
+                row,
+                parent: f.outer,
+            };
+            return Ok(Rc::new(self.execute_plan(plan, Some(&env))?));
         }
-    }
-
-    /// Evaluate a scalar (non-aggregate) function by name (interpreted call
-    /// sites; bound call sites hold the resolved [`ScalarFn`]).
-    fn call_scalar(&self, name: &str, args: &[Value]) -> Result<Value> {
-        match ScalarFn::resolve(name, self.engine.udfs()) {
-            Some(func) => func.call(self.engine.udfs(), args),
-            None => err(format!("unknown function `{name}`")),
+        let cached = self.subquery_cache.borrow();
+        if let Some((_, rows)) = cached.iter().find(|(node, _)| Arc::ptr_eq(node, plan)) {
+            return Ok(Rc::clone(rows));
         }
-    }
-
-    /// Execute a sub-query appearing inside an expression, caching the result
-    /// when it turned out to be uncorrelated. The *plan* is cached either way,
-    /// so a correlated sub-query re-executed per outer row is lowered once.
-    fn execute_subquery(&self, query: &Query, env: &Env) -> Result<Rc<Relation>> {
-        let key = query.to_string();
-        if let Some(hit) = self.subquery_cache.borrow().get(&key) {
-            return Ok(Rc::clone(hit));
-        }
-        let cached_plan = self.plan_cache.borrow().get(&key).cloned();
-        let plan = match cached_plan {
-            Some(plan) => plan,
-            None => {
-                let plan = Rc::new(Planner::new(self.engine).plan_query(query)?);
-                if crate::verify::verify_enabled(&self.engine.config) {
-                    // Verified once per distinct sub-query text (the plan
-                    // cache makes re-executions skip this), leniently: outer
-                    // scope columns resolve in the enclosing environment.
-                    let opts = crate::verify::VerifyOptions {
-                        param_count: Some(self.params.len()),
-                        outer: true,
-                        ..Default::default()
-                    };
-                    crate::verify::verify_plan_with(self.engine, &plan, opts)?;
-                    self.engine.counters.add_plans_verified(1);
-                }
-                self.plan_cache
-                    .borrow_mut()
-                    .insert(key.clone(), Rc::clone(&plan));
-                plan
-            }
-        };
-        let saved = self.correlation_witness.replace(false);
-        let rel = Rc::new(self.execute_plan(&plan, Some(env))?);
-        let correlated = self.correlation_witness.get();
-        self.correlation_witness.set(saved || correlated);
-        if !correlated {
-            self.subquery_cache
-                .borrow_mut()
-                .insert(key, Rc::clone(&rel));
-        }
-        Ok(rel)
+        drop(cached);
+        let rows = Rc::new(self.execute_plan(plan, None)?);
+        self.subquery_cache
+            .borrow_mut()
+            .push((Arc::clone(plan), Rc::clone(&rows)));
+        Ok(rows)
     }
 }
 

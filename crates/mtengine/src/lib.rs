@@ -62,9 +62,9 @@
 //! ([`agg`]); the coordinator folds the per-morsel batches in morsel order
 //! — so results are bit-identical to a serial scan. A `HashAggregate` over
 //! the `ttid → Tenant` join conversion inlining emits resolves that join
-//! once per partition bucket instead of per row. Interpreted
-//! (non-fast-form) conjuncts run hybrid on the workers:
-//! kernels narrow the selection first, survivors are checked interpreted.
+//! once per partition bucket instead of per row. Conjuncts without a
+//! kernel form run hybrid on the workers: kernels narrow the selection
+//! first, survivors are checked by the bound evaluator.
 //! `EXPLAIN <query>` (or [`Engine::explain_query`]) renders the plan,
 //! including pushed conjuncts, live partition-pruning counts and morsel
 //! engagement.
@@ -133,10 +133,11 @@ use std::sync::Arc;
 
 use mtsql::ast::{InsertSource, Query, Statement};
 
-use crate::exec::{Env, Executor, Relation};
+use crate::bound::Frame;
+use crate::exec::{Executor, Relation};
 use crate::schema::Schema;
 use crate::stats::{EngineCounters, StatsSnapshot};
-use crate::table::{Database, Row, Table};
+use crate::table::{Database, Row, SharedRow, Snapshot};
 use crate::udf::{UdfImpl, UdfRegistry};
 
 pub use crate::cursor::{CursorBatch, CursorState, RowIter, DEFAULT_BATCH_ROWS};
@@ -220,10 +221,10 @@ pub struct EngineConfig {
     /// `EXISTS`/`NOT EXISTS` predicates become semi-/anti-join variants of
     /// `HashJoin`, and correlated scalar-aggregate comparisons become
     /// aggregate-then-join plans (see the [`decorrelate`] module). The
-    /// rewrite fires only when it is provably equivalent to the interpreted
-    /// per-row sub-query; anything else keeps the correlated `Filter`.
-    /// Disabling keeps every sub-query interpreted — the equivalence
-    /// baseline, results are identical either way.
+    /// rewrite fires only when it is provably equivalent to running the
+    /// sub-plan per outer row; anything else keeps the correlated `Filter`.
+    /// Disabling keeps every correlated sub-query a per-outer-row sub-plan —
+    /// the equivalence baseline, results are identical either way.
     pub decorrelation: bool,
     /// Run the static plan verifier ([`verify`]) over every freshly
     /// planned operator DAG (and re-check parameter bounds when a cached
@@ -288,8 +289,8 @@ impl EngineConfig {
     }
 
     /// Disable sub-query decorrelation (builder-style): correlated
-    /// sub-queries stay interpreted per outer row, the baseline the
-    /// unnested join plans are verified against.
+    /// sub-plans run per outer row, the baseline the unnested join plans
+    /// are verified against.
     pub fn without_decorrelation(mut self) -> Self {
         self.decorrelation = false;
         self
@@ -627,15 +628,26 @@ impl Engine {
     /// INSERT) to concrete values in one engine call — no per-row probe
     /// queries.
     pub fn eval_values(&self, rows: &[Vec<mtsql::ast::Expr>]) -> Result<Vec<Row>> {
-        let executor = Executor::new(self);
-        let schema = Schema::new();
-        let env = Env {
-            schema: &schema,
-            row: &[],
-            parent: None,
+        self.values_rows(rows, None)
+    }
+
+    /// [`Engine::eval_values`], with sub-queries reading at `txn`'s
+    /// snapshot inside a transaction: each expression is bound against the
+    /// empty schema and evaluated once.
+    fn values_rows(
+        &self,
+        rows: &[Vec<mtsql::ast::Expr>],
+        txn: Option<&txn::Transaction>,
+    ) -> Result<Vec<Row>> {
+        let planner = plan::Planner::new(self);
+        let executor = self.dml_executor(txn);
+        let empty = Schema::new();
+        let value = |e| {
+            let bound = planner.bind_expr(e, &empty, "VALUES")?;
+            executor.eval_bound(&bound, &Frame::empty())
         };
         rows.iter()
-            .map(|exprs| exprs.iter().map(|e| executor.eval(e, &env)).collect())
+            .map(|exprs| exprs.iter().map(value).collect())
             .collect()
     }
 
@@ -781,22 +793,11 @@ impl Engine {
         self.execute_query(&query)
     }
 
-    /// Execute a parsed query.
+    /// Execute a parsed query: plan it and run the plan against the live
+    /// table state.
     pub fn execute_query(&self, query: &Query) -> Result<ResultSet> {
-        let executor = Executor::new(self);
-        let rel = executor.execute_query(query, None)?;
-        Ok(ResultSet::from_relation(rel))
-    }
-
-    /// Execute a parsed query pinned to `txn`'s snapshot: the committed
-    /// floor plus the transaction's own statement epochs, so the
-    /// transaction reads its own staged writes but never another open
-    /// transaction's.
-    pub fn execute_query_txn(&self, query: &Query, txn: &txn::Transaction) -> Result<ResultSet> {
-        let mut executor = Executor::new(self);
-        executor.pin_txn_snapshot(self.db.committed_epoch(), txn.own_epochs());
-        let rel = executor.execute_query(query, None)?;
-        Ok(ResultSet::from_relation(rel))
+        let plan = plan::Planner::new(self).plan_query(query)?;
+        self.run_plan(&plan, &[], None)
     }
 
     /// Lower a parsed query to its physical plan without executing it. The
@@ -823,7 +824,9 @@ impl Engine {
     /// are never observed; with no open transaction the snapshot equals the
     /// live state and the read is unbounded (the common, zero-cost path).
     pub fn execute_plan(&self, plan: &plan::Plan, params: &[Value]) -> Result<ResultSet> {
-        self.execute_plan_pinned(plan, params, None)
+        let uncommitted = self.db.has_uncommitted();
+        let floor = uncommitted.then(|| Snapshot::At(self.db.committed_epoch()));
+        self.run_plan(plan, params, floor)
     }
 
     /// Like [`Engine::execute_plan`] but pinned for the session that *owns*
@@ -836,14 +839,18 @@ impl Engine {
         params: &[Value],
         txn: &txn::Transaction,
     ) -> Result<ResultSet> {
-        self.execute_plan_pinned(plan, params, Some(txn))
+        let snapshot = txn.snapshot(self.db.committed_epoch());
+        self.run_plan(plan, params, Some(snapshot))
     }
 
-    fn execute_plan_pinned(
+    /// The one executor entry: verify `plan` (when enabled) — sub-plans
+    /// with it — and run it with `params` bound, every scan bounded at
+    /// `snapshot` (`None` reads the live state).
+    fn run_plan(
         &self,
         plan: &plan::Plan,
         params: &[Value],
-        txn: Option<&txn::Transaction>,
+        snapshot: Option<Snapshot>,
     ) -> Result<ResultSet> {
         if verify::verify_enabled(&self.config) {
             let opts = verify::VerifyOptions {
@@ -854,12 +861,8 @@ impl Engine {
             self.counters.add_plans_verified(1);
         }
         let mut executor = Executor::with_params(self, params.to_vec());
-        match txn {
-            Some(txn) => executor.pin_txn_snapshot(self.db.committed_epoch(), txn.own_epochs()),
-            None if self.db.has_uncommitted() => {
-                executor.pin_snapshot(self.db.committed_epoch());
-            }
-            None => {}
+        if let Some(snapshot) = snapshot {
+            executor.pin(snapshot);
         }
         let rel = executor.execute_plan(plan, None)?;
         Ok(ResultSet::from_relation(rel))
@@ -975,112 +978,18 @@ impl Engine {
                 })
             }
             Statement::Update(update) => {
-                let (schema, assignments, selection) = {
-                    let table = self.db.table(&update.table)?;
-                    (
-                        Schema::qualified(&table.name, &table.columns),
-                        update.assignments.clone(),
-                        update.selection.clone(),
-                    )
-                };
-                // Evaluate per-row updates against a snapshot executor.
-                let mut new_rows: Vec<(bool, table::SharedRow)> = Vec::new();
-                {
-                    let executor = Executor::new(self);
-                    let table = self.db.table(&update.table)?;
-                    for row in table.rows() {
-                        let env = Env {
-                            schema: &schema,
-                            row: &row,
-                            parent: None,
-                        };
-                        let matches = match &selection {
-                            Some(pred) => executor.eval(pred, &env)?.as_bool().unwrap_or(false),
-                            None => true,
-                        };
-                        if matches {
-                            let mut new_row = row.to_vec();
-                            for (col, expr) in &assignments {
-                                let idx = table.column_index(col).ok_or_else(|| {
-                                    EngineError::new(format!(
-                                        "no column `{col}` in `{}`",
-                                        update.table
-                                    ))
-                                })?;
-                                new_row[idx] = executor.eval(expr, &env)?;
-                            }
-                            new_rows.push((true, new_row.into()));
-                        } else {
-                            new_rows.push((false, row));
-                        }
-                    }
-                }
+                let new_rows = self.compute_update_rows(update, None)?;
                 let changed = new_rows.iter().filter(|(m, _)| *m).count() as i64;
-                if self.wal.is_some() {
-                    // UPDATE rewrites storage wholesale (take + re-push), so
-                    // it logs as a full-replacement record.
-                    self.log(&[wal::Record::ReplaceRows {
-                        table: update.table.clone(),
-                        rows: new_rows.iter().map(|(_, r)| r.to_vec()).collect(),
-                    }])?;
-                }
-                let epoch = self.db.bump_epoch();
-                let table = self.db.table_mut(&update.table)?;
-                table.begin_write(epoch);
-                table.take_rows();
-                for (_, row) in new_rows {
-                    // Re-bucketing on insert keeps the partition layout right
-                    // even when an UPDATE rewrites the partition key itself.
-                    table.push_shared(row);
-                }
+                let rows = new_rows.into_iter().map(|(_, r)| r).collect();
+                self.replace_rows(&update.table, rows)?;
                 Ok(ResultSet {
                     columns: vec!["rows_updated".to_string()],
                     rows: vec![vec![Value::Int(changed)]],
                 })
             }
             Statement::Delete(delete) => {
-                let (schema, selection) = {
-                    let table = self.db.table(&delete.table)?;
-                    (
-                        Schema::qualified(&table.name, &table.columns),
-                        delete.selection.clone(),
-                    )
-                };
-                let mut keep: Vec<table::SharedRow> = Vec::new();
-                let mut removed = 0i64;
-                {
-                    let executor = Executor::new(self);
-                    let table = self.db.table(&delete.table)?;
-                    for row in table.rows() {
-                        let env = Env {
-                            schema: &schema,
-                            row: &row,
-                            parent: None,
-                        };
-                        let matches = match &selection {
-                            Some(pred) => executor.eval(pred, &env)?.as_bool().unwrap_or(false),
-                            None => true,
-                        };
-                        if matches {
-                            removed += 1;
-                        } else {
-                            keep.push(row);
-                        }
-                    }
-                }
-                if self.wal.is_some() {
-                    self.log(&[wal::Record::ReplaceRows {
-                        table: delete.table.clone(),
-                        rows: keep.iter().map(|r| r.to_vec()).collect(),
-                    }])?;
-                }
-                let epoch = self.db.bump_epoch();
-                let table = self.db.table_mut(&delete.table)?;
-                table.begin_write(epoch);
-                table.take_rows();
-                for row in keep {
-                    table.push_shared(row);
-                }
+                let (keep, removed) = self.compute_delete_rows(delete, None)?;
+                self.replace_rows(&delete.table, keep)?;
                 Ok(ResultSet {
                     columns: vec!["rows_deleted".to_string()],
                     rows: vec![vec![Value::Int(removed)]],
@@ -1122,37 +1031,15 @@ impl Engine {
             })
             .collect::<Result<Vec<_>>>()?;
 
-        // An `INSERT ... SELECT` source inside a transaction reads at the
-        // transaction's snapshot, like every other in-transaction query.
-        let mut executor = Executor::new(self);
-        if let Some(txn) = txn {
-            executor.pin_txn_snapshot(self.db.committed_epoch(), txn.own_epochs());
-        }
-        let executor = executor;
+        // Sources inside a transaction read at the transaction's snapshot,
+        // like every other in-transaction query.
         let source_rows: Vec<Row> = match &insert.source {
-            InsertSource::Values(rows) => {
-                let empty_schema = Schema::new();
-                let empty_row: Row = Vec::new();
-                let env = Env {
-                    schema: &empty_schema,
-                    row: &empty_row,
-                    parent: None,
-                };
-                rows.iter()
-                    .map(|exprs| {
-                        exprs
-                            .iter()
-                            .map(|e| executor.eval(e, &env))
-                            .collect::<Result<Row>>()
-                    })
-                    .collect::<Result<Vec<_>>>()?
+            InsertSource::Values(rows) => self.values_rows(rows, txn)?,
+            InsertSource::Query(q) => {
+                let plan = plan::Planner::new(self).plan_query(q)?;
+                let snapshot = txn.map(|t| t.snapshot(self.db.committed_epoch()));
+                self.run_plan(&plan, &[], snapshot)?.rows
             }
-            InsertSource::Query(q) => executor
-                .execute_query(q, None)?
-                .rows
-                .iter()
-                .map(|r| r.to_vec())
-                .collect(),
         };
 
         let width = table.columns.len();
@@ -1174,33 +1061,24 @@ impl Engine {
         Ok(out)
     }
 
-    /// Load a pre-built table wholesale (used by the MT-H generator). The
-    /// buckets are re-encoded to follow
-    /// [`EngineConfig::dictionary_encoding`]. On durable engines the whole batch — schema, partition declaration
-    /// and every row — is one WAL transaction.
-    pub fn load_table(&mut self, mut table: Table) -> Result<()> {
+    /// Auto-commit UPDATE / DELETE: log the rewritten row set as one
+    /// full-replacement record and swap it in under a fresh epoch.
+    fn replace_rows(&mut self, table: &str, rows: Vec<SharedRow>) -> Result<()> {
         if self.wal.is_some() {
-            let mut records = vec![wal::Record::CreateTable {
-                name: table.name.clone(),
-                columns: table.columns.clone(),
-            }];
-            if let Some(idx) = table.partition_column() {
-                records.push(wal::Record::SetPartition {
-                    table: table.name.clone(),
-                    column: table.columns[idx].clone(),
-                });
-            }
-            records.push(wal::Record::InsertRows {
-                table: table.name.clone(),
-                rows: table.rows().map(|r| r.to_vec()).collect(),
-            });
-            self.log(&records)?;
+            self.log(&[wal::Record::ReplaceRows {
+                table: table.to_string(),
+                rows: rows.iter().map(|r| r.to_vec()).collect(),
+            }])?;
         }
         let epoch = self.db.bump_epoch();
-        table.set_dictionary(self.config.dictionary_encoding);
-        table.begin_write(epoch);
-        table.force_rewrite_epoch(epoch);
-        self.db.insert_table(table);
+        let t = self.db.table_mut(table)?;
+        t.begin_write(epoch);
+        t.take_rows();
+        for row in rows {
+            // Re-bucketing on insert keeps the partition layout right even
+            // when an UPDATE rewrites the partition key itself.
+            t.push_shared(row);
+        }
         Ok(())
     }
 }
@@ -1657,7 +1535,7 @@ mod tests {
     /// NULL rows must satisfy neither `BETWEEN` nor `NOT BETWEEN` on every
     /// evaluation path: the column kernel (partition buckets), the compiled
     /// fast predicate (the loose row store of an unpartitioned table) and
-    /// the interpreter (column-dependent bounds force
+    /// the bound evaluator (column-dependent bounds force
     /// `CompiledPred::Generic`), plus the group-evaluation path (HAVING).
     /// SQL three-valued logic — PostgreSQL filters the UNKNOWN row.
     #[test]
@@ -1687,7 +1565,7 @@ mod tests {
                 .unwrap();
             assert_eq!(rs.rows, vec![vec![Value::Int(50)]], "columnar={columnar}");
 
-            // Interpreted path: column-dependent bounds cannot compile.
+            // Bound-evaluator path: column-dependent bounds cannot compile.
             let rs = e
                 .query("SELECT v FROM t WHERE v NOT BETWEEN ttid AND ttid + 9")
                 .unwrap();
@@ -1705,11 +1583,54 @@ mod tests {
         }
     }
 
+    /// `NOT IN` over a list or sub-query holding a NULL is UNKNOWN for every
+    /// row it does not exclude outright (SQL three-valued logic): nothing
+    /// qualifies — on the column kernels (partitioned), the compiled row
+    /// predicate (loose rows), the bound evaluator (`a + 0` cannot compile)
+    /// and the sub-query path alike. `IN` is unaffected: a match decides.
+    #[test]
+    fn not_in_with_a_null_selects_nothing_on_every_path() {
+        for partitioned in [true, false] {
+            let mut e = Engine::new(EngineConfig::default());
+            e.create_table("t", &["ttid", "a"]);
+            if partitioned {
+                e.set_table_partition("t", "ttid").unwrap();
+            }
+            let rows = vec![
+                vec![Value::Int(1), Value::Int(2)],
+                vec![Value::Int(1), Value::Null],
+            ];
+            e.insert_values("t", rows).unwrap();
+            e.create_table("n", &["b"]);
+            e.insert_values("n", vec![vec![Value::Int(1)], vec![Value::Null]])
+                .unwrap();
+            for sql in [
+                "SELECT a FROM t WHERE a NOT IN (1, NULL)",
+                "SELECT a FROM t WHERE a + 0 NOT IN (1, NULL)",
+                "SELECT a FROM t WHERE a NOT IN (SELECT b FROM n)",
+            ] {
+                let rs = e.query(sql).unwrap();
+                assert!(
+                    rs.rows.is_empty(),
+                    "partitioned={partitioned} {sql}: {rs:?}"
+                );
+            }
+            for sql in [
+                "SELECT a FROM t WHERE a IN (2, NULL)",
+                "SELECT a FROM t WHERE a + 0 IN (2, NULL)",
+                "SELECT a FROM t WHERE a IN (SELECT b + 1 FROM n)",
+            ] {
+                let rs = e.query(sql).unwrap();
+                assert_eq!(rs.rows, vec![vec![Value::Int(2)]], "{sql}");
+            }
+        }
+    }
+
     /// LIKE follows SQL three-valued logic on every evaluation path: a NULL
     /// operand (or NULL pattern) makes the outcome UNKNOWN, which satisfies
     /// neither `LIKE` nor `NOT LIKE`; the empty string is a real value (it
     /// matches `''` and `'%'` and satisfies `NOT LIKE 'MAIL%'`). Pinned for
-    /// the interpreter (dynamic / column-dependent patterns force
+    /// the bound evaluator (dynamic / column-dependent patterns force
     /// `CompiledPred::Generic`), the compiled fast predicate (the loose row
     /// store of an unpartitioned table), the vectorized kernel (plain
     /// buckets), the dictionary bitmap path (dictionary-encoded buckets)
@@ -1759,7 +1680,7 @@ mod tests {
             let rs = e.query("SELECT COUNT(*) FROM t WHERE s LIKE '%'").unwrap();
             assert_eq!(rs.rows[0][0], Value::Int(3), "{label}");
 
-            // Interpreted path: a column-dependent pattern cannot compile.
+            // Bound-evaluator path: a column-dependent pattern cannot compile.
             let rs = e
                 .query("SELECT s FROM t WHERE s LIKE s || '%' AND s LIKE 'MAIL%'")
                 .unwrap();
@@ -1945,7 +1866,7 @@ mod tests {
             assert!(!expected.is_empty() && rs.rows == expected, "{rs:?}");
             let stats = e.stats();
             let rescans = outer_rows as u64;
-            assert_eq!(stats.subqueries_unnested, 0, "must stay interpreted");
+            assert_eq!(stats.subqueries_unnested, 0, "must stay a sub-plan");
             assert_eq!(stats.rows_scanned, rescans + rescans * 40);
             assert_eq!(stats.late_materialized, rescans + rescans * 20);
         }

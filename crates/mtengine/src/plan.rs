@@ -8,8 +8,7 @@
 //!   partition keys the `ttid = k` / `ttid IN (...)` D-filters select.
 //! * [`Plan::Filter`], [`Plan::HashJoin`], [`Plan::NestedLoopJoin`] — the
 //!   relational glue; the planner picks hash joins greedily from the
-//!   available equi-join conjuncts, exactly like the previous AST
-//!   interpreter did, so plans stay comparable across PRs.
+//!   available equi-join conjuncts.
 //! * [`Plan::Subquery`] — a derived table (or expanded view) re-qualified
 //!   under its alias.
 //! * [`Plan::Project`] / [`Plan::HashAggregate`] — the projection and
@@ -29,7 +28,9 @@
 //!
 //! The last planning step, [`Planner::bind`], binds every expression of the
 //! DAG against its operator's input schema ([`crate::bound`]) — column
-//! references become slots, constants fold, functions resolve to handles —
+//! references become slots, constants fold, functions resolve to handles,
+//! expression sub-queries are planned by a nested planner whose scopes are
+//! the enclosing operators' inputs —
 //! and recognises the streaming-aggregation pipelines: a `HashAggregate`
 //! directly over an inner join of a partitioned scan on its partition column
 //! (the `X.ttid = T_tenant_key` join conversion inlining emits) marks that
@@ -40,6 +41,7 @@
 //! statement surface), including pushed conjuncts, live partition-pruning
 //! counts and parallel-scan eligibility.
 
+use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
 
 use mtsql::ast::*;
@@ -53,7 +55,6 @@ use crate::conjuncts::{
 use crate::error::Result;
 use crate::exec::Executor;
 use crate::schema::Schema;
-use crate::verify::PlanError;
 use crate::Engine;
 
 /// One ORDER BY key of a [`Plan::Sort`]: a column index into the input rows
@@ -165,15 +166,15 @@ pub struct BoundJoin {
 /// sides. `Plain` carries the SQL join kinds; the other variants are
 /// produced only by sub-query decorrelation (see the [`crate::decorrelate`]
 /// module) and act as *filters* on the probe side: they emit probe rows
-/// unchanged (and in order), so they are drop-in replacements for an
-/// interpreted correlated predicate.
+/// unchanged (and in order), so they are drop-in replacements for a
+/// correlated sub-query predicate run per outer row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinVariant {
     /// An ordinary SQL join producing concatenated rows.
     Plain(JoinKind),
     /// Semi join (decorrelated `EXISTS`): emit probe rows with at least one
     /// build-side key match. NULL probe keys never match (`=` over NULL is
-    /// not true), matching the interpreted `EXISTS` over an empty inner set.
+    /// not true), matching the per-row `EXISTS` over an empty inner set.
     Semi,
     /// Anti join (decorrelated `NOT EXISTS`): emit probe rows with *no*
     /// build-side key match — including rows with NULL probe keys, which
@@ -184,7 +185,7 @@ pub enum JoinVariant {
     /// an aggregated build side, hence unique), null-extend on a miss, and
     /// emit the probe row iff the rewritten comparison in `residual` holds
     /// over the concatenated row. A miss yields NULL aggregates, so the
-    /// comparison is not-true — exactly the interpreted aggregate-over-empty
+    /// comparison is not-true — exactly the per-row aggregate-over-empty
     /// behaviour (`AVG`/`SUM`/`MIN`/`MAX` only; `COUNT` is never rewritten).
     Single,
 }
@@ -315,12 +316,46 @@ impl Plan {
 /// Lowers queries into [`Plan`]s against one engine's catalog and config.
 pub struct Planner<'e> {
     pub(crate) engine: &'e Engine,
+    /// The input schemas of the operators enclosing the query being planned,
+    /// innermost first — what [`crate::bound::Slot::Outer`] slots index.
+    /// Empty for a top-level statement.
+    pub(crate) scopes: Vec<Schema>,
+    /// How many of `scopes` the query's bound slots reach into, nested
+    /// sub-queries included: non-zero makes it a correlated sub-query.
+    pub(crate) reach: Cell<usize>,
 }
 
 impl<'e> Planner<'e> {
     /// A planner for the engine's current catalog.
     pub fn new(engine: &'e Engine) -> Self {
-        Planner { engine }
+        Planner {
+            engine,
+            scopes: Vec::new(),
+            reach: Cell::new(0),
+        }
+    }
+
+    /// The planner of a sub-query inside an operator whose input is `scope`.
+    pub(crate) fn nested(&self, scope: &Schema) -> Planner<'e> {
+        let mut scopes = Vec::with_capacity(self.scopes.len() + 1);
+        scopes.push(scope.clone());
+        scopes.extend(self.scopes.iter().cloned());
+        Planner {
+            engine: self.engine,
+            scopes,
+            reach: Cell::new(0),
+        }
+    }
+
+    /// Note a slot reading `levels` enclosing scopes out.
+    pub(crate) fn note_reach(&self, levels: usize) {
+        self.reach.set(self.reach.get().max(levels));
+    }
+
+    /// Bind one expression against `schema` — what the DML paths, INSERT
+    /// `VALUES` and partition-key folding evaluate.
+    pub(crate) fn bind_expr(&self, expr: &Expr, schema: &Schema, node: &str) -> Result<BoundExpr> {
+        Binder::new(self, schema, node).bind(expr)
     }
 
     /// Lower a query into a physical plan and bind its expressions.
@@ -513,7 +548,7 @@ impl<'e> Planner<'e> {
         // Whatever is left (correlated predicates, sub-queries, ...): first
         // give decorrelation a chance to rewrite correlated sub-query
         // conjuncts into semi-/anti-/aggregate-join nodes over `current`;
-        // anything it cannot prove equivalent stays interpreted.
+        // anything it cannot prove equivalent stays a per-row sub-plan.
         if self.engine.config().decorrelation {
             remaining = self.decorrelate_conjuncts(&mut current, remaining)?;
         }
@@ -687,11 +722,12 @@ impl<'e> Planner<'e> {
         let mut param_pruning: Vec<Expr> = Vec::new();
         if self.engine.config().partition_pruning {
             if let Some(pidx) = partition_col {
-                // Fold key expressions with the executor's full constant
-                // folder (functions and UDFs over literals included), so the
-                // planner prunes everything PR 1's scan-time pruning did.
+                // Fold key expressions through binding and the executor's
+                // constant evaluation (functions and UDFs over literals
+                // included), so the planner prunes everything the scan
+                // filter would recognise as constant.
                 let folder = Executor::new(self.engine);
-                let fold = |e: &Expr| folder.fold_const(e);
+                let fold = |e: &Expr| folder.fold_key(e);
                 for c in &pushed {
                     if let Some(keys) = partition_keys_of_conjunct(c, &schema, pidx, &fold) {
                         pruning.push(c.clone());
@@ -727,23 +763,14 @@ impl<'e> Planner<'e> {
     /// (see [`crate::bound`]) and recognise the streaming-aggregation
     /// pipelines: a `HashAggregate` directly over a per-bucket-eligible join
     /// (see [`BoundJoin::per_bucket`]) binds the build side's columns as
-    /// bucket constants and marks the join elided. Unknown scalar functions
-    /// and malformed aggregate calls are rejected here, at plan time.
-    /// [`Planner::plan_query`] calls this; hand-assembled plans call it
-    /// before execution.
-    pub fn bind(&self, plan: &mut Plan) -> std::result::Result<(), PlanError> {
-        let exec = Executor::new(self.engine);
-        self.bind_node(&exec, plan)
-    }
-
-    fn bind_node(&self, exec: &Executor, plan: &mut Plan) -> std::result::Result<(), PlanError> {
-        let binder = |schema, node| Binder {
-            exec,
-            schema,
-            split: None,
-            group: None,
-            node,
-        };
+    /// bucket constants and marks the join elided. Unknown columns and
+    /// functions, aggregates outside an aggregation context, malformed
+    /// aggregate calls and literals are rejected here, at plan time, as
+    /// typed [`crate::verify::PlanError`]s; expression sub-queries are
+    /// planned here. [`Planner::plan_query`] calls this; hand-assembled plans
+    /// call it before execution.
+    pub fn bind(&self, plan: &mut Plan) -> Result<()> {
+        let binder = |schema, node| Binder::new(self, schema, node);
         match plan {
             Plan::Empty { .. } => {}
             Plan::SeqScan(scan) => {
@@ -754,14 +781,14 @@ impl<'e> Planner<'e> {
                 };
             }
             Plan::Subquery { input, .. } | Plan::Sort { input, .. } | Plan::Limit { input, .. } => {
-                self.bind_node(exec, input)?
+                self.bind(input)?
             }
             Plan::Filter {
                 input,
                 predicates,
                 bound,
             } => {
-                self.bind_node(exec, input)?;
+                self.bind(input)?;
                 *bound = binder(input.schema(), "Filter").bind_all(predicates.iter())?;
             }
             Plan::HashJoin {
@@ -773,8 +800,8 @@ impl<'e> Planner<'e> {
                 schema,
                 bound,
             } => {
-                self.bind_node(exec, left)?;
-                self.bind_node(exec, right)?;
+                self.bind(left)?;
+                self.bind(right)?;
                 let (probe, build) = (
                     binder(left.schema(), "HashJoin"),
                     binder(right.schema(), "HashJoin"),
@@ -793,7 +820,7 @@ impl<'e> Planner<'e> {
                     keys: keys
                         .iter()
                         .map(|(l, r)| Ok((probe.bind(l)?, build.bind(r)?)))
-                        .collect::<std::result::Result<_, PlanError>>()?,
+                        .collect::<Result<_>>()?,
                     residual: binder(joined, "HashJoin").bind_all(residual.iter())?,
                     per_bucket: false,
                 };
@@ -806,16 +833,16 @@ impl<'e> Planner<'e> {
                 bound,
                 ..
             } => {
-                self.bind_node(exec, left)?;
-                self.bind_node(exec, right)?;
+                self.bind(left)?;
+                self.bind(right)?;
                 *bound = binder(schema, "NestedLoopJoin").bind_all(predicates.iter())?;
             }
             Plan::Project(p) => {
-                self.bind_node(exec, &mut p.input)?;
+                self.bind(&mut p.input)?;
                 p.bound = binder(p.input.schema(), "Project").bind_items(&p.items)?;
             }
             Plan::HashAggregate(a) => {
-                self.bind_node(exec, &mut a.input)?;
+                self.bind(&mut a.input)?;
                 let split = per_bucket_split(self.engine, &a.input);
                 let bind_with = |split| {
                     Binder {
@@ -832,7 +859,7 @@ impl<'e> Planner<'e> {
                 let mut bound = bind_with(split)?;
                 let per_bucket = split.is_some() && bound.columnar;
                 if split.is_some() && !per_bucket {
-                    // Interpreted keys or arguments need the joined row
+                    // Sub-query keys or arguments need the joined row
                     // materialized: keep the generic join.
                     bound = bind_with(None)?;
                 }
@@ -1295,7 +1322,8 @@ fn render(engine: &Engine, plan: &Plan, depth: usize, out: &mut String) {
             }
             // Morsel engagement: the worker pool engages whenever the
             // configured budget allows more than one worker over the scan's
-            // morsels. Interpreted conjuncts run *hybrid* on the workers, so
+            // morsels. Conjuncts without a kernel form run *hybrid* on the
+            // workers, so
             // they no longer force a serial scan. Worker counts are elided
             // (and the `MT_THREADS` execution-time override deliberately
             // ignored) so the rendering stays stable across machines and CI
@@ -1761,7 +1789,7 @@ mod tests {
         let text = explain(&e, &plan);
         assert!(text.contains("morsel: parallel"), "{text}");
 
-        // Interpreted residual conjuncts run hybrid on the workers now —
+        // Residual conjuncts without a kernel form run hybrid on the workers —
         // they no longer force a serial scan.
         let plan = plan_of(&e, "SELECT v FROM big WHERE v + 0 >= 0");
         let text = explain(&e, &plan);

@@ -1164,11 +1164,6 @@ impl Database {
             .insert(name.to_ascii_lowercase(), Table::new(name, columns));
     }
 
-    /// Register an already-populated table.
-    pub fn insert_table(&mut self, table: Table) {
-        self.tables.insert(table.name.to_ascii_lowercase(), table);
-    }
-
     /// Drop a table; returns whether it existed.
     pub fn drop_table(&mut self, name: &str) -> bool {
         self.tables.remove(&name.to_ascii_lowercase()).is_some()

@@ -24,8 +24,8 @@
 //! [`Engine::txn_execute_statement`] and the sub-queries of UPDATE / DELETE
 //! predicates — pin a *transaction-scoped* snapshot: the committed floor
 //! plus the transaction's own statement epochs
-//! (`Executor::pin_txn_snapshot`). The transaction sees its
-//! own staged rows but never another open transaction's.
+//! (`Transaction::snapshot`). The transaction sees its own staged rows but
+//! never another open transaction's.
 //!
 //! `COMMIT` appends all staged records plus one commit marker to the WAL as
 //! a single log transaction ([`Engine::txn_append`]); after the caller has
@@ -43,12 +43,14 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use mtsql::ast::Statement;
+use mtsql::ast::{Delete, Statement, Update};
 
+use crate::bound::{BoundExpr, Frame};
 use crate::error::{err, EngineError, Result};
-use crate::exec::{Env, Executor};
+use crate::exec::Executor;
+use crate::plan::Planner;
 use crate::schema::Schema;
-use crate::table::{Row, SharedRow};
+use crate::table::{Row, SharedRow, Snapshot};
 use crate::wal::Record;
 use crate::{Engine, ResultSet, Value};
 
@@ -110,11 +112,15 @@ impl Transaction {
         self.pending.is_empty()
     }
 
-    /// The transaction's own uncommitted epochs as the allowlist of a
-    /// read-your-writes snapshot pin (see
-    /// [`crate::exec::Executor::pin_txn_snapshot`]).
-    pub(crate) fn own_epochs(&self) -> Arc<BTreeSet<u64>> {
-        Arc::new(self.epochs.iter().copied().collect())
+    /// The read-your-writes snapshot of a statement running inside this
+    /// transaction: the committed `floor` plus the transaction's own
+    /// uncommitted epochs (other open transactions' staged rows stay
+    /// invisible).
+    pub(crate) fn snapshot(&self, floor: u64) -> Snapshot {
+        Snapshot::Txn {
+            floor,
+            own: Arc::new(self.epochs.iter().copied().collect()),
+        }
     }
 }
 
@@ -145,7 +151,10 @@ impl Engine {
         stmt: &Statement,
     ) -> Result<ResultSet> {
         match stmt {
-            Statement::Select(q) => self.execute_query_txn(q, txn),
+            Statement::Select(q) => {
+                let plan = Planner::new(self).plan_query(q)?;
+                self.execute_plan_txn(&plan, &[], txn)
+            }
             Statement::Explain(q) => self.explain_query(q),
             Statement::Insert(insert) => {
                 let rows = self.build_insert_rows(insert, Some(txn))?;
@@ -158,7 +167,7 @@ impl Engine {
                 })
             }
             Statement::Update(update) => {
-                let new_rows = self.compute_update_rows(update, txn)?;
+                let new_rows = self.compute_update_rows(update, Some(txn))?;
                 let changed = new_rows.iter().filter(|(m, _)| *m).count() as i64;
                 let rows: Vec<SharedRow> = new_rows.into_iter().map(|(_, r)| r).collect();
                 self.txn_replace_rows(txn, &update.table, rows)?;
@@ -169,7 +178,7 @@ impl Engine {
                 })
             }
             Statement::Delete(delete) => {
-                let (keep, removed) = self.compute_delete_rows(delete, txn)?;
+                let (keep, removed) = self.compute_delete_rows(delete, Some(txn))?;
                 self.txn_replace_rows(txn, &delete.table, keep)?;
                 txn.statements += 1;
                 Ok(ResultSet {
@@ -360,83 +369,87 @@ impl Engine {
         self.counters.add_txn_rollback();
     }
 
-    fn compute_update_rows(
-        &self,
-        update: &mtsql::ast::Update,
-        txn: &Transaction,
-    ) -> Result<Vec<(bool, SharedRow)>> {
-        let (schema, assignments, selection) = {
-            let table = self.db.table(&update.table)?;
-            (
-                Schema::qualified(&table.name, &table.columns),
-                update.assignments.clone(),
-                update.selection.clone(),
-            )
-        };
-        // Sub-queries in the WHERE clause or assignments read other tables;
-        // pin them to the transaction's snapshot so they never observe
-        // another open transaction's staged rows. (The rewritten table's
-        // own rows are iterated directly below: the whole-table writer lock
-        // guarantees no foreign uncommitted rows sit in it.)
+    /// An executor for the expressions of a DML statement: pinned at the
+    /// transaction's snapshot inside one, reading live state otherwise.
+    pub(crate) fn dml_executor(&self, txn: Option<&Transaction>) -> Executor<'_> {
         let mut executor = Executor::new(self);
-        executor.pin_txn_snapshot(self.db.committed_epoch(), txn.own_epochs());
+        if let Some(txn) = txn {
+            executor.pin(txn.snapshot(self.db.committed_epoch()));
+        }
+        executor
+    }
+
+    /// The schema of an UPDATE / DELETE's table and its WHERE clause bound
+    /// against that schema, as zero or one conjunct.
+    fn dml_scope(
+        &self,
+        table: &str,
+        selection: Option<&mtsql::Expr>,
+    ) -> Result<(Schema, Vec<BoundExpr>)> {
+        let t = self.db.table(table)?;
+        let schema = Schema::qualified(&t.name, &t.columns);
+        let planner = Planner::new(self);
+        let selection = selection
+            .iter()
+            .map(|p| planner.bind_expr(p, &schema, "DML"))
+            .collect::<Result<_>>()?;
+        Ok((schema, selection))
+    }
+
+    /// Every row of an UPDATE's table with the statement applied: `(true,
+    /// new row)` where the WHERE clause holds, `(false, row)` elsewhere.
+    /// The predicate and assignments are bound against the table schema;
+    /// their sub-queries read at `txn`'s snapshot inside a transaction (the
+    /// rewritten table's own rows are iterated directly: the whole-table
+    /// writer lock guarantees no foreign uncommitted rows sit in it).
+    pub(crate) fn compute_update_rows(
+        &self,
+        update: &Update,
+        txn: Option<&Transaction>,
+    ) -> Result<Vec<(bool, SharedRow)>> {
+        let (schema, selection) = self.dml_scope(&update.table, update.selection.as_ref())?;
         let table = self.db.table(&update.table)?;
+        let planner = Planner::new(self);
+        let assignments = update
+            .assignments
+            .iter()
+            .map(|(col, expr)| {
+                let idx = table.column_index(col).ok_or_else(|| {
+                    EngineError::new(format!("no column `{col}` in `{}`", update.table))
+                })?;
+                Ok((idx, planner.bind_expr(expr, &schema, "DML")?))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let executor = self.dml_executor(txn);
         let mut new_rows: Vec<(bool, SharedRow)> = Vec::new();
         for row in table.rows() {
-            let env = Env {
-                schema: &schema,
-                row: &row,
-                parent: None,
-            };
-            let matches = match &selection {
-                Some(pred) => executor.eval(pred, &env)?.as_bool().unwrap_or(false),
-                None => true,
-            };
-            if matches {
-                let mut new_row = row.to_vec();
-                for (col, expr) in &assignments {
-                    let idx = table.column_index(col).ok_or_else(|| {
-                        EngineError::new(format!("no column `{col}` in `{}`", update.table))
-                    })?;
-                    new_row[idx] = executor.eval(expr, &env)?;
-                }
-                new_rows.push((true, new_row.into()));
-            } else {
+            let frame = Frame::row(&row, None);
+            if !executor.bound_all_true(&selection, &frame)? {
                 new_rows.push((false, row));
+                continue;
             }
+            let mut new_row = row.to_vec();
+            for (idx, expr) in &assignments {
+                new_row[*idx] = executor.eval_bound(expr, &frame)?;
+            }
+            new_rows.push((true, new_row.into()));
         }
         Ok(new_rows)
     }
 
-    fn compute_delete_rows(
+    /// The rows a DELETE keeps, and how many it removes (see
+    /// [`Engine::compute_update_rows`] on binding and snapshots).
+    pub(crate) fn compute_delete_rows(
         &self,
-        delete: &mtsql::ast::Delete,
-        txn: &Transaction,
+        delete: &Delete,
+        txn: Option<&Transaction>,
     ) -> Result<(Vec<SharedRow>, i64)> {
-        let (schema, selection) = {
-            let table = self.db.table(&delete.table)?;
-            (
-                Schema::qualified(&table.name, &table.columns),
-                delete.selection.clone(),
-            )
-        };
-        // See `compute_update_rows` on why the predicate executor is pinned.
-        let mut executor = Executor::new(self);
-        executor.pin_txn_snapshot(self.db.committed_epoch(), txn.own_epochs());
-        let table = self.db.table(&delete.table)?;
+        let (_, selection) = self.dml_scope(&delete.table, delete.selection.as_ref())?;
+        let executor = self.dml_executor(txn);
         let mut keep: Vec<SharedRow> = Vec::new();
         let mut removed = 0i64;
-        for row in table.rows() {
-            let env = Env {
-                schema: &schema,
-                row: &row,
-                parent: None,
-            };
-            let matches = match &selection {
-                Some(pred) => executor.eval(pred, &env)?.as_bool().unwrap_or(false),
-                None => true,
-            };
-            if matches {
+        for row in self.db.table(&delete.table)?.rows() {
+            if executor.bound_all_true(&selection, &Frame::row(&row, None))? {
                 removed += 1;
             } else {
                 keep.push(row);
@@ -619,10 +632,11 @@ mod tests {
         e.txn_execute_statement(&mut t1, &i1).unwrap();
         e.txn_execute_statement(&mut t2, &i2).unwrap();
         let q = mtsql::parse_query("SELECT ttid, v FROM t ORDER BY ttid, v").unwrap();
-        let r1 = e.execute_query_txn(&q, &t1).unwrap().rows;
+        let plan = e.plan_query(&q).unwrap();
+        let r1 = e.execute_plan_txn(&plan, &[], &t1).unwrap().rows;
         assert!(r1.contains(&vec![Value::Int(1), Value::Int(12)]));
         assert!(!r1.contains(&vec![Value::Int(2), Value::Int(21)]));
-        let r2 = e.execute_query_txn(&q, &t2).unwrap().rows;
+        let r2 = e.execute_plan_txn(&plan, &[], &t2).unwrap().rows;
         assert!(r2.contains(&vec![Value::Int(2), Value::Int(21)]));
         assert!(!r2.contains(&vec![Value::Int(1), Value::Int(12)]));
         e.txn_rollback(t1);

@@ -131,8 +131,8 @@ impl UdfRegistry {
         Ok(result)
     }
 
-    /// Resolve and invoke in one step (interpreted call sites and the
-    /// middleware's write-path conversions).
+    /// Resolve and invoke in one step (the middleware's write-path
+    /// conversions).
     pub fn call_by_name(&self, name: &str, args: &[Value]) -> Result<Value> {
         match self.resolve(name) {
             Some(handle) => self.call(handle, args),

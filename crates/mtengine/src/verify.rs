@@ -40,10 +40,15 @@
 //!   every group-key / aggregate slot below the aggregate's key / call count,
 //!   every aggregate's argument index inside the argument list; a
 //!   bucket-constant slot appears only in a `HashAggregate` directly over a
-//!   join marked per-bucket, below the build side's width; and the
-//!   per-bucket mark sits only on a join of the eligible shape (inner, one
-//!   key pair, probe side a scan keyed on its table's partition column)
-//!   directly beneath a `HashAggregate`.
+//!   join marked per-bucket, below the build side's width; the per-bucket
+//!   mark sits only on a join of the eligible shape (inner, one key pair,
+//!   probe side a scan keyed on its table's partition column) directly
+//!   beneath a `HashAggregate`; and an outer slot's `(depth, index)` names a
+//!   column of an enclosing scope.
+//! * **Sub-plans.** The plan of every expression sub-query is verified with
+//!   its parent, under the input schema of the operator holding it as the
+//!   innermost enclosing scope: columns its operators cannot resolve locally
+//!   must resolve there (or further out).
 //! * **Snapshot discipline.** Under a pinned cursor epoch, every scanned
 //!   table's rewrite epoch is at or below the pin — the per-bucket
 //!   watermarks addressed by `visible_bucket_len` are only meaningful then.
@@ -97,9 +102,13 @@ pub enum PlanErrorClass {
     /// A scan under a pinned cursor epoch has no valid watermark (the table
     /// was rewritten past the pin).
     Snapshot,
-    /// An unknown scalar function, or an aggregate call with the wrong
-    /// number of arguments — reported by the planner while binding.
+    /// An unknown scalar function, an aggregate call with the wrong number
+    /// of arguments or outside an aggregation context — reported by the
+    /// planner while binding.
     Function,
+    /// A literal that does not denote a value (`DATE 'x'`) — reported by the
+    /// planner while binding.
+    Literal,
     /// An operator's bound expressions disagree with its inputs: a missing
     /// binding, a slot past its input's width, a bucket-constant slot or a
     /// per-bucket mark outside a per-bucket join.
@@ -119,6 +128,7 @@ impl fmt::Display for PlanErrorClass {
             PlanErrorClass::Bounds => "bounds",
             PlanErrorClass::Snapshot => "snapshot",
             PlanErrorClass::Function => "function",
+            PlanErrorClass::Literal => "literal",
             PlanErrorClass::Binding => "binding",
         };
         f.write_str(tag)
@@ -194,11 +204,6 @@ pub struct VerifyOptions {
     /// Cursor pin epoch: every scanned table's rewrite epoch must be at or
     /// below it (snapshot watermarks stay addressable).
     pub pinned_epoch: Option<u64>,
-    /// Lenient outer-scope mode for correlated sub-plans: a column that
-    /// does not resolve locally is assumed to bind in the enclosing query's
-    /// scope instead of failing. Scan conjuncts stay strict — pushdown only
-    /// ever pushes fully resolvable conjuncts.
-    pub outer: bool,
 }
 
 /// Is the verifier enabled for this configuration? The `MT_VERIFY`
@@ -225,7 +230,7 @@ pub fn verify_plan(engine: &Engine, plan: &Plan) -> Result<VerifyReport, PlanErr
 }
 
 /// Verify a plan under explicit options (parameter counts, pinned cursor
-/// epochs, lenient outer-scope mode for correlated sub-plans).
+/// epochs).
 pub fn verify_plan_with(
     engine: &Engine,
     plan: &Plan,
@@ -236,6 +241,7 @@ pub fn verify_plan_with(
         opts,
         report: VerifyReport::default(),
         per_bucket_legal: false,
+        scopes: Vec::new(),
     };
     // Transaction discipline: a snapshot may only pin the committed floor.
     // Epochs above it belong to open (uncommitted) transactions — pinning
@@ -283,6 +289,9 @@ struct Verifier<'e> {
     /// Set by a `HashAggregate` for the walk of its direct input: the one
     /// position where a per-bucket join is legal.
     per_bucket_legal: bool,
+    /// While a sub-plan is walked: the input schemas of the operators
+    /// enclosing it, innermost first (as the planner bound it).
+    scopes: Vec<Schema>,
 }
 
 /// What the bound expressions of one operator may read.
@@ -311,8 +320,8 @@ impl Verifier<'_> {
         self.report.checks += 1;
     }
 
-    /// Every column of `expr` resolves against `schema`; in outer mode an
-    /// unresolved column is assumed to bind in the enclosing scope.
+    /// Every column of `expr` resolves against `schema` — or, when
+    /// `lenient`, in an enclosing scope of the sub-plan being walked.
     fn columns_resolve(
         &mut self,
         expr: &Expr,
@@ -324,7 +333,8 @@ impl Verifier<'_> {
         collect_columns(expr, &mut cols);
         for col in cols {
             self.check();
-            if schema.resolve(&col).is_none() && !(lenient && self.opts.outer) {
+            let outer = || self.scopes.iter().any(|s| s.resolve(&col).is_some());
+            if schema.resolve(&col).is_none() && !(lenient && outer()) {
                 return Err(PlanError::new(
                     PlanErrorClass::Column,
                     node,
@@ -339,13 +349,17 @@ impl Verifier<'_> {
         Ok(())
     }
 
-    /// One bound list per AST list, and every slot inside `bounds`.
+    /// One bound list per AST list, every slot inside `bounds` (outer slots
+    /// inside the enclosing scopes), and every sub-plan verified with
+    /// `scope` — the input schema the expressions were bound against — as
+    /// its innermost enclosing scope.
     fn check_bound<'b>(
         &mut self,
         node: &str,
         exprs: usize,
         bound: impl ExactSizeIterator<Item = &'b BoundExpr>,
         bounds: SlotBounds,
+        scope: &Schema,
     ) -> Result<(), PlanError> {
         self.check();
         if exprs != bound.len() {
@@ -357,24 +371,29 @@ impl Verifier<'_> {
         }
         for expr in bound {
             let mut bad: Option<String> = None;
+            let mut subplans: Vec<&Plan> = Vec::new();
             expr.walk(&mut |e| {
-                let BoundExpr::Slot(slot) = e else { return };
-                self.report.checks += 1;
-                let (limit, what) = match slot {
-                    Slot::Input(_) => (Some(bounds.input), "input"),
-                    Slot::BucketConst(_) => (bounds.consts, "bucket-constant"),
-                    Slot::GroupKey(_) => (bounds.group.map(|g| g.0), "group-key"),
-                    Slot::Agg(_) => (bounds.group.map(|g| g.1), "aggregate"),
-                    Slot::Outer(_) => return,
+                let slot = match e {
+                    BoundExpr::Slot(slot) => slot,
+                    BoundExpr::Subquery { plan, .. } => {
+                        subplans.push(plan);
+                        return;
+                    }
+                    _ => return,
                 };
-                let (Slot::Input(i) | Slot::BucketConst(i) | Slot::GroupKey(i) | Slot::Agg(i)) =
-                    slot
-                else {
-                    return;
+                self.report.checks += 1;
+                let (limit, what, i) = match *slot {
+                    Slot::Input(i) => (Some(bounds.input), "input", i),
+                    Slot::BucketConst(i) => (bounds.consts, "bucket-constant", i),
+                    Slot::GroupKey(i) => (bounds.group.map(|g| g.0), "group-key", i),
+                    Slot::Agg(i) => (bounds.group.map(|g| g.1), "aggregate", i),
+                    Slot::Outer { depth, index } => {
+                        (self.scopes.get(depth).map(Schema::len), "outer", index)
+                    }
                 };
                 match limit {
                     None => bad = Some(format!("{what} slot {i} is not legal here")),
-                    Some(width) if *i >= width => {
+                    Some(width) if i >= width => {
                         bad = Some(format!("{what} slot {i} out of width {width}"))
                     }
                     Some(_) => {}
@@ -382,6 +401,12 @@ impl Verifier<'_> {
             });
             if let Some(detail) = bad {
                 return Err(PlanError::new(PlanErrorClass::Binding, node, detail));
+            }
+            for plan in subplans {
+                self.scopes.insert(0, scope.clone());
+                let verified = self.walk(plan);
+                self.scopes.remove(0);
+                verified?;
             }
         }
         Ok(())
@@ -416,7 +441,7 @@ impl Verifier<'_> {
                     self.columns_resolve(p, input.schema(), node, true)?;
                 }
                 let bounds = SlotBounds::input(input.schema().len());
-                self.check_bound(node, predicates.len(), bound.iter(), bounds)
+                self.check_bound(node, predicates.len(), bound.iter(), bounds, input.schema())
             }
             Plan::HashJoin {
                 left,
@@ -462,7 +487,7 @@ impl Verifier<'_> {
                     self.columns_resolve(p, &concat, node, true)?;
                 }
                 let bounds = SlotBounds::input(concat.len());
-                self.check_bound(node, predicates.len(), bound.iter(), bounds)
+                self.check_bound(node, predicates.len(), bound.iter(), bounds, &concat)
             }
             Plan::Subquery {
                 input,
@@ -621,12 +646,20 @@ impl Verifier<'_> {
         // the compiler never emits the executor-injected key-set kernel.
         let executor = Executor::new(self.engine);
         let bounds = SlotBounds::input(scan.schema.len());
-        self.check_bound(&node, scan.pruning.len(), scan.bound.pruning.iter(), bounds)?;
+        let (pruning, residual) = (&scan.bound.pruning, &scan.bound.residual);
+        self.check_bound(
+            &node,
+            scan.pruning.len(),
+            pruning.iter(),
+            bounds,
+            &scan.schema,
+        )?;
         self.check_bound(
             &node,
             scan.residual.len(),
-            scan.bound.residual.iter(),
+            residual.iter(),
             bounds,
+            &scan.schema,
         )?;
         let compiled = executor.compile_filter(&scan.bound.pruning);
         let residual = executor.compile_filter(&scan.bound.residual);
@@ -802,7 +835,7 @@ impl Verifier<'_> {
             }
         }
         let bounds = SlotBounds::input(p.input.schema().len());
-        self.check_bound(node, width, p.bound.iter(), bounds)
+        self.check_bound(node, width, p.bound.iter(), bounds, p.input.schema())
     }
 
     /// The join's own binding, and the per-bucket mark: legal only on a
@@ -825,20 +858,13 @@ impl Verifier<'_> {
         };
         let node = "HashJoin";
         let side = |plan: &Plan| SlotBounds::input(plan.schema().len());
-        self.check_bound(
-            node,
-            keys.len(),
-            bound.keys.iter().map(|(l, _)| l),
-            side(left),
-        )?;
-        self.check_bound(
-            node,
-            keys.len(),
-            bound.keys.iter().map(|(_, r)| r),
-            side(right),
-        )?;
-        let concat = SlotBounds::input(left.schema().len() + right.schema().len());
-        self.check_bound(node, residual.len(), bound.residual.iter(), concat)?;
+        let probe = bound.keys.iter().map(|(l, _)| l);
+        self.check_bound(node, keys.len(), probe, side(left), left.schema())?;
+        let build = bound.keys.iter().map(|(_, r)| r);
+        self.check_bound(node, keys.len(), build, side(right), right.schema())?;
+        let concat = left.schema().concat(right.schema());
+        let joined = SlotBounds::input(concat.len());
+        self.check_bound(node, residual.len(), bound.residual.iter(), joined, &concat)?;
         self.check();
         if bound.per_bucket
             && !(under_aggregate && crate::plan::per_bucket_split(self.engine, join).is_some())
@@ -919,8 +945,9 @@ impl Verifier<'_> {
             },
             input => SlotBounds::input(input.schema().len()),
         };
-        self.check_bound(node, a.group_exprs.len(), keys.iter(), per_row)?;
-        self.check_bound(node, args.len(), args.iter(), per_row)?;
+        let input = a.input.schema();
+        self.check_bound(node, a.group_exprs.len(), keys.iter(), per_row, input)?;
+        self.check_bound(node, args.len(), args.iter(), per_row, input)?;
         self.check();
         if aggs.len() != a.aggregates.len()
             || aggs
@@ -942,8 +969,8 @@ impl Verifier<'_> {
             group: Some((keys.len(), aggs.len())),
             ..per_row
         };
-        self.check_bound(node, a.having.iter().len(), having.iter(), in_group)?;
-        self.check_bound(node, items_width, items.iter(), in_group)
+        self.check_bound(node, a.having.iter().len(), having.iter(), in_group, input)?;
+        self.check_bound(node, items_width, items.iter(), in_group, input)
     }
 
     /// Highest `Expr::Param` index anywhere in the plan must stay below the
@@ -1456,29 +1483,6 @@ mod tests {
             ..Default::default()
         };
         verify_plan_with(&e, &plan, now).unwrap();
-    }
-
-    #[test]
-    fn outer_mode_tolerates_correlated_columns() {
-        let e = engine();
-        // A filter referencing a column of the *enclosing* query: strict
-        // mode rejects, outer mode assumes outer-scope binding.
-        let input = plan_of(&e, "SELECT k FROM u");
-        let mut plan = Plan::filter(input, vec![mtsql::parse_expression("k = t.a").unwrap()]);
-        crate::plan::Planner::new(&e).bind(&mut plan).unwrap();
-        assert_eq!(
-            class_of(verify_plan(&e, &plan).unwrap_err()),
-            PlanErrorClass::Column
-        );
-        verify_plan_with(
-            &e,
-            &plan,
-            VerifyOptions {
-                outer: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
     }
 
     #[test]

@@ -806,3 +806,219 @@ proptest! {
         prop_assert_eq!(bits(&results[0]), bits(&results[1]));
     }
 }
+
+// ---------------------------------------------------------------------------
+// Expression sub-queries, planned with their parent
+// ---------------------------------------------------------------------------
+
+/// `big(ttid, k, v)`: 9 000 rows in three tenant buckets, enough for the
+/// pool to engage; `small(k, w)` and `third(k, z)`: a dozen and five loose
+/// rows.
+fn subquery_engine(config: EngineConfig) -> mtengine::Engine {
+    use mtbase::Value::Int;
+    let mut e = mtengine::Engine::new(config);
+    e.create_table("big", &["ttid", "k", "v"]);
+    e.set_table_partition("big", "ttid").unwrap();
+    let big = (0..9000i64).map(|i| vec![Int(i % 3 + 1), Int((i / 3) % 50), Int((i * 7) % 100)]);
+    e.insert_values("big", big.collect()).unwrap();
+    e.create_table("small", &["k", "w"]);
+    let small = [0, 5, 10, 2, 7, 12, 4, 9, 1, 6, 11, 3]
+        .into_iter()
+        .enumerate();
+    e.insert_values(
+        "small",
+        small.map(|(k, w)| vec![Int(k as i64), Int(w)]).collect(),
+    )
+    .unwrap();
+    e.create_table("third", &["k", "z"]);
+    let third = [(1, 10), (3, 50), (5, 70), (7, 200), (20, 1)];
+    e.insert_values("third", third.map(|(k, z)| vec![Int(k), Int(z)]).to_vec())
+        .unwrap();
+    e
+}
+
+/// `(shape, query, its rows as captured at the parent commit)`.
+const SUBQUERY_SHAPES: [(&str, &str, &str); 10] = [
+    (
+        "uncorrelated scalar in WHERE",
+        "SELECT COUNT(*), SUM(v) FROM big WHERE v > (SELECT AVG(w) * 10 FROM small)",
+        "[[Int(3690), Int(291510)]]",
+    ),
+    (
+        "uncorrelated IN in WHERE",
+        "SELECT ttid, COUNT(*) FROM big WHERE k IN (SELECT k FROM small WHERE w > 6) \
+         GROUP BY ttid ORDER BY ttid",
+        "[[Int(1), Int(300)], [Int(2), Int(300)], [Int(3), Int(300)]]",
+    ),
+    (
+        "uncorrelated EXISTS / NOT EXISTS in WHERE",
+        "SELECT COUNT(*) FROM big WHERE EXISTS (SELECT 1 FROM third WHERE z > 100) \
+         AND NOT EXISTS (SELECT 1 FROM third WHERE z > 1000)",
+        "[[Int(9000)]]",
+    ),
+    (
+        "uncorrelated scalar / IN / EXISTS in the SELECT list",
+        "SELECT k, w, (SELECT MAX(z) FROM third), k IN (SELECT k FROM third), \
+         EXISTS (SELECT 1 FROM third WHERE z = 50) FROM small WHERE k < 5 ORDER BY k",
+        "[[Int(0), Int(0), Int(200), Bool(false), Bool(true)], \
+         [Int(1), Int(5), Int(200), Bool(true), Bool(true)], \
+         [Int(2), Int(10), Int(200), Bool(false), Bool(true)], \
+         [Int(3), Int(2), Int(200), Bool(true), Bool(true)], \
+         [Int(4), Int(7), Int(200), Bool(false), Bool(true)]]",
+    ),
+    (
+        "uncorrelated scalar / IN / EXISTS in HAVING",
+        "SELECT ttid, COUNT(*) FROM big GROUP BY ttid \
+         HAVING SUM(v) > (SELECT SUM(z) FROM third) * 100 AND ttid IN (SELECT k FROM third) \
+         AND EXISTS (SELECT 1 FROM small WHERE w = 12) ORDER BY ttid",
+        "[[Int(1), Int(3000)], [Int(3), Int(3000)]]",
+    ),
+    (
+        "correlated scalar COUNT at depth 1 (never unnested)",
+        "SELECT k, w FROM small s \
+         WHERE w < (SELECT COUNT(*) FROM big b WHERE b.k = s.k AND b.v < 5) ORDER BY k",
+        "[[Int(0), Int(0)], [Int(7), Int(9)], [Int(9), Int(6)]]",
+    ),
+    (
+        "correlated non-equi EXISTS at depth 1",
+        "SELECT k FROM small s \
+         WHERE EXISTS (SELECT 1 FROM big b WHERE b.k = s.k AND b.v > s.w * 8) ORDER BY k",
+        "[[Int(0)], [Int(1)], [Int(2)], [Int(3)], [Int(4)], [Int(6)], [Int(7)], [Int(8)], \
+         [Int(9)], [Int(11)]]",
+    ),
+    (
+        "correlated scalar at depth 1 in the SELECT list",
+        "SELECT k, (SELECT COUNT(*) FROM third t WHERE t.k > s.k) FROM small s ORDER BY k",
+        "[[Int(0), Int(5)], [Int(1), Int(4)], [Int(2), Int(4)], [Int(3), Int(3)], \
+         [Int(4), Int(3)], [Int(5), Int(2)], [Int(6), Int(2)], [Int(7), Int(1)], \
+         [Int(8), Int(1)], [Int(9), Int(1)], [Int(10), Int(1)], [Int(11), Int(1)]]",
+    ),
+    (
+        "correlated at depth 2 (an outer-outer reference)",
+        "SELECT s.k FROM small s WHERE EXISTS (SELECT 1 FROM third t WHERE t.k >= s.k \
+         AND t.z > (SELECT COUNT(*) FROM big b WHERE b.k = t.k AND b.v < s.w * 5)) \
+         ORDER BY s.k",
+        "[[Int(0)], [Int(1)], [Int(2)], [Int(3)], [Int(4)], [Int(5)], [Int(6)], [Int(7)], \
+         [Int(8)], [Int(11)]]",
+    ),
+    (
+        "correlated at depth 2 beside a depth-1 filter",
+        "SELECT s.k, s.w FROM small s WHERE EXISTS (SELECT 1 FROM third t WHERE t.z < 100 \
+         AND t.k <= s.k AND t.z < (SELECT COUNT(*) FROM big b WHERE b.k = t.k \
+         AND b.v < s.w * 10)) ORDER BY s.k",
+        "[[Int(1), Int(5)], [Int(2), Int(10)], [Int(4), Int(7)], [Int(5), Int(12)], \
+         [Int(6), Int(4)], [Int(7), Int(9)], [Int(9), Int(6)], [Int(10), Int(11)], \
+         [Int(11), Int(3)]]",
+    ),
+];
+
+/// `(shape, statement, the count it reports, then `SELECT k, w FROM small
+/// ORDER BY k` as captured at the parent commit)` — each on a fresh engine.
+const SUBQUERY_DML: [(&str, &str, i64, &str); 4] = [
+    (
+        "correlated sub-query in UPDATE SET",
+        "UPDATE small SET w = (SELECT MAX(v) FROM big WHERE big.k = small.k AND big.ttid = 2) \
+         WHERE k < 4",
+        4,
+        "[[Int(0), Int(57)], [Int(1), Int(78)], [Int(2), Int(99)], [Int(3), Int(70)], \
+         [Int(4), Int(7)], [Int(5), Int(12)], [Int(6), Int(4)], [Int(7), Int(9)], \
+         [Int(8), Int(1)], [Int(9), Int(6)], [Int(10), Int(11)], [Int(11), Int(3)]]",
+    ),
+    (
+        "sub-query in UPDATE WHERE",
+        "UPDATE small SET w = w + 100 WHERE k IN (SELECT k FROM third WHERE z < 100)",
+        3,
+        "[[Int(0), Int(0)], [Int(1), Int(105)], [Int(2), Int(10)], [Int(3), Int(102)], \
+         [Int(4), Int(7)], [Int(5), Int(112)], [Int(6), Int(4)], [Int(7), Int(9)], \
+         [Int(8), Int(1)], [Int(9), Int(6)], [Int(10), Int(11)], [Int(11), Int(3)]]",
+    ),
+    (
+        "correlated sub-query in DELETE WHERE",
+        "DELETE FROM small \
+         WHERE EXISTS (SELECT 1 FROM third WHERE third.k = small.k AND third.z > 60)",
+        2,
+        "[[Int(0), Int(0)], [Int(1), Int(5)], [Int(2), Int(10)], [Int(3), Int(2)], \
+         [Int(4), Int(7)], [Int(6), Int(4)], [Int(8), Int(1)], [Int(9), Int(6)], \
+         [Int(10), Int(11)], [Int(11), Int(3)]]",
+    ),
+    (
+        "sub-queries in INSERT VALUES",
+        "INSERT INTO small VALUES (100, (SELECT COUNT(*) FROM big WHERE v = 0)), \
+         ((SELECT MAX(k) FROM third), 1)",
+        2,
+        "[[Int(0), Int(0)], [Int(1), Int(5)], [Int(2), Int(10)], [Int(3), Int(2)], \
+         [Int(4), Int(7)], [Int(5), Int(12)], [Int(6), Int(4)], [Int(7), Int(9)], \
+         [Int(8), Int(1)], [Int(9), Int(6)], [Int(10), Int(11)], [Int(11), Int(3)], \
+         [Int(20), Int(1)], [Int(100), Int(90)]]",
+    ),
+];
+
+/// Every sub-query shape — uncorrelated in WHERE, the SELECT list and
+/// HAVING; correlated at depth 1 and 2; inside UPDATE, DELETE and INSERT —
+/// returns exactly the rows the name-resolving interpreter returned, serial
+/// and on the pool.
+#[test]
+fn subquery_shapes_return_the_parent_rows_serial_and_pooled() {
+    for config in [
+        EngineConfig::default(),
+        EngineConfig::default().with_parallel_scan(4),
+    ] {
+        let e = subquery_engine(config);
+        for (shape, sql, expected) in SUBQUERY_SHAPES {
+            let rs = e.query(sql).unwrap_or_else(|err| panic!("{shape}: {err}"));
+            assert_eq!(format!("{:?}", rs.rows), expected, "{shape}: {config:?}");
+        }
+        for (shape, statement, count, expected) in SUBQUERY_DML {
+            let mut e = subquery_engine(config);
+            let rs = e
+                .execute(statement)
+                .unwrap_or_else(|err| panic!("{shape}: {err}"));
+            assert_eq!(rs.rows, vec![vec![mtbase::Value::Int(count)]], "{shape}");
+            let rows = e.query("SELECT k, w FROM small ORDER BY k").unwrap().rows;
+            assert_eq!(format!("{rows:?}"), expected, "{shape}: {config:?}");
+        }
+    }
+}
+
+/// Execution counts, pinned with a counting UDF inside the sub-query on an
+/// engine of its own: an uncorrelated sub-plan runs once per executor —
+/// once per execution of the statement, however many rows test it — and a
+/// correlated one once per outer row.
+#[test]
+fn uncorrelated_subqueries_run_once_per_executor_correlated_once_per_outer_row() {
+    use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+    use std::sync::Arc;
+    let mut e = subquery_engine(EngineConfig::default());
+    let runs = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&runs);
+    e.register_udf_fn("tick", false, move |args| {
+        counter.fetch_add(1, SeqCst);
+        Ok(args[0].clone())
+    });
+    let runs_of = |sql: &str, executions: usize| {
+        let plan = e.plan_query(&mtsql::parse_query(sql).unwrap()).unwrap();
+        let before = runs.load(SeqCst);
+        for _ in 0..executions {
+            e.execute_plan(&plan, &[]).unwrap();
+        }
+        runs.load(SeqCst) - before
+    };
+    // Each statement tests its sub-query against the 12 rows of `small`.
+    let uncorrelated = "SELECT k FROM small WHERE w > (SELECT tick(5))";
+    assert_eq!(runs_of(uncorrelated, 1), 1);
+    assert_eq!(
+        runs_of(uncorrelated, 3),
+        3,
+        "cached per executor, not per plan"
+    );
+    // Five rows of `third`, once.
+    assert_eq!(
+        runs_of("SELECT k, k IN (SELECT tick(k) FROM third) FROM small", 1),
+        5
+    );
+    assert_eq!(
+        runs_of("SELECT k FROM small s WHERE w > (SELECT tick(s.k))", 1),
+        12
+    );
+    assert_eq!(runs_of("SELECT k, (SELECT tick(s.w)) FROM small s", 2), 24);
+}

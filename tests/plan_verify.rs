@@ -329,6 +329,43 @@ fn defect_per_bucket_mark_on_an_ineligible_join() {
     assert_eq!(rejection(&e, &plan), PlanErrorClass::Binding);
 }
 
+/// An outer slot must name a column of an enclosing scope: the sub-plan is
+/// verified with its parent, so a depth past the scopes — or an index past
+/// the scope's width — is rejected before execution.
+#[test]
+fn defect_outer_slot_past_its_enclosing_scopes() {
+    let e = engine();
+    // Non-equi correlation: the sub-query stays a sub-plan whose Filter
+    // reads `u.k` as `Outer { depth: 0, index: 0 }`.
+    let sql = "SELECT k FROM u WHERE EXISTS (SELECT 1 FROM t WHERE t.a > u.k)";
+    fn filter_of(plan: &mut Plan) -> &mut Vec<BoundExpr> {
+        find_node(plan, &mut |p| match p {
+            Plan::Filter { bound, .. } => Ok(bound),
+            other => Err(other),
+        })
+        .expect("plan contains a filter")
+    }
+    for bad in [
+        Slot::Outer { depth: 1, index: 0 },
+        Slot::Outer { depth: 0, index: 7 },
+    ] {
+        let mut plan = plan_of(&e, sql);
+        let Some(BoundExpr::Subquery { plan: sub, .. }) = filter_of(&mut plan).first_mut() else {
+            panic!("expected the EXISTS sub-plan: {plan:?}");
+        };
+        let sub = std::sync::Arc::get_mut(sub).expect("the sub-plan is not shared");
+        let Some(BoundExpr::Binary { right, .. }) = filter_of(sub).first_mut() else {
+            panic!("expected the correlated comparison");
+        };
+        assert!(matches!(
+            **right,
+            BoundExpr::Slot(Slot::Outer { depth: 0, index: 0 })
+        ));
+        **right = BoundExpr::Slot(bad);
+        assert_eq!(rejection(&e, &plan), PlanErrorClass::Binding);
+    }
+}
+
 /// The eligible shape: the planner marks the join, the aggregate reads the
 /// build side through bucket-constant slots, and the plan verifies and runs.
 #[test]
