@@ -39,11 +39,11 @@ use crate::conjuncts::CompiledPred;
 use crate::error::{err, EngineError, Result};
 use crate::exec::{
     bound_arity, build_morsels, concat_rows, dedup_visible, effective_parallel_budget,
-    kernel_select, run_morsel_pool, scan_worker_count, select_buckets, Env, Executor, Morsel,
-    Relation, ScanTally, Selected, MORSEL_ROWS,
+    kernel_select, run_morsel_pool, scan_worker_count, Env, Executor, Morsel, Relation, ScanTally,
+    Selected, MORSEL_ROWS,
 };
 use crate::plan::{HashAggregate, JoinVariant, Plan, SeqScan};
-use crate::table::{Column, ColumnBucket, ColumnVec, DictColumn, SharedRow};
+use crate::table::{BucketView, Column, ColumnVec, DictColumn, SharedRow};
 use crate::value::{int_overflow, Value};
 
 // ---------------------------------------------------------------------------
@@ -379,7 +379,7 @@ struct CodeMemo<'c> {
 impl<'c> CodeMemo<'c> {
     /// `fixed_col` is the bucket's partition column: constant by
     /// construction.
-    fn new(cols: &'c ColumnBucket, keys: &[BoundExpr], fixed_col: Option<usize>) -> Option<Self> {
+    fn new(cols: BucketView<'c>, keys: &[BoundExpr], fixed_col: Option<usize>) -> Option<Self> {
         let mut dims = Vec::new();
         let mut size = 1usize;
         for key in keys {
@@ -452,7 +452,8 @@ impl<'a> Joined<'a> {
 struct ScanStream<'a> {
     spec: &'a BoundAggregate,
     filter: &'a [CompiledPred],
-    /// The scanned table's partition column (constant within a bucket).
+    /// The scan's output position of its table's partition column (constant
+    /// within a bucket).
     partition_col: Option<usize>,
     /// Probe-side width of a per-bucket join; `None` for a plain scan.
     split: Option<usize>,
@@ -522,7 +523,8 @@ impl Executor<'_> {
         let [(BoundExpr::Slot(Slot::Input(probe_col)), build_key)] = join.keys.as_slice() else {
             return Ok(None);
         };
-        if table.partition_column() != Some(*probe_col) {
+        let partition = table.partition_column();
+        if partition.is_none_or(|p| scan.projection.get(*probe_col) != Some(&p)) {
             return Ok(None);
         }
         let mut by_key = HashMap::with_capacity(build.rows.len());
@@ -548,15 +550,15 @@ impl Executor<'_> {
         acc: &mut Accumulator,
     ) -> Result<()> {
         let engine = self.engine();
-        let table = engine.database().table(&scan.table)?;
-        let prune_keys = self.effective_prune_keys(scan, table.partition_column());
-        let (selected, buckets_scanned, buckets_pruned) =
-            select_buckets(table, &prune_keys, self.snapshot());
-        let filter = self.compile_bucket_filter(scan, prune_keys.is_some())?;
+        let input = self.open_scan(scan)?;
+        let selected = &input.selected;
         let stream = ScanStream {
             spec,
-            filter: &filter,
-            partition_col: table.partition_column(),
+            filter: &input.filter,
+            partition_col: input
+                .table
+                .partition_column()
+                .and_then(|c| scan.output_of(c)),
             split: build.map(|_| scan.schema.len()),
         };
         let joined = |key: &Value| match build {
@@ -571,7 +573,7 @@ impl Executor<'_> {
             .map(|s| joined(&Value::Int(s.key)))
             .collect();
 
-        let morsels = build_morsels(&selected);
+        let morsels = build_morsels(selected);
         let total: usize = selected.iter().map(|s| s.visible).sum();
         // A correlated aggregation stays on the calling thread: outer
         // references resolve against the coordinator's environment chain.
@@ -622,42 +624,25 @@ impl Executor<'_> {
             }
         }
 
-        // Loose rows carry arbitrary partition keys: the full pushed filter
-        // applies (the un-pruned bucket filter already is it), and a
-        // per-bucket join looks their build row up by value.
-        let loose = self.visible_loose_rows(table);
-        if !loose.is_empty() {
-            let recompiled;
-            let full_filter = if prune_keys.is_some() {
-                recompiled = self.compile_full_scan_filter(scan)?;
-                &recompiled
-            } else {
-                &filter
+        // Loose rows carry arbitrary partition keys: a per-bucket join
+        // looks their build row up by value.
+        let mut batch = Batch::default();
+        self.scan_loose(scan, &input, outer, &mut tally, |row| {
+            let join = match (build, stream.partition_col) {
+                (Some(_), Some(c)) => joined(&row[c]),
+                _ => Joined::Unjoined,
             };
-            let mut batch = Batch::default();
-            for chunk in loose.chunks(MORSEL_ROWS) {
-                batch.clear();
-                for row in chunk {
-                    tally.visited += 1;
-                    if !self.filter_matches(full_filter, row, outer)? {
-                        continue;
-                    }
-                    let join = match (build, stream.partition_col) {
-                        (Some(_), Some(c)) => joined(&row[c]),
-                        _ => Joined::Unjoined,
-                    };
-                    if !matches!(join, Joined::Nothing) {
-                        self.batch_row(&stream, row, join.consts(), outer, &mut batch)?;
-                    }
-                }
-                acc.absorb(&batch)?;
+            if !matches!(join, Joined::Nothing) {
+                self.batch_row(&stream, row, join.consts(), outer, &mut batch)?;
             }
-        }
-
-        engine.note_rows_scanned(tally.visited);
-        engine.note_partitions(buckets_scanned, buckets_pruned);
-        engine.note_vectorized(tally.vectorized, tally.materialized);
-        engine.note_dict_kernel_rows(tally.dict);
+            if batch.gids.len() == MORSEL_ROWS {
+                acc.absorb(&batch)?;
+                batch.clear();
+            }
+            Ok(())
+        })?;
+        acc.absorb(&batch)?;
+        self.note_scan(&input, tally);
         Ok(())
     }
 

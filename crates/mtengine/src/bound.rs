@@ -42,7 +42,7 @@ use crate::error::{err, EngineError, Result};
 use crate::exec::{apply_binary, apply_unary, cast_value, literal_value, Env, Executor};
 use crate::plan::{Plan, Planner};
 use crate::schema::Schema;
-use crate::table::{ColumnBucket, ColumnVec};
+use crate::table::{BucketView, ColumnVec};
 use crate::udf::{UdfHandle, UdfRegistry};
 use crate::value::{civil_from_days, int_overflow, Value};
 use crate::verify::{PlanError, PlanErrorClass};
@@ -278,6 +278,65 @@ impl BoundExpr {
                 f(expr);
                 f(start);
                 length.iter().for_each(|l| f(l));
+            }
+        }
+    }
+
+    /// [`BoundExpr::for_each_operand`], mutably.
+    pub(crate) fn for_each_operand_mut(&mut self, f: &mut dyn FnMut(&mut BoundExpr)) {
+        match self {
+            BoundExpr::Const(_) | BoundExpr::Param(_) | BoundExpr::Slot(_) => {}
+            BoundExpr::Subquery { kind, .. } => {
+                if let SubqueryKind::In { expr, .. } = kind {
+                    f(expr);
+                }
+            }
+            BoundExpr::Binary { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            BoundExpr::Unary { expr, .. }
+            | BoundExpr::IsNull { expr, .. }
+            | BoundExpr::Extract { expr, .. }
+            | BoundExpr::Cast { expr, .. } => f(expr),
+            BoundExpr::Call { args, .. } => args.iter_mut().for_each(f),
+            BoundExpr::Case {
+                operand,
+                when_then,
+                else_expr,
+            } => {
+                operand.iter_mut().for_each(|o| f(o));
+                for (w, t) in when_then {
+                    f(w);
+                    f(t);
+                }
+                else_expr.iter_mut().for_each(|e| f(e));
+            }
+            BoundExpr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter_mut().for_each(f);
+            }
+            BoundExpr::Between {
+                expr, low, high, ..
+            } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
+            BoundExpr::Like { expr, pattern, .. } => {
+                f(expr);
+                if let LikeArg::Dynamic(p) = pattern {
+                    f(p);
+                }
+            }
+            BoundExpr::Substring {
+                expr,
+                start,
+                length,
+            } => {
+                f(expr);
+                f(start);
+                length.iter_mut().for_each(|l| f(l));
             }
         }
     }
@@ -735,8 +794,9 @@ impl<'a> Binder<'a> {
 pub(crate) enum Source<'a> {
     /// A materialized row.
     Row(&'a [Value]),
-    /// Row `i` of a partition bucket — read column by column, never built.
-    Bucket(&'a ColumnBucket, usize),
+    /// Row `i` of a partition bucket, read column by column through the
+    /// scan's projection — never built.
+    Bucket(BucketView<'a>, usize),
 }
 
 /// Everything a bound expression can read while it evaluates.
@@ -1041,7 +1101,7 @@ enum Lanes {
 /// Column-at-a-time evaluation of float arithmetic — the argument shape of
 /// `SUM(l_extendedprice * (1 - l_discount))` — over rows of one bucket.
 pub(crate) struct FloatKernel<'a> {
-    pub cols: &'a ColumnBucket,
+    pub cols: BucketView<'a>,
     /// The bucket's constants ([`Slot::BucketConst`]).
     pub consts: &'a [Value],
     /// The bucket rows to evaluate, in order.

@@ -11,7 +11,7 @@
 //! It also owns the *compiled* predicate forms a scan evaluates per row
 //! ([`CompiledPred`], produced by the executor's predicate compiler) and
 //! their **column kernels**: [`eval_vectorized_range`] applies one compiled
-//! predicate to a whole [`ColumnBucket`] column at a time, narrowing a
+//! predicate to a whole [`crate::table::ColumnBucket`] column at a time, narrowing a
 //! [`Selection`] bitmap, so bucket scans touch only the predicate columns
 //! and materialize full rows for the surviving row ids alone.
 
@@ -24,7 +24,7 @@ use mtsql::visit::{collect_aggregate_calls, collect_columns, contains_param, con
 
 use crate::bound::BoundExpr;
 use crate::schema::Schema;
-use crate::table::{ColumnBucket, ColumnVec};
+use crate::table::{BucketView, ColumnVec};
 use crate::value::Value;
 
 /// `true` when every column referenced by `expr` resolves in `schema`.
@@ -696,7 +696,7 @@ pub fn dict_filter_bitmap(pred: &CompiledPred, dict: &[Arc<str>]) -> Vec<bool> {
 /// late-materialized rows instead.
 pub fn eval_vectorized_range(
     pred: &CompiledPred,
-    bucket: &ColumnBucket,
+    bucket: BucketView,
     offset: usize,
     sel: &mut Selection,
 ) -> u64 {
@@ -1224,7 +1224,8 @@ mod tests {
             }
             for (label, bucket) in [("dict", &dict), ("plain", &plain)] {
                 let mut sel = Selection::all(rows.len());
-                let code_space_rows = eval_vectorized_range(pred, bucket, 0, &mut sel);
+                let whole = BucketView::new(bucket, &[0, 1, 2]);
+                let code_space_rows = eval_vectorized_range(pred, whole, 0, &mut sel);
                 let mut hits = Vec::new();
                 sel.for_each(|i| hits.push(i));
                 assert_eq!(hits, reference, "{label} kernel disagrees for {pred:?}");
@@ -1320,6 +1321,7 @@ mod tests {
         // Offsets exercise word-aligned, mid-word and ragged-tail ranges.
         let ranges = [(0, n), (64, 134), (37, 103), (128, 200), (190, 199)];
         for bucket in [&plain, &dict] {
+            let bucket = BucketView::new(bucket, &[0, 1, 2]);
             for pred in &preds {
                 let mut whole = Selection::all(n);
                 eval_vectorized_range(pred, bucket, 0, &mut whole);

@@ -43,9 +43,9 @@ use mtsql::visit::contains_subquery;
 use crate::bound::{BoundExpr, Frame};
 use crate::conjuncts::{dict_filter_bitmap, fast_pred_value, CompiledPred};
 use crate::error::{EngineError, EngineErrorKind, Result};
-use crate::exec::Executor;
+use crate::exec::{project_stored, Executor};
 use crate::plan::{Plan, Project, SeqScan};
-use crate::table::{ColumnBucket, ColumnVec, Row, SharedRow, Snapshot};
+use crate::table::{BucketView, ColumnBucket, ColumnVec, Row, SharedRow, Snapshot};
 use crate::{Engine, Value};
 
 /// Default number of rows per cursor batch.
@@ -108,7 +108,8 @@ struct BucketDict {
     /// Per bucket-filter predicate: the match bitmap when that predicate's
     /// column is dictionary-encoded in this bucket.
     bitmaps: Vec<Option<Vec<bool>>>,
-    /// Does this bucket hold any dictionary-encoded column?
+    /// Does materializing a row decode a dictionary (is a projected column
+    /// dictionary-encoded in this bucket)?
     has_dict: bool,
 }
 
@@ -340,7 +341,7 @@ fn fetch_streaming(
         });
     }
     let scan = shape.scan;
-    let table = engine.database().table(&scan.table)?;
+    let table = executor.scan_table(scan)?;
     // A *published* destructive rewrite (UPDATE/DELETE/re-layout) after the
     // pin shuffles surviving rows across buckets — the recorded (bucket,
     // row) position no longer addresses snapshot rows, so fail rather than
@@ -416,6 +417,7 @@ fn fetch_streaming(
     // batch (cheap: ≤ DICT_MAX_DISTINCT evaluations per predicate).
     pos.dict_bitmaps = None;
 
+    let whole = scan.reads_whole_rows(table.columns.len());
     let mut out: Vec<Row> = Vec::new();
     let mut visited: u64 = 0;
     let mut materialized: u64 = 0;
@@ -433,11 +435,12 @@ fn fetch_streaming(
         // check fast predicates column-wise *before* materializing; the
         // remaining (interpreted) conjuncts run on the materialized row.
         let (row, remaining) = if pos.bucket < selected.len() {
-            let (key, cols) = selected[pos.bucket];
+            let (key, bucket) = selected[pos.bucket];
+            let cols = BucketView::new(bucket, &scan.projection);
             // A pinned cursor only walks the prefix of the bucket that was
             // visible at its snapshot epoch (appends are strictly ordered,
             // so the watermark prefix *is* the snapshot content).
-            let visible = view.visible_bucket_len(key).min(cols.len());
+            let visible = view.visible_bucket_len(key).min(bucket.len());
             if pos.row >= visible {
                 pos.bucket += 1;
                 pos.row = 0;
@@ -445,7 +448,8 @@ fn fetch_streaming(
             }
             // Entering a bucket: resolve the fast predicates against its
             // dictionaries once (per-row checks below compare codes), and
-            // note once whether materializing decodes any dictionary.
+            // note once whether materializing decodes a projected
+            // dictionary column.
             if pos.dict_bitmaps.as_ref().map(|b| b.bucket) != Some(pos.bucket) {
                 pos.dict_bitmaps = Some(BucketDict {
                     bucket: pos.bucket,
@@ -459,7 +463,7 @@ fn fetch_streaming(
                                 })
                         })
                         .collect(),
-                    has_dict: cols.dict_column_count() > 0,
+                    has_dict: cols.decodes_dict(),
                 });
             }
             let i = pos.row;
@@ -506,7 +510,7 @@ fn fetch_streaming(
                 bucket_filter.iter().filter(|p| !p.is_fast()).collect();
             (row, remaining)
         } else if pos.loose < view.visible_loose_len().min(view.loose_rows().len()) {
-            let row = SharedRow::clone(&view.loose_rows()[pos.loose]);
+            let row = project_stored(scan, whole, &view.loose_rows()[pos.loose]);
             pos.loose += 1;
             visited += 1;
             (row, loose_filter.iter().collect())

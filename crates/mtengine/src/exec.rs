@@ -46,7 +46,7 @@ use crate::conjuncts::{
 use crate::error::{err, EngineError, Result};
 use crate::plan::{BoundJoin, JoinVariant, Plan, Planner, Project, SeqScan, SortKey};
 use crate::schema::Schema;
-use crate::table::{ColumnBucket, Row, SharedRow, Snapshot};
+use crate::table::{BucketView, Row, SharedRow, Snapshot, Table};
 use crate::value::{add_months, parse_date, Value};
 use crate::Engine;
 
@@ -110,14 +110,37 @@ pub(crate) struct Morsel {
     pub end: usize,
 }
 
-/// One partition bucket a scan visits: its partition key, its columns and
-/// its *visible length* — the whole bucket normally, or the rows visible at
-/// the executor's pinned snapshot.
+/// One partition bucket a scan visits: its partition key, its columns (read
+/// through the scan's projection) and its *visible length* — the whole
+/// bucket normally, or the rows visible at the executor's pinned snapshot.
 #[derive(Clone, Copy)]
 pub(crate) struct Selected<'t> {
     pub key: i64,
-    pub cols: &'t ColumnBucket,
+    pub cols: BucketView<'t>,
     pub visible: usize,
+}
+
+/// One execution of a scan, resolved by [`Executor::open_scan`].
+pub(crate) struct ScanInput<'s> {
+    pub table: &'s Table,
+    /// Did partition pruning select the buckets? Their rows then satisfy the
+    /// pruning conjuncts by construction.
+    pub pruned: bool,
+    pub selected: Vec<Selected<'s>>,
+    /// `(scanned, pruned)` bucket counts.
+    pub buckets: (u64, u64),
+    /// The filter rows inside the selected buckets run.
+    pub filter: Vec<CompiledPred>,
+}
+
+/// A stored row (a loose row, of table arity) as a scan's output row:
+/// shared when the scan reads `whole` rows, else its projected columns.
+pub(crate) fn project_stored(scan: &SeqScan, whole: bool, row: &SharedRow) -> SharedRow {
+    if whole {
+        SharedRow::clone(row)
+    } else {
+        scan.projection.iter().map(|&c| row[c].clone()).collect()
+    }
 }
 
 /// Split the selected buckets into [`MORSEL_ROWS`]-row ranges, in bucket
@@ -244,16 +267,18 @@ impl ScanTally {
 }
 
 /// Select the partition buckets a scan visits under an optional pruning key
-/// set, together with the `(scanned, pruned)` bucket counts. Shared by every
-/// scan path so bucket selection, snapshot bounding and partition accounting
-/// can never drift apart. A snapshot that predates an open transaction's
-/// destructive rewrite is served from the table's retained pre-rewrite
-/// shadow (see [`crate::table::Table::read_at`]), so committed-floor readers
-/// never observe uncommitted rewritten storage.
+/// set, read through the scan's `projection`, together with the `(scanned,
+/// pruned)` bucket counts. Shared by every scan path so bucket selection,
+/// snapshot bounding and partition accounting can never drift apart. A
+/// snapshot that predates an open transaction's destructive rewrite is
+/// served from the table's retained pre-rewrite shadow (see
+/// [`crate::table::Table::read_at`]), so committed-floor readers never
+/// observe uncommitted rewritten storage.
 pub(crate) fn select_buckets<'t>(
-    table: &'t crate::table::Table,
+    table: &'t Table,
     prune_keys: &Option<std::collections::BTreeSet<i64>>,
     snapshot: Option<&Snapshot>,
+    projection: &'t [usize],
 ) -> (Vec<Selected<'t>>, u64, u64) {
     let view = table.read_at(snapshot);
     let total = view.partition_count() as u64;
@@ -262,7 +287,7 @@ pub(crate) fn select_buckets<'t>(
         .filter(|(key, _)| prune_keys.as_ref().is_none_or(|keys| keys.contains(key)))
         .map(|(key, cols)| Selected {
             key,
-            cols,
+            cols: BucketView::new(cols, projection),
             visible: view.visible_bucket_len(key).min(cols.len()),
         })
         .collect();
@@ -276,7 +301,7 @@ pub(crate) fn select_buckets<'t>(
 /// is charged by whoever builds rows from the survivors. Pure (no engine
 /// access).
 pub(crate) fn kernel_select(
-    cols: &ColumnBucket,
+    cols: BucketView,
     range: &std::ops::Range<usize>,
     filter: &[CompiledPred],
 ) -> (Selection, ScanTally) {
@@ -372,10 +397,6 @@ impl<'e> Executor<'e> {
 
     pub(crate) fn params(&self) -> &[Value] {
         &self.params
-    }
-
-    pub(crate) fn snapshot(&self) -> Option<&Snapshot> {
-        self.snapshot.as_ref()
     }
 
     /// The value bound to parameter `$index + 1`.
@@ -528,52 +549,119 @@ impl<'e> Executor<'e> {
 
     /// Execute one base-table scan: skip partition buckets the plan's pruning
     /// keys exclude, evaluate the pushed filter per visited row (vectorized
-    /// inside buckets), and share (rather than copy) every qualifying row.
+    /// inside buckets), and build only the projected columns of every
+    /// qualifying bucket row (loose rows are shared, or projected).
     fn exec_scan(&self, scan: &SeqScan, outer: Option<&Env>) -> Result<Relation> {
-        let table = self.engine.database().table(&scan.table)?;
-        let prune_keys = self.effective_prune_keys(scan, table.partition_column());
-
+        let input = self.open_scan(scan)?;
         let mut tally = ScanTally::default();
-        let (selected, buckets_scanned, buckets_pruned) =
-            select_buckets(table, &prune_keys, self.snapshot.as_ref());
-        let bucket_filter = self.compile_bucket_filter(scan, prune_keys.is_some())?;
         let mut rows = self.scan_buckets(
-            &selected,
-            &bucket_filter,
+            &input.selected,
+            &input.filter,
             outer,
             &mut tally,
             |_, rows, _| Ok(rows),
         )?;
-
-        // Loose rows carry arbitrary partition keys, so the full pushed
-        // filter (including pruning predicates) applies to them; the pruned
-        // branch compiles it only when loose rows exist.
-        let full_filter = if prune_keys.is_none() {
-            // The un-pruned bucket filter already is the full pushed filter.
-            Some(bucket_filter)
-        } else if self.visible_loose_rows(table).is_empty() {
-            None
-        } else {
-            Some(self.compile_full_scan_filter(scan)?)
-        };
-        if let Some(full_filter) = &full_filter {
-            for row in self.visible_loose_rows(table) {
-                tally.visited += 1;
-                if self.filter_matches(full_filter, row, outer)? {
-                    rows.push(SharedRow::clone(row));
-                }
-            }
-        }
-
-        self.engine.note_rows_scanned(tally.visited);
-        self.engine.note_partitions(buckets_scanned, buckets_pruned);
-        self.engine
-            .note_vectorized(tally.vectorized, tally.materialized);
-        self.engine.note_dict_kernel_rows(tally.dict);
+        self.scan_loose(scan, &input, outer, &mut tally, |row| {
+            rows.push(SharedRow::clone(row));
+            Ok(())
+        })?;
+        self.note_scan(&input, tally);
         Ok(Relation {
             schema: scan.schema.clone(),
             rows,
         })
+    }
+
+    /// Resolve one execution of a scan: its table
+    /// ([`Executor::scan_table`]), the buckets the effective pruning keys
+    /// select, read through the projection, and the filter their rows run.
+    pub(crate) fn open_scan<'s>(&self, scan: &'s SeqScan) -> Result<ScanInput<'s>>
+    where
+        'e: 's,
+    {
+        let table = self.scan_table(scan)?;
+        let prune_keys = self.effective_prune_keys(scan, table.partition_column());
+        let (selected, scanned, pruned) =
+            select_buckets(table, &prune_keys, self.snapshot.as_ref(), &scan.projection);
+        Ok(ScanInput {
+            table,
+            pruned: prune_keys.is_some(),
+            filter: self.compile_bucket_filter(scan, prune_keys.is_some())?,
+            selected,
+            buckets: (scanned, pruned),
+        })
+    }
+
+    /// The scan's table, once the scan's projection is checked to address
+    /// it (a cached plan may outlive a re-created table).
+    pub(crate) fn scan_table(&self, scan: &SeqScan) -> Result<&'e Table> {
+        let table = self.engine.database().table(&scan.table)?;
+        let width = table.columns.len();
+        if scan.projection.len() != scan.schema.len() || scan.projection.iter().any(|&c| c >= width)
+        {
+            return Err(crate::verify::PlanError {
+                class: crate::verify::PlanErrorClass::Schema,
+                node: format!("SeqScan {}", scan.table),
+                detail: format!(
+                    "projection {:?} does not address the {width}-column table",
+                    scan.projection
+                ),
+            }
+            .into());
+        }
+        Ok(table)
+    }
+
+    /// Charge a finished scan to the engine counters.
+    pub(crate) fn note_scan(&self, input: &ScanInput, tally: ScanTally) {
+        let (scanned, pruned) = input.buckets;
+        self.engine.note_rows_scanned(tally.visited);
+        self.engine.note_partitions(scanned, pruned);
+        self.engine
+            .note_vectorized(tally.vectorized, tally.materialized);
+        self.engine.note_dict_kernel_rows(tally.dict);
+    }
+
+    /// Hand `each` the scan's loose rows — an unpartitioned table's rows, or
+    /// a partitioned table's rows whose key is not an integer — that pass
+    /// its full pushed filter, as output rows: the stored row itself when
+    /// the scan reads whole rows, else its projected columns. They carry
+    /// arbitrary partition keys, so the pruning conjuncts re-check (the
+    /// un-pruned bucket filter already is the full filter).
+    pub(crate) fn scan_loose(
+        &self,
+        scan: &SeqScan,
+        input: &ScanInput,
+        outer: Option<&Env>,
+        tally: &mut ScanTally,
+        mut each: impl FnMut(&SharedRow) -> Result<()>,
+    ) -> Result<()> {
+        let loose = self.visible_loose_rows(input.table);
+        if loose.is_empty() {
+            return Ok(());
+        }
+        let recompiled;
+        let filter = if input.pruned {
+            recompiled = self.compile_full_scan_filter(scan)?;
+            &recompiled
+        } else {
+            &input.filter
+        };
+        let whole = scan.reads_whole_rows(input.table.columns.len());
+        for stored in loose {
+            tally.visited += 1;
+            let projected;
+            let row = if whole {
+                stored
+            } else {
+                projected = project_stored(scan, false, stored);
+                &projected
+            };
+            if self.filter_matches(filter, row, outer)? {
+                each(row)?;
+            }
+        }
+        Ok(())
     }
 
     /// The scan's effective partition-key set: the statically planned keys
@@ -595,7 +683,8 @@ impl<'e> Executor<'e> {
         if scan.param_pruning.is_empty() || self.params.is_empty() {
             return Cow::Borrowed(&scan.prune_keys);
         }
-        let Some(pidx) = partition_col else {
+        // The conjuncts resolve against the scan's output columns.
+        let Some(pidx) = partition_col.and_then(|c| scan.output_of(c)) else {
             return Cow::Borrowed(&scan.prune_keys);
         };
         let mut keys = scan.prune_keys.clone();
@@ -616,23 +705,66 @@ impl<'e> Executor<'e> {
     /// The table's loose rows, bounded at the executor's pinned snapshot.
     /// Like `select_buckets`, a snapshot predating an open transaction's
     /// rewrite reads the retained pre-rewrite shadow.
-    pub(crate) fn visible_loose_rows<'t>(&self, table: &'t crate::table::Table) -> &'t [SharedRow] {
+    pub(crate) fn visible_loose_rows<'t>(&self, table: &'t Table) -> &'t [SharedRow] {
         let view = table.read_at(self.snapshot.as_ref());
         let loose = view.loose_rows();
         &loose[..view.visible_loose_len().min(loose.len())]
     }
 
-    /// Scan the selected buckets and pass the qualifying rows through
-    /// `keep` (identity for a plain scan, the key probe for a decorrelated
-    /// join). Serial: [`Executor::scan_range`] over each bucket's whole
-    /// visible prefix on the calling thread, then one `keep` over all rows.
-    /// Morsel-driven: the buckets split into row-range morsels pulled by a
-    /// scoped worker pool, each worker runs `scan_range` and `keep` per
-    /// morsel through its own executor, and per-morsel outputs merge in
-    /// morsel order — results and row order are identical to the serial
-    /// scan by construction. Filters with interpreted conjuncts pool too,
-    /// except in a scan running under an outer row (inside a correlated
-    /// sub-plan), which stays on the calling thread.
+    /// Run `work` over the selected buckets and hand each result to
+    /// `consume` in order. Serial: one call per bucket over its whole
+    /// visible prefix, on the calling thread. Morsel-driven, when `poolable`
+    /// and the parallel budget allow: the buckets split into row-range
+    /// morsels pulled by a scoped worker pool, each worker calls `work` per
+    /// morsel through its own executor (without the outer row chain), and
+    /// results are consumed in morsel order — identical to the serial order
+    /// by construction.
+    fn scan_parts<'t, T, W, C>(
+        &self,
+        selected: &[Selected<'t>],
+        poolable: bool,
+        outer: Option<&Env>,
+        work: W,
+        mut consume: C,
+    ) -> Result<()>
+    where
+        T: Send,
+        W: Fn(&Executor, Selected<'t>, std::ops::Range<usize>, Option<&Env>) -> Result<T> + Sync,
+        C: FnMut(T) -> Result<()>,
+    {
+        let total: usize = selected.iter().map(|s| s.visible).sum();
+        let budget = effective_parallel_budget(&self.engine.config());
+        let pool = if budget > 1 && poolable {
+            let morsels = build_morsels(selected);
+            let threads = scan_worker_count(budget, morsels.len(), total);
+            (threads > 1).then_some((morsels, threads))
+        } else {
+            None
+        };
+        let Some((morsels, threads)) = pool else {
+            for s in selected {
+                consume(work(self, *s, 0..s.visible, outer)?)?;
+            }
+            return Ok(());
+        };
+        run_morsel_pool(
+            self.engine,
+            &self.params,
+            threads,
+            &morsels,
+            |worker, m| work(worker, selected[m.bucket], m.start..m.end, None),
+            consume,
+        )?;
+        self.engine
+            .note_morsel_scan(morsels.len() as u64, threads as u64);
+        Ok(())
+    }
+
+    /// Scan the selected buckets ([`Executor::scan_parts`]) and pass each
+    /// part's qualifying rows through `keep` (identity for a plain scan, the
+    /// key probe for a decorrelated join). Filters with interpreted
+    /// conjuncts pool too, except in a scan running under an outer row
+    /// (inside a correlated sub-plan), which stays on the calling thread.
     fn scan_buckets<F>(
         &self,
         selected: &[Selected],
@@ -644,64 +776,43 @@ impl<'e> Executor<'e> {
     where
         F: Fn(&Executor, Vec<SharedRow>, Option<&Env>) -> Result<Vec<SharedRow>> + Sync,
     {
-        let total: usize = selected.iter().map(|s| s.visible).sum();
-        let budget = effective_parallel_budget(&self.engine.config());
-        let fast = filter.iter().all(CompiledPred::is_fast);
-        let pool = if budget > 1 && (fast || outer.is_none()) {
-            let morsels = build_morsels(selected);
-            let threads = scan_worker_count(budget, morsels.len(), total);
-            (threads > 1).then_some((morsels, threads))
-        } else {
-            None
-        };
-        let Some((morsels, threads)) = pool else {
-            let mut rows: Vec<SharedRow> = Vec::new();
-            for s in selected {
-                tally.absorb(self.scan_range(s.cols, 0..s.visible, filter, outer, &mut rows)?);
-            }
-            return keep(self, rows, outer);
-        };
+        let poolable = outer.is_none() || filter.iter().all(CompiledPred::is_fast);
         let mut rows: Vec<SharedRow> = Vec::new();
-        run_morsel_pool(
-            self.engine,
-            &self.params,
-            threads,
-            &morsels,
-            |worker, m| {
-                let mut local: Vec<SharedRow> = Vec::new();
-                let t = worker.scan_range(
-                    selected[m.bucket].cols,
-                    m.start..m.end,
-                    filter,
-                    None,
-                    &mut local,
-                )?;
-                Ok((keep(worker, local, None)?, t))
+        self.scan_parts(
+            selected,
+            poolable,
+            outer,
+            |exec, s, range, outer| {
+                let mut scanned: Vec<SharedRow> = Vec::new();
+                let part = exec.scan_range(s.cols, range, filter, outer, &mut scanned)?;
+                Ok((keep(exec, scanned, outer)?, part))
             },
-            |(local, morsel_tally)| {
-                rows.extend(local);
-                tally.absorb(morsel_tally);
+            |(kept, part)| {
+                tally.absorb(part);
+                if rows.is_empty() {
+                    rows = kept;
+                } else {
+                    rows.extend(kept);
+                }
                 Ok(())
             },
         )?;
-        self.engine
-            .note_morsel_scan(morsels.len() as u64, threads as u64);
         Ok(rows)
     }
 
     /// The one bucket-scan routine: run the fast predicates of `filter` as
     /// column kernels over rows `range` of one bucket, late-materialize the
-    /// survivors, and check the interpreted conjuncts on those. The
-    /// conjuncts are side-effect-free boolean filters under AND, so running
-    /// the compiled ones first cannot change the qualifying row set; what it
-    /// *can* change is error/UDF behaviour — an interpreted conjunct is
-    /// never evaluated (and thus cannot raise an evaluation error or count
-    /// UDF calls) for rows a compiled conjunct rejects, whatever their
-    /// WHERE-clause order. Callers pre-bound `range` at the scan's snapshot
-    /// watermark.
+    /// survivors' projected columns, and check the interpreted conjuncts on
+    /// those. The conjuncts are side-effect-free boolean filters under AND,
+    /// so running the compiled ones first cannot change the qualifying row
+    /// set; what it *can* change is error/UDF behaviour — an interpreted
+    /// conjunct is never evaluated (and thus cannot raise an evaluation
+    /// error or count UDF calls) for rows a compiled conjunct rejects,
+    /// whatever their WHERE-clause order. Callers pre-bound `range` at the
+    /// scan's snapshot watermark.
     pub(crate) fn scan_range(
         &self,
-        cols: &ColumnBucket,
+        cols: BucketView,
         range: std::ops::Range<usize>,
         filter: &[CompiledPred],
         outer: Option<&Env>,
@@ -709,8 +820,8 @@ impl<'e> Executor<'e> {
     ) -> Result<ScanTally> {
         let (sel, mut tally) = kernel_select(cols, &range, filter);
         tally.materialized = sel.count() as u64;
-        if cols.dict_column_count() > 0 {
-            // Qualifying rows decode their dictionary columns while
+        if cols.decodes_dict() {
+            // Qualifying rows decode a projected dictionary column while
             // materializing.
             tally.dict += tally.materialized;
         }
@@ -949,13 +1060,15 @@ impl<'e> Executor<'e> {
     }
 
     /// Execute a decorrelated semi-/anti-/aggregate-join (see
-    /// [`crate::decorrelate`]): materialize the build (right) side once,
-    /// project its keys into a hash map (NULL keys skipped — they equal
-    /// nothing), and filter the probe (left) side by key membership,
-    /// emitting probe rows unchanged and in order. When the probe side is a
-    /// base-table scan with plain column keys, the probe runs *inside* the
-    /// scan pipeline ([`Executor::key_join_scan`]); otherwise the probe plan
-    /// materializes and filters row-wise.
+    /// [`crate::decorrelate`]): index the build (right) side's keys once
+    /// (NULL keys skipped — they equal nothing) and filter the probe (left)
+    /// side by key membership, emitting probe rows unchanged and in order.
+    /// A semi / anti join over a scan reads its keys straight off the scan
+    /// ([`Executor::scan_build_keys`]); otherwise the build side
+    /// materializes. When the probe side is a base-table scan with plain
+    /// column keys, the probe runs *inside* the scan pipeline
+    /// ([`Executor::key_join_scan`]); otherwise the probe plan materializes
+    /// and filters row-wise.
     fn key_join(
         &self,
         left: &Plan,
@@ -964,17 +1077,28 @@ impl<'e> Executor<'e> {
         variant: JoinVariant,
         outer: Option<&Env>,
     ) -> Result<Relation> {
-        let build = self.execute_plan(right, outer)?;
-        let mut map: HashMap<Vec<Value>, usize> = HashMap::with_capacity(build.rows.len());
+        let direct = match variant {
+            JoinVariant::Semi | JoinVariant::Anti => self.scan_build_keys(right, join, outer)?,
+            _ => None,
+        };
         let mut key: Vec<Value> = Vec::with_capacity(join.keys.len());
-        for (i, row) in build.rows.iter().enumerate() {
-            let frame = Frame::row(row, outer);
-            if self.join_key(join.keys.iter().map(|(_, r)| r), &frame, &mut key)?
-                && !map.contains_key(key.as_slice())
-            {
-                map.insert(key.clone(), i);
+        let (build, map) = match direct {
+            // Semi / anti joins only test membership: no build row is kept.
+            Some(map) => (Relation::default(), map),
+            None => {
+                let build = self.execute_plan(right, outer)?;
+                let mut map: HashMap<Vec<Value>, usize> = HashMap::with_capacity(build.rows.len());
+                for (i, row) in build.rows.iter().enumerate() {
+                    let frame = Frame::row(row, outer);
+                    if self.join_key(join.keys.iter().map(|(_, r)| r), &frame, &mut key)?
+                        && !map.contains_key(key.as_slice())
+                    {
+                        map.insert(key.clone(), i);
+                    }
+                }
+                (build, map)
             }
-        }
+        };
         self.engine.note_subquery_unnested(1);
 
         if let Plan::SeqScan(scan) = left {
@@ -995,6 +1119,106 @@ impl<'e> Executor<'e> {
             schema: l.schema,
             rows,
         })
+    }
+
+    /// The build-key set of a semi / anti join whose build side is a scan
+    /// of a partitioned table — or a `Project` of plain input slots over
+    /// one, which the keys are read through — computed without building a
+    /// single build row: the scan's kernels narrow each part, its
+    /// interpreted conjuncts and the key expressions evaluate on the
+    /// survivors through a bucket frame. `None` for any other build side
+    /// (and for unpartitioned tables, whose rows are shared, not built).
+    /// The keys' positions in the map are meaningless: membership is all
+    /// the two variants test.
+    fn scan_build_keys(
+        &self,
+        right: &Plan,
+        join: &BoundJoin,
+        outer: Option<&Env>,
+    ) -> Result<Option<HashMap<Vec<Value>, usize>>> {
+        // The build keys read the build side's output: through a `Project`
+        // of input slots, they read the scan's output instead.
+        let (scan, through) = match right {
+            Plan::SeqScan(scan) => (scan, None),
+            Plan::Project(p) => {
+                let Plan::SeqScan(scan) = p.input.as_ref() else {
+                    return Ok(None);
+                };
+                let slots = p.bound.iter().map(|item| match item {
+                    BoundExpr::Slot(Slot::Input(col)) => Some(Some(*col)),
+                    _ => None,
+                });
+                let Some(through) = slots.collect::<Option<Vec<_>>>() else {
+                    return Ok(None);
+                };
+                (scan, Some(through))
+            }
+            _ => return Ok(None),
+        };
+        let table = self.engine.database().table(&scan.table)?;
+        if table.partition_column().is_none() {
+            return Ok(None);
+        }
+        let mut keys: Vec<BoundExpr> = join.keys.iter().map(|(_, build)| build.clone()).collect();
+        if let Some(through) = &through {
+            for key in &mut keys {
+                crate::prune::apply(key, through);
+            }
+        }
+        let input = self.open_scan(scan)?;
+        let interpreted: Vec<&BoundExpr> = input
+            .filter
+            .iter()
+            .filter_map(|pred| match pred {
+                CompiledPred::Generic(expr) => Some(expr),
+                _ => None,
+            })
+            .collect();
+        let mut map: HashMap<Vec<Value>, usize> = HashMap::new();
+        let mut tally = ScanTally::default();
+        self.scan_parts(
+            &input.selected,
+            outer.is_none(),
+            outer,
+            |exec, s, range, outer| {
+                let (sel, part) = kernel_select(s.cols, &range, &input.filter);
+                let mut found: Vec<Vec<Value>> = Vec::new();
+                let mut key: Vec<Value> = Vec::with_capacity(keys.len());
+                'rows: for row in sel.iter().map(|i| range.start + i) {
+                    let frame = Frame {
+                        src: Source::Bucket(s.cols, row),
+                        consts: &[],
+                        outer,
+                        group: None,
+                    };
+                    for pred in &interpreted {
+                        if !exec.eval_bound(pred, &frame)?.as_bool().unwrap_or(false) {
+                            continue 'rows;
+                        }
+                    }
+                    if exec.join_key(keys.iter(), &frame, &mut key)? {
+                        found.push(key.clone());
+                    }
+                }
+                Ok((found, part))
+            },
+            |(found, part)| {
+                tally.absorb(part);
+                for key in found {
+                    map.entry(key).or_insert(0);
+                }
+                Ok(())
+            },
+        )?;
+        let mut key: Vec<Value> = Vec::with_capacity(keys.len());
+        self.scan_loose(scan, &input, outer, &mut tally, |row| {
+            if self.join_key(keys.iter(), &Frame::row(row, outer), &mut key)? {
+                map.entry(key.clone()).or_insert(0);
+            }
+            Ok(())
+        })?;
+        self.note_scan(&input, tally);
+        Ok(Some(map))
     }
 
     /// Membership outcome of one probe row against the build-key map. The
@@ -1062,11 +1286,7 @@ impl<'e> Executor<'e> {
             key_cols.push(*idx);
         }
 
-        let table = self.engine.database().table(&scan.table)?;
-        let prune_keys = self.effective_prune_keys(scan, table.partition_column());
-        let (selected, buckets_scanned, buckets_pruned) =
-            select_buckets(table, &prune_keys, self.snapshot.as_ref());
-        let mut bucket_filter = self.compile_bucket_filter(scan, prune_keys.is_some())?;
+        let mut input = self.open_scan(scan)?;
         // Per-column build-key sets are a superset filter for multi-key
         // joins; the exact tuple probe below still runs on the survivors.
         // Anti/aggregate joins keep (or NULL-extend) non-matching rows, so
@@ -1075,80 +1295,65 @@ impl<'e> Executor<'e> {
             for (i, &idx) in key_cols.iter().enumerate() {
                 // The only legal key-set injection site: a decorrelated
                 // probe's own scan columns. Under verification, re-check the
-                // bound slot against the scan schema before the kernel is
-                // installed (the static verifier cannot see this far).
-                if crate::verify::verify_enabled(&self.engine.config) && idx >= scan.schema.len() {
+                // bound slot resolves through the scan's projection before
+                // the kernel is installed (the static verifier cannot see
+                // this far).
+                if crate::verify::verify_enabled(&self.engine.config)
+                    && idx >= scan.projection.len()
+                {
                     return Err(crate::verify::PlanError {
                         class: crate::verify::PlanErrorClass::Variant,
                         node: format!("SeqScan {}", scan.table),
                         detail: format!(
-                            "key-set kernel column {idx} out of probe schema width {}",
-                            scan.schema.len()
+                            "key-set kernel column {idx} out of the probe's {}-column projection",
+                            scan.projection.len()
                         ),
                     }
                     .into());
                 }
                 let set: HashSet<Value> = map.keys().map(|k| k[i].clone()).collect();
-                bucket_filter.push(CompiledPred::KeySet {
+                input.filter.push(CompiledPred::KeySet {
                     idx,
                     set: Arc::new(set),
                 });
             }
         }
 
-        let probe_key = |key: &mut Vec<Value>, row: &[Value]| {
-            key.clear();
-            key.extend(key_cols.iter().map(|&i| row[i].clone()));
-        };
+        let probe =
+            |exec: &Executor, row: &SharedRow, key: &mut Vec<Value>, outer: Option<&Env>| {
+                key.clear();
+                key.extend(key_cols.iter().map(|&i| row[i].clone()));
+                exec.key_probe_matches(key, variant, map, build, join, row, outer)
+            };
         let mut tally = ScanTally::default();
         // The probe is pool-safe by construction (keys read by index, and
         // the rewritten residual only references the probe and build schemas
-        // — see `decorrelate`), so it rides `scan_buckets`' per-morsel hook.
+        // — see `decorrelate`), so it rides `scan_buckets`' per-part hook.
         let mut rows = self.scan_buckets(
-            &selected,
-            &bucket_filter,
+            &input.selected,
+            &input.filter,
             outer,
             &mut tally,
             |exec, scanned, outer| {
                 let mut kept: Vec<SharedRow> = Vec::with_capacity(scanned.len());
                 let mut key: Vec<Value> = Vec::with_capacity(key_cols.len());
                 for row in scanned {
-                    probe_key(&mut key, &row);
-                    if exec.key_probe_matches(&key, variant, map, build, join, &row, outer)? {
+                    if probe(exec, &row, &mut key, outer)? {
                         kept.push(row);
                     }
                 }
                 Ok(kept)
             },
         )?;
-
-        // Loose rows: full pushed filter (the bucket filter already is the
-        // full filter when nothing was pruned), then the exact key probe.
-        let full_filter = if prune_keys.is_none() {
-            Some(bucket_filter)
-        } else if self.visible_loose_rows(table).is_empty() {
-            None
-        } else {
-            Some(self.compile_full_scan_filter(scan)?)
-        };
-        if let Some(full_filter) = &full_filter {
-            let mut key: Vec<Value> = Vec::with_capacity(key_cols.len());
-            for row in self.visible_loose_rows(table) {
-                tally.visited += 1;
-                if self.filter_matches(full_filter, row, outer)? {
-                    probe_key(&mut key, row);
-                    if self.key_probe_matches(&key, variant, map, build, join, row, outer)? {
-                        rows.push(SharedRow::clone(row));
-                    }
-                }
+        // Loose rows: the full pushed filter, then the exact key probe.
+        let mut key: Vec<Value> = Vec::with_capacity(key_cols.len());
+        self.scan_loose(scan, &input, outer, &mut tally, |row| {
+            if probe(self, row, &mut key, outer)? {
+                rows.push(SharedRow::clone(row));
             }
-        }
-
-        self.engine.note_rows_scanned(tally.visited);
-        self.engine.note_partitions(buckets_scanned, buckets_pruned);
-        self.engine
-            .note_vectorized(tally.vectorized, tally.materialized);
-        self.engine.note_dict_kernel_rows(tally.dict);
+            Ok(())
+        })?;
+        self.note_scan(&input, tally);
         Ok(Some(Relation {
             schema: scan.schema.clone(),
             rows,
@@ -1475,7 +1680,7 @@ mod tests {
     #[test]
     fn morsels_split_within_buckets_and_respect_visible_bounds() {
         let bucket_of = |n: i64| {
-            let mut cols = ColumnBucket::new(1);
+            let mut cols = crate::table::ColumnBucket::new(1);
             for i in 0..n {
                 cols.push_row(&[Value::Int(i)]);
             }
@@ -1486,7 +1691,7 @@ mod tests {
         // physical length; morsels must never cross the watermark.
         let selected = |cols, visible| Selected {
             key: 0,
-            cols,
+            cols: BucketView::new(cols, &[0]),
             visible,
         };
         let selected = [selected(&big, 10_000), selected(&small, 60)];

@@ -31,7 +31,8 @@
 //! null bitmap; scans evaluate compiled predicates **vectorized**,
 //! column-at-a-time over a selection bitmap
 //! ([`conjuncts::eval_vectorized_range`]), and *late-materialize* a
-//! `SharedRow` only for the qualifying row ids. Unpartitioned tables keep
+//! `SharedRow` only for the qualifying row ids, holding only the columns
+//! the plan reads (see [`plan::SeqScan::projection`]). Unpartitioned tables keep
 //! their rows in the loose row store — the row-form reference the column
 //! kernels are checked against.
 //!
@@ -119,6 +120,7 @@ pub mod error;
 pub mod exec;
 pub mod lock;
 pub mod plan;
+pub mod prune;
 pub mod schema;
 pub mod stats;
 pub mod table;

@@ -35,11 +35,12 @@
 //! directly over an inner join of a partitioned scan on its partition column
 //! (the `X.ttid = T_tenant_key` join conversion inlining emits) marks that
 //! join [per-bucket](BoundJoin::per_bucket) and reads its build side through
-//! bucket-constant slots.
+//! bucket-constant slots. [`Planner::plan_query`] then narrows every scan of
+//! a partitioned table to the columns the plan reads ([`crate::prune`]).
 //!
 //! [`explain`] renders a plan as an indented operator tree (the `EXPLAIN`
-//! statement surface), including pushed conjuncts, live partition-pruning
-//! counts and parallel-scan eligibility.
+//! statement surface), including pruned scans' columns, pushed conjuncts,
+//! live partition-pruning counts and parallel-scan eligibility.
 
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
@@ -75,7 +76,13 @@ pub struct SeqScan {
     pub table: String,
     /// The binding (alias) the scan's columns are qualified under.
     pub binding: String,
+    /// The scan's output columns: column `i` is table column
+    /// `projection[i]`. All of them when planned; [`Planner::plan_query`]
+    /// narrows a partitioned table's scan to the columns the plan reads
+    /// (see [`crate::prune`]).
     pub schema: Schema,
+    /// Table column index of each output column, in table order.
+    pub projection: Vec<usize>,
     /// Pushed conjuncts recognized as partition-key predicates. Rows inside
     /// a selected bucket satisfy them by construction (the bucket key *is*
     /// the partition value); loose rows re-check them.
@@ -108,6 +115,17 @@ impl SeqScan {
     /// `true` when no conjunct at all was pushed into this scan.
     pub fn nothing_pushed(&self) -> bool {
         self.pruning.is_empty() && self.residual.is_empty()
+    }
+
+    /// Does the scan output every column of a `width`-column table, in
+    /// table order (its rows are the stored rows)?
+    pub fn reads_whole_rows(&self, width: usize) -> bool {
+        self.projection.len() == width && self.projection.iter().enumerate().all(|(i, &c)| i == c)
+    }
+
+    /// The output position of table column `col`, when projected.
+    pub fn output_of(&self, col: usize) -> Option<usize> {
+        self.projection.iter().position(|&c| c == col)
     }
 }
 
@@ -358,10 +376,12 @@ impl<'e> Planner<'e> {
         Binder::new(self, schema, node).bind(expr)
     }
 
-    /// Lower a query into a physical plan and bind its expressions.
+    /// Lower a query into a physical plan, bind its expressions and narrow
+    /// its scans to the columns it reads ([`crate::prune`]).
     pub fn plan_query(&self, query: &Query) -> Result<Plan> {
         let mut plan = self.plan(query, Vec::new())?;
         self.bind(&mut plan)?;
+        crate::prune::prune_scans(self.engine, &mut plan);
         Ok(plan)
     }
 
@@ -750,6 +770,7 @@ impl<'e> Planner<'e> {
         SeqScan {
             table: table.to_string(),
             binding: binding.to_string(),
+            projection: (0..schema.len()).collect(),
             schema,
             pruning,
             residual,
@@ -922,7 +943,8 @@ pub(crate) fn per_bucket_split(engine: &Engine, plan: &Plan) -> Option<usize> {
         .table(&scan.table)
         .ok()?
         .partition_column()?;
-    (residual.is_empty() && scan.schema.resolve(probe_key) == Some(partition))
+    let probe_col = scan.schema.resolve(probe_key)?;
+    (residual.is_empty() && scan.projection.get(probe_col) == Some(&partition))
         .then_some(scan.schema.len())
 }
 
@@ -1268,6 +1290,15 @@ fn render(engine: &Engine, plan: &Plan, depth: usize, out: &mut String) {
                 out.push_str(&format!(" AS {}", scan.binding));
             }
             let mut notes: Vec<String> = Vec::new();
+            // `cols` lists what a pruned scan materializes (see
+            // [`crate::prune`]); a scan of whole rows says nothing.
+            let width = engine
+                .database()
+                .table(&scan.table)
+                .map(|t| t.columns.len());
+            if width.is_ok_and(|w| !scan.reads_whole_rows(w)) {
+                notes.push(format!("cols: {}", scan.schema.names().join(", ")));
+            }
             if !scan.residual.is_empty() {
                 notes.push(format!("filter: {}", join_exprs(&scan.residual)));
             }

@@ -13,7 +13,8 @@
 //! array per column (`i64` / `f64` / `Arc<str>` / `bool` / date days, or
 //! `u32` dictionary codes) plus a null bitmap. Scans evaluate compiled
 //! predicates column-at-a-time over a selection bitmap and
-//! *late-materialize* a `SharedRow` only for the qualifying row ids. Loose
+//! *late-materialize* a `SharedRow` only for the qualifying row ids, of only
+//! the columns the scan projects (through a [`BucketView`]). Loose
 //! rows (non-integer partition keys, unpartitioned tables) are stored in row
 //! form, every row already an `Arc<[Value]>` — the row-form reference the
 //! column kernels are checked against.
@@ -423,11 +424,6 @@ impl ColumnBucket {
         }
     }
 
-    /// Number of columns currently dictionary-encoded in this bucket.
-    pub fn dict_column_count(&self) -> usize {
-        self.columns.iter().filter(|c| c.is_dict()).count()
-    }
-
     /// Append one row (arity is the caller's responsibility).
     pub fn push_row(&mut self, row: &[Value]) {
         for (column, value) in self.columns.iter_mut().zip(row) {
@@ -475,23 +471,58 @@ impl ColumnBucket {
         &self.columns[col]
     }
 
-    /// The value at (`row`, `col`), owned (cheap: `Arc` bump for strings).
-    pub(crate) fn value(&self, row: usize, col: usize) -> Value {
-        self.columns[col].value(row)
+    /// Build row `row` as a [`SharedRow`] of the columns `cols`, in that
+    /// order (*late materialization* of a scan's projection).
+    pub(crate) fn materialize(&self, row: usize, cols: &[usize]) -> SharedRow {
+        cols.iter().map(|&c| self.columns[c].value(row)).collect()
     }
 
-    /// Build the full row as a [`SharedRow`] (*late materialization*).
-    pub(crate) fn materialize(&self, row: usize) -> SharedRow {
-        self.columns
-            .iter()
-            .map(|c| c.value(row))
-            .collect::<Vec<_>>()
-            .into()
-    }
-
-    /// Iterate over the bucket's rows, materializing each.
+    /// Iterate over the bucket's rows, materializing each full-width.
     fn rows(&self) -> impl Iterator<Item = SharedRow> + '_ {
-        (0..self.len).map(|i| self.materialize(i))
+        let all: Vec<usize> = (0..self.columns.len()).collect();
+        (0..self.len).map(move |i| self.materialize(i, &all))
+    }
+}
+
+/// A bucket read through a scan's projection: column `i` of the view is
+/// table column `cols[i]` of the bucket. Every scan-side reader — kernels,
+/// late materialization, bucket frames, the aggregate's code memo and float
+/// kernel — addresses columns through one of these, so column indices are
+/// always the scan's output positions.
+#[derive(Debug, Clone, Copy)]
+pub struct BucketView<'a> {
+    bucket: &'a ColumnBucket,
+    cols: &'a [usize],
+}
+
+impl<'a> BucketView<'a> {
+    /// `bucket` read through the projection `cols` (table column indices,
+    /// each below the bucket's width).
+    pub fn new(bucket: &'a ColumnBucket, cols: &'a [usize]) -> Self {
+        BucketView { bucket, cols }
+    }
+
+    /// Output column `i`.
+    #[inline]
+    pub fn column(&self, i: usize) -> &'a Column {
+        &self.bucket.columns[self.cols[i]]
+    }
+
+    /// The value at (`row`, output column `i`).
+    #[inline]
+    pub fn value(&self, row: usize, i: usize) -> Value {
+        self.column(i).value(row)
+    }
+
+    /// Build row `row` of the projection as a [`SharedRow`].
+    pub fn materialize(&self, row: usize) -> SharedRow {
+        self.bucket.materialize(row, self.cols)
+    }
+
+    /// Does materializing a row decode a dictionary — is any projected
+    /// column dictionary-encoded in this bucket?
+    pub fn decodes_dict(&self) -> bool {
+        self.cols.iter().any(|&c| self.bucket.columns[c].is_dict())
     }
 }
 
@@ -1347,7 +1378,17 @@ mod tests {
         }
         let bucket1 = t.partition(1).unwrap();
         assert_eq!(bucket1.len(), 2);
-        assert_eq!(bucket1.materialize(1).as_ref(), rows[2].as_slice());
+        assert_eq!(
+            bucket1.materialize(1, &[0, 1, 2]).as_ref(),
+            rows[2].as_slice()
+        );
+        // A projection builds only its columns, in its order.
+        let narrow = BucketView::new(bucket1, &[2, 0]);
+        assert_eq!(
+            narrow.materialize(0).as_ref(),
+            &[Value::str("a"), Value::Int(1)]
+        );
+        assert!(!narrow.decodes_dict());
         // The full-row iterator materializes in bucket order.
         let all: Vec<Vec<Value>> = t.rows().map(|r| r.to_vec()).collect();
         assert_eq!(all, vec![rows[0].clone(), rows[2].clone(), rows[1].clone()]);
@@ -1363,8 +1404,8 @@ mod tests {
             .unwrap();
         let bucket = t.partition(1).unwrap();
         assert!(matches!(bucket.column(1).data(), ColumnVec::Mixed(_)));
-        assert_eq!(bucket.value(0, 1), Value::Int(10));
-        assert_eq!(bucket.value(1, 1), Value::str("oops"));
+        assert_eq!(bucket.column(1).value(0), Value::Int(10));
+        assert_eq!(bucket.column(1).value(1), Value::str("oops"));
     }
 
     #[test]
@@ -1377,10 +1418,10 @@ mod tests {
         let bucket = t.partition(1).unwrap();
         assert!(bucket.column(1).is_null(0));
         assert!(!bucket.column(1).is_null(1));
-        assert_eq!(bucket.value(0, 1), Value::Null);
-        assert_eq!(bucket.value(1, 1), Value::Int(7));
-        assert_eq!(bucket.value(0, 2), Value::Null);
-        assert_eq!(bucket.value(1, 2), Value::str("x"));
+        assert_eq!(bucket.column(1).value(0), Value::Null);
+        assert_eq!(bucket.column(1).value(1), Value::Int(7));
+        assert_eq!(bucket.column(2).value(0), Value::Null);
+        assert_eq!(bucket.column(2).value(1), Value::str("x"));
     }
 
     fn dict_table() -> Table {
@@ -1397,7 +1438,6 @@ mod tests {
             t.push_row(vec![Value::Int(1), Value::str(s)]).unwrap();
         }
         let bucket = t.partition(1).unwrap();
-        assert_eq!(bucket.dict_column_count(), 1);
         let ColumnVec::Dict(d) = bucket.column(1).data() else {
             panic!(
                 "expected a dictionary column, got {:?}",
@@ -1411,7 +1451,7 @@ mod tests {
         assert_eq!(d.lookup("RAIL"), Some(2));
         assert_eq!(d.lookup("TRUCK"), None);
         // Decoded values round-trip through the generic reader.
-        assert_eq!(bucket.value(1, 1), Value::str("SHIP"));
+        assert_eq!(bucket.column(1).value(1), Value::str("SHIP"));
         assert_eq!(t.dict_column_count(), 1);
     }
 
@@ -1434,7 +1474,7 @@ mod tests {
         let bucket = t.partition(1).unwrap();
         assert!(bucket.column(1).is_null(0));
         assert!(bucket.column(1).is_null(2));
-        assert_eq!(bucket.value(3, 1), Value::str(""));
+        assert_eq!(bucket.column(1).value(3), Value::str(""));
     }
 
     #[test]
@@ -1468,8 +1508,8 @@ mod tests {
         }
         let bucket = t.partition(1).unwrap();
         assert!(matches!(bucket.column(1).data(), ColumnVec::Str(_)));
-        assert_eq!(bucket.value(0, 1), Value::Null);
-        assert_eq!(bucket.value(1, 1), Value::str("v00000"));
+        assert_eq!(bucket.column(1).value(0), Value::Null);
+        assert_eq!(bucket.column(1).value(1), Value::str("v00000"));
     }
 
     #[test]
@@ -1479,8 +1519,8 @@ mod tests {
         t.push_row(vec![Value::Int(1), Value::Int(7)]).unwrap();
         let bucket = t.partition(1).unwrap();
         assert!(matches!(bucket.column(1).data(), ColumnVec::Mixed(_)));
-        assert_eq!(bucket.value(0, 1), Value::str("a"));
-        assert_eq!(bucket.value(1, 1), Value::Int(7));
+        assert_eq!(bucket.column(1).value(0), Value::str("a"));
+        assert_eq!(bucket.column(1).value(1), Value::Int(7));
     }
 
     #[test]

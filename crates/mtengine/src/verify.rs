@@ -7,8 +7,9 @@
 //! dynamically, by the 22-query differential sweeps; this module checks them
 //! statically, walking every operator of a freshly planned DAG:
 //!
-//! * **Schema arithmetic, bottom-up.** A scan's schema matches its table's
-//!   column count; a plain join's schema is the concatenation of its inputs;
+//! * **Schema arithmetic, bottom-up.** A scan's projection names distinct,
+//!   in-range table columns, one per scan schema column, each under its
+//!   table name; a plain join's schema is the concatenation of its inputs;
 //!   a projection's schema is exactly its visible width; a derived table
 //!   re-qualifies without changing arity.
 //! * **Column resolution.** Every pushed scan conjunct is sub-query-free and
@@ -16,7 +17,8 @@
 //!   contract); filter predicates, projection items, group/aggregate
 //!   expressions and join residuals resolve against their input schemas.
 //! * **Compiled predicates.** The scan filter compiles to [`CompiledPred`]s
-//!   whose pre-resolved column indices are in bounds, and the compiler never
+//!   whose pre-resolved column indices resolve through the scan's
+//!   projection, and the compiler never
 //!   produces a [`CompiledPred::KeySet`] — key-set membership kernels are
 //!   injected by the executor into decorrelated probe scans only.
 //! * **Join variants.** Hash joins carry at least one key pair, each side
@@ -564,18 +566,7 @@ impl Verifier<'_> {
                 "table does not exist in the catalog",
             ));
         };
-        self.check();
-        if scan.schema.len() != table.columns.len() {
-            return Err(PlanError::new(
-                PlanErrorClass::Schema,
-                node,
-                format!(
-                    "scan schema width {} != table width {}",
-                    scan.schema.len(),
-                    table.columns.len()
-                ),
-            ));
-        }
+        self.verify_projection(scan, &table.columns, &node)?;
 
         // Pushed conjuncts: sub-query-free and fully resolvable against the
         // scan schema — strict even in outer mode (`take_applicable` only
@@ -615,7 +606,11 @@ impl Verifier<'_> {
                 collect_columns(conjunct, &mut cols);
                 for col in cols {
                     self.check();
-                    if scan.schema.resolve(&col) != Some(pidx) {
+                    let table_col = scan
+                        .schema
+                        .resolve(&col)
+                        .and_then(|i| scan.projection.get(i));
+                    if table_col != Some(&pidx) {
                         return Err(PlanError::new(
                             PlanErrorClass::Pruning,
                             &node,
@@ -674,13 +669,14 @@ impl Verifier<'_> {
                 ));
             }
             if let Some(idx) = pred.column_index() {
-                if idx >= scan.schema.len() {
+                if idx >= scan.projection.len() {
                     return Err(PlanError::new(
                         PlanErrorClass::Predicate,
                         &node,
                         format!(
-                            "compiled predicate column index {idx} out of schema width {}",
-                            scan.schema.len()
+                            "compiled predicate column index {idx} does not resolve through \
+                             the {}-column projection",
+                            scan.projection.len()
                         ),
                     ));
                 }
@@ -702,6 +698,59 @@ impl Verifier<'_> {
                         "scan pinned at epoch {epoch} has no watermark: table rewritten \
                          at epoch {}",
                         table.rewrite_epoch()
+                    ),
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// The scan's projection: one distinct, in-range table column per scan
+    /// schema column, named like it.
+    fn verify_projection(
+        &mut self,
+        scan: &SeqScan,
+        columns: &[String],
+        node: &str,
+    ) -> Result<(), PlanError> {
+        self.check();
+        if scan.projection.len() != scan.schema.len() {
+            return Err(PlanError::new(
+                PlanErrorClass::Schema,
+                node,
+                format!(
+                    "projection width {} != scan schema width {}",
+                    scan.projection.len(),
+                    scan.schema.len()
+                ),
+            ));
+        }
+        for (i, (&col, out)) in scan.projection.iter().zip(&scan.schema.cols).enumerate() {
+            self.check();
+            let Some(name) = columns.get(col) else {
+                return Err(PlanError::new(
+                    PlanErrorClass::Bounds,
+                    node,
+                    format!(
+                        "projected column {col} out of table width {}",
+                        columns.len()
+                    ),
+                ));
+            };
+            if scan.projection[..i].contains(&col) {
+                return Err(PlanError::new(
+                    PlanErrorClass::Schema,
+                    node,
+                    format!("table column {col} projected twice"),
+                ));
+            }
+            if !name.eq_ignore_ascii_case(&out.name) {
+                return Err(PlanError::new(
+                    PlanErrorClass::Schema,
+                    node,
+                    format!(
+                        "output column `{}` projects table column `{name}`",
+                        out.name
                     ),
                 ));
             }
@@ -1022,9 +1071,13 @@ impl Verifier<'_> {
                 let Ok(table) = self.engine.database().table(&scan.table) else {
                     return TypeClass::Unknown;
                 };
-                if idx >= table.columns.len() {
+                let Some(&idx) = scan
+                    .projection
+                    .get(idx)
+                    .filter(|&&c| c < table.columns.len())
+                else {
                     return TypeClass::Unknown;
-                }
+                };
                 if let Some((_, cols)) = table.partitions().find(|(_, b)| !b.is_empty()) {
                     return match cols.column(idx).data() {
                         ColumnVec::Str(_) | ColumnVec::Dict(_) => TypeClass::Str,

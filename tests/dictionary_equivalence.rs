@@ -276,8 +276,9 @@ fn decorrelation_engages_and_caps_rows_scanned() {
 /// The dictionary deployments must actually exercise the code-space paths —
 /// predicate kernels (Q12's `l_shipmode IN`), code-space grouping (Q1's
 /// `l_returnflag, l_linestatus`) and dictionary-decoding materialization
-/// (Q14's scan feeds a join) — and the no-dictionary deployments must never
-/// report them. (Q6 aggregates straight off the column vectors: it
+/// (Q4's `orders` scan feeds the semi join and carries the dictionary column
+/// `o_orderpriority` up to the grouping) — and the no-dictionary deployments
+/// must never report them. (Q6 aggregates straight off the column vectors: it
 /// materializes, and therefore decodes, no scan row at all — pinned on a
 /// private deployment in `tests/plan_equivalence.rs`.)
 #[test]
@@ -292,7 +293,7 @@ fn dictionary_paths_engage_only_on_dictionary_deployments() {
             .unwrap_or_else(|e| panic!("Q{query} on {label}: {e}"));
         conn.last_query_stats()
     };
-    for query in [1usize, 12, 14] {
+    for query in [1usize, 12, 4] {
         let dict = stats_for(0, query);
         assert!(
             dict.dict_kernel_rows > 0,

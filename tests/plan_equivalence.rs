@@ -1022,3 +1022,295 @@ fn uncorrelated_subqueries_run_once_per_executor_correlated_once_per_outer_row()
     );
     assert_eq!(runs_of("SELECT k, (SELECT tick(s.w)) FROM small s", 2), 24);
 }
+
+// ---------------------------------------------------------------------------
+// Column pruning, with the loose-row store as the oracle
+// ---------------------------------------------------------------------------
+
+/// One seeded data set loaded twice into one engine: `f(ttid, id, k, a, b,
+/// s, d)` and `g(ttid, k, x, y)` partitioned by `ttid` — their scans are
+/// narrowed to the columns a plan reads — and `uf` / `ug`, unpartitioned
+/// copies whose scans always read whole stored rows, the reference. `f`
+/// holds three 3 000-row tenant buckets (enough for the pool) plus loose
+/// rows with a NULL `ttid`, whose projection is built row by row; `k` is a
+/// NULL-bearing join key on both sides, `s` a NULL-bearing dictionary
+/// column. Rows are inserted tenant by tenant, so both copies scan in the
+/// same order.
+fn pruning_engine(config: EngineConfig) -> mtengine::Engine {
+    use mtbase::Value;
+    let mut state = 0x5EED_u64;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        (z ^ (z >> 27)) >> 8
+    };
+    let null_every = |r: u64, every: u64, v: Value| {
+        if r.is_multiple_of(every) {
+            Value::Null
+        } else {
+            v
+        }
+    };
+    let tenants = [Value::Int(1), Value::Int(2), Value::Int(3), Value::Null];
+    let mut f_rows = Vec::new();
+    let mut g_rows = Vec::new();
+    for (t, ttid) in tenants.iter().enumerate() {
+        for _ in 0..if t < 3 { 3000 } else { 30 } {
+            let r = next();
+            f_rows.push(vec![
+                ttid.clone(),
+                Value::Int(f_rows.len() as i64),
+                null_every(r, 7, Value::Int((r % 40) as i64)),
+                Value::Int((r / 7 % 100) as i64),
+                Value::Float((r / 11 % 1000) as f64 * 0.1),
+                null_every(
+                    r / 3,
+                    11,
+                    Value::str(["AIR", "MAIL", "RAIL", "SHIP", "TRUCK"][(r % 5) as usize]),
+                ),
+                Value::Date(9000 + (r / 13 % 300) as i32),
+            ]);
+        }
+        for _ in 0..if t < 3 { 40 } else { 3 } {
+            let r = next();
+            g_rows.push(vec![
+                ttid.clone(),
+                null_every(r, 5, Value::Int((r / 5 % 50) as i64)),
+                Value::Int((r / 17 % 20) as i64),
+                Value::Float((r / 19 % 50) as f64 * 0.2),
+            ]);
+        }
+    }
+    let mut e = mtengine::Engine::new(config);
+    for (name, columns, rows) in [
+        ("f", &["ttid", "id", "k", "a", "b", "s", "d"][..], &f_rows),
+        ("g", &["ttid", "k", "x", "y"][..], &g_rows),
+    ] {
+        for (table, partitioned) in [(name.to_string(), true), (format!("u{name}"), false)] {
+            e.create_table(&table, columns);
+            if partitioned {
+                e.set_table_partition(&table, "ttid").unwrap();
+            }
+            e.insert_values(&table, rows.clone()).unwrap();
+        }
+    }
+    e
+}
+
+/// `{f}` / `{g}` name the partitioned tables or their unpartitioned copies;
+/// every shape orders by enough columns to be deterministic.
+const PRUNING_SHAPES: [(&str, &str); 14] = [
+    (
+        "SELECT *",
+        "SELECT * FROM {f} f WHERE f.a > 90 ORDER BY f.id",
+    ),
+    (
+        "join residual reading only build columns",
+        "SELECT f.id, g.x FROM {f} f LEFT JOIN (SELECT k, x, y FROM {g}) g \
+         ON f.k = g.k AND g.y > 4.5 WHERE f.a < 20 ORDER BY f.id, g.x",
+    ),
+    (
+        "non-equi join of two narrowed scans",
+        "SELECT f.id, g.x FROM {f} f, {g} g WHERE f.a < 3 AND g.x > f.a + 15 \
+         ORDER BY f.id, g.x",
+    ),
+    (
+        "ORDER BY an unselected column",
+        "SELECT f.s FROM {f} f WHERE f.a BETWEEN 10 AND 14 ORDER BY f.d DESC, f.id",
+    ),
+    (
+        "DISTINCT",
+        "SELECT DISTINCT COALESCE(f.s, '-') AS s, COALESCE(f.k, -1) AS k FROM {f} f \
+         WHERE f.b > 90.0 ORDER BY s, k",
+    ),
+    (
+        "aggregate over a join",
+        "SELECT COALESCE(f.s, '-') AS s, COUNT(*), SUM(g.x) FROM {f} f, {g} g \
+         WHERE f.k = g.k GROUP BY COALESCE(f.s, '-') ORDER BY s",
+    ),
+    (
+        "correlated at depth 1, reading an outer column nothing else reads",
+        "SELECT g.k, g.x FROM {g} g WHERE g.x > \
+         (SELECT COUNT(*) FROM {f} f WHERE f.k = g.k AND f.b < g.y * 2.0) \
+         ORDER BY COALESCE(g.k, -1), g.x",
+    ),
+    (
+        "correlated at depth 1 in the SELECT list",
+        "SELECT f.id, (SELECT MAX(g.x) FROM {g} g WHERE g.k = f.k AND g.y < f.b / 10.0) \
+         FROM {f} f WHERE f.a = 7 ORDER BY f.id",
+    ),
+    (
+        "correlated at depth 2, reading an outer-outer column nothing else reads",
+        "SELECT g.x FROM {g} g WHERE EXISTS (SELECT 1 FROM {f} f WHERE f.k = g.k \
+         AND f.a > (SELECT COUNT(*) FROM {g} h WHERE h.k = f.k AND h.x < g.y * 3.0)) \
+         ORDER BY g.x",
+    ),
+    (
+        "semi join, NULL keys on both sides",
+        "SELECT f.id FROM {f} f WHERE f.a < 10 AND EXISTS \
+         (SELECT 1 FROM {g} g WHERE g.k = f.k AND g.x > 12) ORDER BY f.id",
+    ),
+    (
+        "anti join with an interpreted build conjunct",
+        "SELECT f.id FROM {f} f WHERE f.a < 10 AND NOT EXISTS \
+         (SELECT 1 FROM {g} g WHERE g.k = f.k AND g.ttid = f.ttid AND g.x + 0 > 4) \
+         ORDER BY f.id",
+    ),
+    (
+        "semi and anti joins over empty builds",
+        "SELECT f.id FROM {f} f WHERE f.a = 3 \
+         AND NOT EXISTS (SELECT 1 FROM {g} g WHERE g.k = f.k AND g.x > 1000) \
+         AND f.id NOT IN (SELECT f2.id FROM {f} f2 WHERE EXISTS \
+         (SELECT 1 FROM {g} g WHERE g.k = f2.k AND g.y < 0.0)) ORDER BY f.id",
+    ),
+    (
+        "single join, NULL keys",
+        "SELECT f.id FROM {f} f WHERE f.a < 8 AND \
+         f.a * 2 < (SELECT AVG(g.x) FROM {g} g WHERE g.k = f.k) ORDER BY f.id",
+    ),
+    (
+        "single join over an empty build",
+        "SELECT f.id FROM {f} f WHERE f.a < 50 AND \
+         f.a > (SELECT MIN(g.x) FROM {g} g WHERE g.k = f.k AND g.x > 1000) ORDER BY f.id",
+    ),
+];
+
+/// `(shape, statement, the query reading the table it changed)`.
+const PRUNING_DML: [(&str, &str, &str); 3] = [
+    (
+        "UPDATE with an IN sub-query",
+        "UPDATE {f} SET a = a + 1000 WHERE k IN (SELECT k FROM {g} WHERE x > 15)",
+        "SELECT id, a FROM {f} ORDER BY id",
+    ),
+    (
+        "UPDATE with a correlated sub-query in SET",
+        "UPDATE {g} SET x = (SELECT COUNT(*) FROM {f} WHERE {f}.k = {g}.k AND {f}.b > 95.0)",
+        "SELECT k, x, y FROM {g} ORDER BY k, x, y",
+    ),
+    (
+        "DELETE with a correlated EXISTS",
+        "DELETE FROM {f} WHERE EXISTS (SELECT 1 FROM {g} WHERE {g}.k = {f}.k AND {g}.y > 9.0)",
+        "SELECT id FROM {f} ORDER BY id",
+    ),
+];
+
+fn on_tables(sql: &str, partitioned: bool) -> String {
+    let (f, g) = if partitioned {
+        ("f", "g")
+    } else {
+        ("uf", "ug")
+    };
+    sql.replace("{f}", f).replace("{g}", g)
+}
+
+/// Narrowed scans return exactly the rows of the unpartitioned copy, whose
+/// scans are never narrowed — for every shape, serial and on the pool — and
+/// the narrowing engages (EXPLAIN lists what the scans keep).
+#[test]
+fn pruned_scans_match_the_loose_row_copy() {
+    for config in [
+        EngineConfig::default().with_verify_plans(),
+        EngineConfig::default().with_parallel_scan(4),
+    ] {
+        let e = pruning_engine(config);
+        let mut pruned_shapes = 0;
+        for (shape, sql) in PRUNING_SHAPES {
+            let run = |partitioned| {
+                let sql = on_tables(sql, partitioned);
+                e.query(&sql)
+                    .unwrap_or_else(|err| panic!("{shape}: `{sql}`: {err}"))
+            };
+            let (narrowed, reference) = (run(true), run(false));
+            assert_eq!(narrowed.rows, reference.rows, "{shape}: {config:?}");
+            let plan = e
+                .explain_query(&mtsql::parse_query(&on_tables(sql, true)).unwrap())
+                .unwrap();
+            pruned_shapes += plan
+                .rows
+                .iter()
+                .any(|r| r[0].as_str().is_some_and(|line| line.contains("cols: ")))
+                as usize;
+        }
+        assert!(pruned_shapes >= PRUNING_SHAPES.len() - 1, "{pruned_shapes}");
+        for (shape, statement, read_back) in PRUNING_DML {
+            let after = |partitioned| {
+                let mut e = pruning_engine(config);
+                let changed = e
+                    .execute(&on_tables(statement, partitioned))
+                    .unwrap_or_else(|err| panic!("{shape}: {err}"));
+                let rows = e.query(&on_tables(read_back, partitioned)).unwrap().rows;
+                (changed.rows, rows)
+            };
+            assert_eq!(after(true), after(false), "{shape}: {config:?}");
+        }
+    }
+}
+
+/// A prepared statement's cursor streams a narrowed scan of a tenant-specific
+/// table in small batches and yields exactly the rows of a global
+/// (unpartitioned) copy of the same data.
+#[test]
+fn prepared_cursor_streams_a_pruned_scan() {
+    use mtbase::Value;
+    use mtsql::ast::Statement;
+    let server = mtbase::MtBase::new(EngineConfig::default());
+    for ddl in [
+        "CREATE TABLE Pt SPECIFIC (id INTEGER NOT NULL COMPARABLE, a INTEGER COMPARABLE, \
+         s VARCHAR(10) COMPARABLE, b INTEGER COMPARABLE)",
+        "CREATE TABLE Gt GLOBAL (id INTEGER NOT NULL, a INTEGER, s VARCHAR(10), b INTEGER)",
+    ] {
+        match mtsql::parse_statement(ddl).expect("DDL parses") {
+            Statement::CreateTable(ct) => server.create_table(&ct).expect("create table"),
+            _ => unreachable!(),
+        }
+    }
+    for t in 1..=3 {
+        server.register_tenant(t).expect("register tenant");
+    }
+    server.grant_read_all(1).expect("grant read");
+    let row = |i: i64| {
+        let a = if i % 9 == 0 {
+            Value::Null
+        } else {
+            Value::Int(i % 31)
+        };
+        vec![
+            Value::Int(i),
+            a,
+            Value::str(["x", "y", "z"][i as usize % 3]),
+            Value::Int(i % 17),
+        ]
+    };
+    let specific = (0..600).map(|i| [vec![Value::Int(i % 3 + 1)], row(i)].concat());
+    server.load_rows("Pt", specific.collect()).unwrap();
+    server.load_rows("Gt", (0..600).map(row).collect()).unwrap();
+
+    let mut conn = server.connect(1);
+    conn.execute("SET SCOPE = \"IN (1, 2, 3)\"").unwrap();
+    let drain = |table: &str| {
+        let mut stmt = conn
+            .prepare(&format!("SELECT id, a FROM {table} WHERE b > $1"))
+            .unwrap();
+        stmt.bind(&[Value::Int(11)]).unwrap();
+        let mut cursor = stmt.cursor_with_batch(7).unwrap();
+        let mut rows = Vec::new();
+        while let Some(batch) = cursor.next_batch().unwrap() {
+            assert!(batch.len() <= 7);
+            rows.extend(batch);
+        }
+        assert!(cursor.is_streaming(), "{table}: the scan must stream");
+        rows.sort_by_key(|r| format!("{r:?}"));
+        rows
+    };
+    let narrowed = drain("Pt");
+    assert!(!narrowed.is_empty());
+    assert_eq!(narrowed, drain("Gt"));
+    let plan = conn
+        .query("EXPLAIN SELECT id, a FROM Pt WHERE b > 11")
+        .unwrap();
+    assert!(
+        format!("{:?}", plan.rows).contains("cols: id, a, b;"),
+        "{plan:?}"
+    );
+}

@@ -117,6 +117,33 @@ fn defect_scan_schema_arity_mismatch() {
     assert_eq!(rejection(&e, &plan), PlanErrorClass::Schema);
 }
 
+/// A scan's projection names one distinct, in-range table column per scan
+/// schema column: each way of breaking that is rejected with its own class.
+#[test]
+fn defect_scan_projection() {
+    let e = engine();
+    let plan = plan_of(&e, "SELECT a, s FROM t WHERE a > 5");
+    let mut projection = None;
+    let mut probe = plan.clone();
+    mutate_scan(&mut probe, |scan| {
+        projection = Some(scan.projection.clone())
+    });
+    assert_eq!(
+        projection,
+        Some(vec![1, 2]),
+        "the scan reads `a` and `s` only"
+    );
+    for (defect, projection, class) in [
+        ("duplicate column", vec![1, 1], PlanErrorClass::Schema),
+        ("out-of-range column", vec![1, 9], PlanErrorClass::Bounds),
+        ("width mismatch", vec![1], PlanErrorClass::Schema),
+    ] {
+        let mut plan = plan.clone();
+        mutate_scan(&mut plan, |scan| scan.projection = projection);
+        assert_eq!(rejection(&e, &plan), class, "{defect}");
+    }
+}
+
 #[test]
 fn defect_mismatched_join_key_types() {
     let e = engine();
