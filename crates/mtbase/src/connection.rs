@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use mtcatalog::{Privilege, TenantId, TTID_COLUMN};
-use mtengine::stats::StatsSnapshot;
+use mtengine::stats::{StatsSnapshot, StmtCtx};
 use mtengine::{LockTarget, ResultSet, Transaction, Value};
 use mtrewrite::{OptLevel, Rewriter};
 use mtsql::ast::{
@@ -42,7 +42,7 @@ pub struct Connection {
     server: Arc<MtBase>,
     client: TenantId,
     session: Arc<RwLock<Session>>,
-    /// Engine-counter delta recorded around the last executed statement.
+    /// The counters of the last statement this connection executed.
     last_stats: StatsSnapshot,
     /// The open multi-statement transaction, if a `BEGIN` is pending. The
     /// connection owns it; `COMMIT` runs the server's three-phase group
@@ -106,10 +106,11 @@ impl Connection {
             .unwrap_or_else(|| self.server.default_opt_level())
     }
 
-    /// Scan counters (rows scanned, partitions scanned/pruned, UDF activity)
-    /// attributable to the last statement this connection executed. The delta
-    /// is taken over the shared engine counters, so interleaving statements
-    /// from other connections inflate it.
+    /// The counters (rows scanned, partitions scanned/pruned, UDF activity,
+    /// plan-cache outcome) of the last statement this connection executed:
+    /// that statement's own context, exact whatever other connections run
+    /// beside it. Engine-lifetime fields (the gauges, transaction outcomes)
+    /// are zero here; read them from [`MtBase::stats`].
     pub fn last_query_stats(&self) -> StatsSnapshot {
         self.last_stats
     }
@@ -149,41 +150,39 @@ impl Connection {
     }
 
     /// Rewrite a query without executing it (useful to inspect what MTBase
-    /// sends to the DBMS).
+    /// sends to the DBMS): resolve the effective dataset (scope ∩ read
+    /// privileges on the referenced tables), then apply the MT-to-SQL
+    /// rewrite at this connection's optimization level.
     pub fn rewrite_only(&mut self, sql: &str) -> Result<Query> {
         let query = mtsql::parse_query(sql)?;
-        self.rewrite(&query)
-    }
-
-    /// The full rewrite pipeline for one query: resolve the effective dataset
-    /// (scope ∩ read privileges on the referenced tables), then apply the
-    /// MT-to-SQL rewrite at this connection's optimization level.
-    fn rewrite(&self, query: &Query) -> Result<Query> {
-        let dataset = self
-            .server
-            .effective_dataset_for_query(self.client, &self.scope(), query)?;
+        let ctx = StmtCtx::new();
+        let dataset =
+            self.server
+                .effective_dataset_for_query(self.client, &self.scope(), &query, &ctx);
+        self.server.finish_statement(&ctx);
+        let dataset = dataset?;
         let catalog = self.server.catalog.read();
         let rewriter =
             Rewriter::with_inline_registry(&catalog, self.server.inline_registry.read().clone());
-        Ok(rewriter.rewrite_query(query, self.client, &dataset, self.opt_level())?)
+        Ok(rewriter.rewrite_query(&query, self.client, &dataset, self.opt_level())?)
     }
 
-    /// Execute a parsed statement, recording the engine-counter delta as this
-    /// connection's last-query scan statistics.
+    /// Execute a parsed statement under a context of its own, which becomes
+    /// this connection's [`Connection::last_query_stats`].
     pub fn execute_statement(&mut self, stmt: &Statement) -> Result<ResultSet> {
-        let before = self.server.stats();
-        let result = self.execute_statement_inner(stmt);
-        self.last_stats = self.server.stats().delta_from(&before);
+        let ctx = StmtCtx::new();
+        let result = self.execute_statement_inner(stmt, &ctx);
+        self.last_stats = self.server.finish_statement(&ctx);
         result
     }
 
-    fn execute_statement_inner(&mut self, stmt: &Statement) -> Result<ResultSet> {
+    fn execute_statement_inner(&mut self, stmt: &Statement, ctx: &StmtCtx) -> Result<ResultSet> {
         self.server.check_env()?;
         match stmt {
             Statement::Begin => return self.begin_txn(),
             Statement::Commit => return self.commit_txn(),
             Statement::Rollback => return self.rollback_txn(),
-            _ if self.txn.is_some() => return self.execute_in_txn(stmt),
+            _ if self.txn.is_some() => return self.execute_in_txn(stmt, ctx),
             _ => {}
         }
         match stmt {
@@ -191,10 +190,10 @@ impl Connection {
                 self.session.write().scope = spec.clone();
                 Ok(ResultSet::default())
             }
-            Statement::Select(query) => self.execute_select(query),
-            Statement::Explain(query) => self.execute_explain(query),
+            Statement::Select(query) => self.execute_select(query, ctx),
+            Statement::Explain(query) => self.execute_explain(query, ctx),
             Statement::Grant(grant) => {
-                let dataset = self.resolve_dataset()?;
+                let dataset = self.resolve_dataset(ctx)?;
                 let grantees: Vec<TenantId> = match grant.grantee {
                     Grantee::Tenant(t) => vec![t],
                     Grantee::All => dataset,
@@ -235,7 +234,7 @@ impl Connection {
                 Ok(ResultSet::default())
             }
             Statement::Revoke(revoke) => {
-                let dataset = self.resolve_dataset()?;
+                let dataset = self.resolve_dataset(ctx)?;
                 let grantees: Vec<TenantId> = match revoke.grantee {
                     Grantee::Tenant(t) => vec![t],
                     Grantee::All => dataset,
@@ -312,8 +311,8 @@ impl Connection {
                     ))
                 }
             }
-            Statement::Insert(insert) => self.execute_insert(insert),
-            Statement::Update(_) | Statement::Delete(_) => self.execute_update_delete(stmt),
+            Statement::Insert(insert) => self.execute_insert(insert, ctx),
+            Statement::Update(_) | Statement::Delete(_) => self.execute_update_delete(stmt, ctx),
             // Dispatched before this match; kept for exhaustiveness.
             Statement::Begin | Statement::Commit | Statement::Rollback => Err(MtError::Other(
                 "transaction control statements are dispatched before this match".to_string(),
@@ -363,12 +362,12 @@ impl Connection {
     /// transaction back (its locks are released, a later COMMIT reports no
     /// open transaction). DDL, DCL and `SET SCOPE` are rejected: they
     /// commit on their own and cannot be staged or rolled back here.
-    fn execute_in_txn(&mut self, stmt: &Statement) -> Result<ResultSet> {
+    fn execute_in_txn(&mut self, stmt: &Statement, ctx: &StmtCtx) -> Result<ResultSet> {
         match stmt {
-            Statement::Select(query) => self.execute_select_txn(query),
-            Statement::Explain(query) => self.execute_explain(query),
-            Statement::Insert(insert) => self.execute_insert(insert),
-            Statement::Update(_) | Statement::Delete(_) => self.execute_update_delete(stmt),
+            Statement::Select(query) => self.execute_select(query, ctx),
+            Statement::Explain(query) => self.execute_explain(query, ctx),
+            Statement::Insert(insert) => self.execute_insert(insert, ctx),
+            Statement::Update(_) | Statement::Delete(_) => self.execute_update_delete(stmt, ctx),
             _ => Err(unsupported(
                 "DDL, DCL and SET SCOPE inside a transaction \
                  (these statements commit on their own — COMMIT or ROLLBACK first)",
@@ -384,50 +383,34 @@ impl Connection {
     /// — resolve D', fetch (or build) the cached plan, execute it with no
     /// bound parameters. Re-running the same SQL under an unchanged scope
     /// and catalog epoch therefore skips rewrite and planning entirely.
-    fn execute_select(&mut self, query: &Query) -> Result<ResultSet> {
+    /// Inside a transaction the plan runs pinned to it — the committed floor
+    /// plus the transaction's own statement epochs — so it observes its own
+    /// staged writes but never another open transaction's.
+    fn execute_select(&mut self, query: &Query, ctx: &StmtCtx) -> Result<ResultSet> {
         let (cached, _hit) = self.server.resolve_cached_plan(
             self.client,
             &self.scope(),
             self.opt_level(),
             &query.to_string(),
             query,
+            ctx,
         )?;
         let engine = self.server.engine.read();
-        Ok(engine.execute_plan(&cached.plan, &[])?)
-    }
-
-    /// In-transaction query execution: the same cached front-end, but the
-    /// plan runs pinned to this connection's transaction — the committed
-    /// floor plus the transaction's own statement epochs — so it observes
-    /// its own staged writes but never another open transaction's.
-    fn execute_select_txn(&mut self, query: &Query) -> Result<ResultSet> {
-        let (cached, _hit) = self.server.resolve_cached_plan(
-            self.client,
-            &self.scope(),
-            self.opt_level(),
-            &query.to_string(),
-            query,
-        )?;
-        let Some(txn) = self.txn.as_ref() else {
-            return Err(MtError::Other(
-                "in-transaction query without an open transaction".to_string(),
-            ));
-        };
-        let engine = self.server.engine.read();
-        Ok(engine.execute_plan_txn(&cached.plan, &[], txn)?)
+        Ok(engine.execute_plan_in(&cached.plan, &[], self.txn.as_ref(), ctx)?)
     }
 
     /// `EXPLAIN <query>`: resolve the plan exactly like `execute_select`
     /// would (same scope, same optimization level, same plan cache), then
     /// render it instead of running it. A plan served from the prepared
     /// cache is marked `(cached)` on its first line, making reuse visible.
-    fn execute_explain(&mut self, query: &Query) -> Result<ResultSet> {
+    fn execute_explain(&mut self, query: &Query, ctx: &StmtCtx) -> Result<ResultSet> {
         let (cached, hit) = self.server.resolve_cached_plan(
             self.client,
             &self.scope(),
             self.opt_level(),
             &query.to_string(),
             query,
+            ctx,
         )?;
         let engine = self.server.engine.read();
         let mut rs = engine.explain_plan(&cached.plan);
@@ -441,8 +424,8 @@ impl Connection {
     }
 
     /// Resolve the scope into `D` (evaluating complex scopes on the engine).
-    fn resolve_dataset(&self) -> Result<Vec<TenantId>> {
-        self.server.resolve_dataset(self.client, &self.scope())
+    fn resolve_dataset(&self, ctx: &StmtCtx) -> Result<Vec<TenantId>> {
+        self.server.resolve_dataset(self.client, &self.scope(), ctx)
     }
 
     fn grant_object_tables(&self, object: &GrantObject) -> Vec<String> {
@@ -464,8 +447,8 @@ impl Connection {
     // interpreted with respect to C)
     // ------------------------------------------------------------------
 
-    fn execute_insert(&mut self, insert: &Insert) -> Result<ResultSet> {
-        let dataset = self.resolve_dataset()?;
+    fn execute_insert(&mut self, insert: &Insert, ctx: &StmtCtx) -> Result<ResultSet> {
+        let dataset = self.resolve_dataset(ctx)?;
         let table_meta = {
             let catalog = self.server.catalog.read();
             catalog
@@ -477,11 +460,10 @@ impl Connection {
         // Determine the source rows, presented in C's format. VALUES lists
         // are column-free expressions: one engine call evaluates them all.
         let source_rows: Vec<Vec<Value>> = match &insert.source {
-            InsertSource::Values(rows) => self.server.engine.read().eval_values(rows)?,
+            InsertSource::Values(rows) => self.server.engine.read().eval_values(rows, ctx)?,
             // Sub-queries of DML are interpreted exactly like queries — at
             // the transaction's snapshot inside one (read-your-writes).
-            InsertSource::Query(q) if self.txn.is_some() => self.execute_select_txn(q)?.rows,
-            InsertSource::Query(q) => self.execute_select(q)?.rows,
+            InsertSource::Query(q) => self.execute_select(q, ctx)?.rows,
         };
 
         let column_names: Vec<String> = if insert.columns.is_empty() {
@@ -529,6 +511,7 @@ impl Connection {
                         column,
                         value.clone(),
                         d,
+                        ctx,
                     )?);
                 }
                 let mut physical_columns = column_names.clone();
@@ -607,7 +590,7 @@ impl Connection {
         }
     }
 
-    fn execute_update_delete(&mut self, stmt: &Statement) -> Result<ResultSet> {
+    fn execute_update_delete(&mut self, stmt: &Statement, ctx: &StmtCtx) -> Result<ResultSet> {
         let (table, selection, assignments) = match stmt {
             Statement::Update(u) => (
                 u.table.clone(),
@@ -622,7 +605,7 @@ impl Connection {
             }
         };
         let is_update = assignments.is_some();
-        let dataset = self.resolve_dataset()?;
+        let dataset = self.resolve_dataset(ctx)?;
         let needed = if is_update {
             Privilege::Update
         } else {
@@ -704,7 +687,7 @@ impl Connection {
             self.run_dml_in_txn(&table, &[LockTarget::Whole], |engine, txn| {
                 let mut affected = 0i64;
                 for stmt in &per_tenant {
-                    let rs = engine.txn_execute_statement(txn, stmt)?;
+                    let rs = engine.txn_execute_statement(txn, stmt, ctx)?;
                     affected += rs.scalar().and_then(Value::as_i64).unwrap_or(0);
                 }
                 Ok(affected)
@@ -750,13 +733,15 @@ impl Connection {
     }
 
     /// Convert a value given in C's format into tenant `owner`'s format, if
-    /// the target column is convertible (§2.5).
+    /// the target column is convertible (§2.5), charging the conversion
+    /// calls to `ctx`.
     fn convert_to_owner_format(
         &self,
         table: &str,
         column: &str,
         value: Value,
         owner: TenantId,
+        ctx: &StmtCtx,
     ) -> Result<Value> {
         if owner == self.client || value.is_null() {
             return Ok(value);
@@ -775,12 +760,9 @@ impl Connection {
             None => Ok(value),
             Some((to, from)) => {
                 let engine = self.server.engine.read();
-                let universal = engine
-                    .udfs()
-                    .call_by_name(&to, &[value, Value::Int(self.client)])?;
-                Ok(engine
-                    .udfs()
-                    .call_by_name(&from, &[universal, Value::Int(owner)])?)
+                let udfs = engine.udfs();
+                let universal = udfs.call_by_name(&to, &[value, Value::Int(self.client)], ctx)?;
+                Ok(udfs.call_by_name(&from, &[universal, Value::Int(owner)], ctx)?)
             }
         }
     }

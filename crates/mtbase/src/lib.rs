@@ -17,8 +17,9 @@
 //! * [`Connection`] — executes MTSQL (`SET SCOPE`, queries, DML, DCL) at a
 //!   per-connection [`OptLevel`];
 //!   [`Connection::last_query_stats`](connection::Connection::last_query_stats)
-//!   reports the engine-counter delta (rows scanned, partitions pruned,
-//!   vectorized rows, UDF calls, plan-cache hits, ...) of the last statement.
+//!   reports the counters (rows scanned, partitions pruned, vectorized
+//!   rows, UDF calls, plan-cache hits, ...) of the last statement, charged
+//!   to that statement's own context.
 //! * [`Statement`] / [`Cursor`] — the prepare / bind / execute / fetch
 //!   lifecycle: [`Connection::prepare`] parses once, `bind` substitutes
 //!   `?` / `$n` parameter values without replanning, `execute` serves the

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use mtcatalog::TenantId;
 use mtengine::cursor::{plan_streams, CursorState, DEFAULT_BATCH_ROWS};
 use mtengine::plan::Plan;
-use mtengine::stats::StatsSnapshot;
+use mtengine::stats::{StatsSnapshot, StmtCtx};
 use mtengine::table::Row;
 use mtengine::{ResultSet, Value};
 use mtsql::ast::Query;
@@ -111,13 +111,12 @@ impl Statement {
     /// result set. Equivalent to draining [`Statement::cursor`].
     pub fn execute(&mut self) -> Result<ResultSet> {
         self.check_bound()?;
-        let before = self.server.stats();
-        let result = (|| {
-            let cached = self.resolve()?;
+        let ctx = StmtCtx::new();
+        let result = self.resolve(&ctx).and_then(|cached| {
             let engine = self.server.engine.read();
-            Ok(engine.execute_plan(&cached.plan, &self.params)?)
-        })();
-        self.last_stats = self.server.stats().delta_from(&before);
+            Ok(engine.execute_plan_in(&cached.plan, &self.params, None, &ctx)?)
+        });
+        self.last_stats = self.server.finish_statement(&ctx);
         result
     }
 
@@ -139,25 +138,33 @@ impl Statement {
     /// [`Cursor::next_batch`] call.
     pub fn cursor_with_batch(&mut self, batch_rows: usize) -> Result<Cursor> {
         self.check_bound()?;
-        let cached = self.resolve()?;
-        Cursor::new(
-            Arc::clone(&self.server),
-            Arc::clone(&cached.plan),
-            self.params.clone(),
-            batch_rows,
-        )
+        let ctx = StmtCtx::new();
+        let cursor = self.resolve(&ctx).and_then(|cached| {
+            Cursor::new(
+                Arc::clone(&self.server),
+                Arc::clone(&cached.plan),
+                self.params.clone(),
+                batch_rows,
+                &ctx,
+            )
+        });
+        self.server.finish_statement(&ctx);
+        cursor
     }
 
     /// The plain-SQL rewrite this statement currently executes (resolved
     /// through the same cache as `execute`; useful to inspect what MTBase
     /// would send to a DBMS).
     pub fn rewritten(&mut self) -> Result<Query> {
-        Ok(self.resolve()?.rewritten.clone())
+        let ctx = StmtCtx::new();
+        let cached = self.resolve(&ctx);
+        self.server.finish_statement(&ctx);
+        Ok(cached?.rewritten.clone())
     }
 
-    /// Engine-counter delta of the last `execute` (see
-    /// [`crate::Connection::last_query_stats`]); `prepared_cache_hits` /
-    /// `prepared_cache_misses` record whether that execution reused a plan.
+    /// The counters of the last `execute` — that execution's own context
+    /// (see [`crate::Connection::last_query_stats`]); `prepared_cache_hits`
+    /// / `prepared_cache_misses` record whether it reused a plan.
     pub fn last_query_stats(&self) -> StatsSnapshot {
         self.last_stats
     }
@@ -175,16 +182,21 @@ impl Statement {
     /// Resolve the current plan through the shared front-end: effective
     /// dataset first (scope ∩ privileges, always re-evaluated —
     /// correctness), then the plan-cache lookup (rewrite + planning,
-    /// amortized).
-    fn resolve(&self) -> Result<Arc<CachedPlan>> {
+    /// amortized), charging `ctx`.
+    fn resolve(&self, ctx: &StmtCtx) -> Result<Arc<CachedPlan>> {
         let (scope, level) = {
             let session = self.session.read();
             (session.scope.clone(), session.level)
         };
         let level = level.unwrap_or_else(|| self.server.default_opt_level());
-        let (cached, _hit) =
-            self.server
-                .resolve_cached_plan(self.client, &scope, level, &self.sql, &self.query)?;
+        let (cached, _hit) = self.server.resolve_cached_plan(
+            self.client,
+            &scope,
+            level,
+            &self.sql,
+            &self.query,
+            ctx,
+        )?;
         Ok(cached)
     }
 }
@@ -222,6 +234,7 @@ impl Cursor {
         plan: Arc<Plan>,
         params: Vec<Value>,
         batch_rows: usize,
+        ctx: &StmtCtx,
     ) -> Result<Self> {
         let columns = plan.schema().names();
         let mut state = CursorState::new();
@@ -230,7 +243,7 @@ impl Cursor {
             // to here is visible, nothing after. Blocking plans materialize
             // inside this borrow, so they cannot interleave with writers.
             let engine = server.engine.read();
-            engine.pin_cursor(&plan, &params, &mut state)?;
+            engine.pin_cursor(&plan, &params, &mut state, ctx)?;
         }
         Ok(Cursor {
             server,
@@ -252,13 +265,19 @@ impl Cursor {
     }
 
     /// Fetch the next batch of rows; `None` when the cursor is exhausted.
+    /// Each fetch is a statement of its own for the engine's totals.
     pub fn next_batch(&mut self) -> Result<Option<Vec<Row>>> {
         if self.done {
             return Ok(None);
         }
+        let ctx = StmtCtx::new();
         let batch = {
             let engine = self.server.engine.read();
-            engine.fetch_cursor_batch(&self.plan, &self.params, &mut self.state, self.batch_rows)?
+            let (plan, params) = (&self.plan, &self.params);
+            let batch =
+                engine.fetch_cursor_batch(plan, params, &mut self.state, self.batch_rows, &ctx);
+            engine.finish_statement(&ctx);
+            batch?
         };
         self.done = batch.done;
         // Rows resident because of this cursor right now: the batch being

@@ -4,6 +4,7 @@
 use std::sync::{Arc, OnceLock};
 
 use mtcatalog::{Catalog, ConversionFnPair, Privilege, TenantId, TTID_COLUMN};
+use mtengine::stats::{StatsSnapshot, StmtCtx};
 use mtengine::udf::UdfImpl;
 use mtengine::{Engine, EngineConfig, LockManager, MetaOp, ResultSet, Transaction, Value};
 use mtrewrite::{InlineRegistry, OptLevel, Rewriter};
@@ -251,9 +252,21 @@ impl MtBase {
         self.engine.read().reset_stats();
     }
 
-    /// Snapshot the engine statistics.
-    pub fn stats(&self) -> mtengine::stats::StatsSnapshot {
+    /// Snapshot the engine statistics: the lifetime totals of every
+    /// finished statement plus the live gauges.
+    pub fn stats(&self) -> StatsSnapshot {
         self.engine.read().stats()
+    }
+
+    /// End a statement: add its context to the engine's lifetime totals
+    /// (skipping the engine lock when it charged nothing) and return its
+    /// counters.
+    pub(crate) fn finish_statement(&self, ctx: &StmtCtx) -> StatsSnapshot {
+        let stats = ctx.stats();
+        if stats != StatsSnapshot::default() {
+            self.engine.read().finish_statement(ctx);
+        }
+        stats
     }
 
     /// Install a crash-fault injection clock on the engine's WAL writer
@@ -376,6 +389,7 @@ impl MtBase {
         &self,
         client: TenantId,
         scope: &ScopeSpec,
+        ctx: &StmtCtx,
     ) -> Result<Vec<TenantId>> {
         match scope {
             ScopeSpec::Simple(ids) => Ok(ids.clone()),
@@ -390,7 +404,7 @@ impl MtBase {
                     rewriter.rewrite_scope(from, selection, client)?
                 };
                 let engine = self.engine.read();
-                let result = engine.execute_query(&scope_query)?;
+                let result = engine.execute_query(&scope_query, ctx)?;
                 let mut ids: Vec<TenantId> = result
                     .rows
                     .iter()
@@ -410,8 +424,9 @@ impl MtBase {
         client: TenantId,
         scope: &ScopeSpec,
         query: &Query,
+        ctx: &StmtCtx,
     ) -> Result<Vec<TenantId>> {
-        let dataset = self.resolve_dataset(client, scope)?;
+        let dataset = self.resolve_dataset(client, scope, ctx)?;
         let mut tables = Vec::new();
         collect_tables_query(query, &mut tables);
         let catalog = self.catalog.read();
@@ -430,16 +445,17 @@ impl MtBase {
         level: OptLevel,
         sql_key: &str,
         query: &Query,
+        ctx: &StmtCtx,
     ) -> Result<(Arc<CachedPlan>, bool)> {
-        let dataset = self.effective_dataset_for_query(client, scope, query)?;
-        self.cached_plan(sql_key, client, query, &dataset, level)
+        let dataset = self.effective_dataset_for_query(client, scope, query, ctx)?;
+        self.cached_plan(sql_key, client, query, &dataset, level, ctx)
     }
 
     /// The prepared-plan front-end: look the query up in the plan cache
     /// under `(normalized SQL, C, D', level, catalog epoch)`; on a miss, run
     /// rewrite + planning once and cache the result. Returns the plan and
-    /// whether it was a hit; the outcome is recorded in the engine's
-    /// `prepared_cache_hits` / `prepared_cache_misses` counters.
+    /// whether it was a hit; the outcome is charged to the statement's
+    /// `prepared_cache_hits` / `prepared_cache_misses`.
     pub(crate) fn cached_plan(
         &self,
         sql_key: &str,
@@ -447,6 +463,7 @@ impl MtBase {
         query: &Query,
         dataset: &[TenantId],
         level: OptLevel,
+        ctx: &StmtCtx,
     ) -> Result<(Arc<CachedPlan>, bool)> {
         // The epoch and the rewrite read the catalog under one guard, so the
         // cached plan is consistent with the epoch in its key. The engine
@@ -463,8 +480,7 @@ impl MtBase {
                 epoch: catalog.epoch(),
             };
             if let Some(hit) = self.plan_cache.lock().get(&key) {
-                drop(catalog);
-                self.engine.read().note_prepared_cache(true);
+                ctx.charge(|s| s.prepared_cache_hits += 1);
                 return Ok((hit, true));
             }
             let rewriter =
@@ -472,12 +488,8 @@ impl MtBase {
             let rewritten = rewriter.rewrite_query(query, client, dataset, level)?;
             (key, rewritten)
         };
-        let plan = {
-            let engine = self.engine.read();
-            let plan = engine.plan_query(&rewritten)?;
-            engine.note_prepared_cache(false);
-            plan
-        };
+        let plan = self.engine.read().plan_query_in(&rewritten, ctx)?;
+        ctx.charge(|s| s.prepared_cache_misses += 1);
         let cached = Arc::new(CachedPlan {
             rewritten,
             plan: Arc::new(plan),

@@ -598,8 +598,7 @@ impl Executor<'_> {
         let mut tally = ScanTally::default();
         if threads > 1 {
             run_morsel_pool(
-                engine,
-                self.params(),
+                self,
                 threads,
                 &morsels,
                 |worker, m| {
@@ -612,8 +611,8 @@ impl Executor<'_> {
                     acc.absorb(&batch)
                 },
             )?;
-            engine.note_morsel_scan(morsels.len() as u64, threads as u64);
-            engine.note_partial_agg_merges(morsels.len() as u64);
+            self.ctx()
+                .charge(|s| s.partial_agg_merges += morsels.len() as u64);
         } else {
             let mut batch = Batch::default();
             for &m in &morsels {

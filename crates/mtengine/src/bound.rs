@@ -42,6 +42,7 @@ use crate::error::{err, EngineError, Result};
 use crate::exec::{apply_binary, apply_unary, cast_value, literal_value, Env, Executor};
 use crate::plan::{Plan, Planner};
 use crate::schema::Schema;
+use crate::stats::StmtCtx;
 use crate::table::{BucketView, ColumnVec};
 use crate::udf::{UdfHandle, UdfRegistry};
 use crate::value::{civil_from_days, int_overflow, Value};
@@ -95,8 +96,9 @@ impl ScalarFn {
         }
     }
 
-    /// Apply the function to evaluated arguments.
-    pub fn call(self, udfs: &UdfRegistry, args: &[Value]) -> Result<Value> {
+    /// Apply the function to evaluated arguments; a UDF call is charged to
+    /// `ctx`.
+    pub fn call(self, udfs: &UdfRegistry, args: &[Value], ctx: &StmtCtx) -> Result<Value> {
         match self {
             ScalarFn::Concat => {
                 let mut out = String::new();
@@ -127,7 +129,7 @@ impl ScalarFn {
                 Some(Value::Null) | None => Ok(Value::Null),
                 Some(other) => err(format!("ABS of non-numeric {other:?}")),
             },
-            ScalarFn::Udf(handle) => udfs.call(handle, args),
+            ScalarFn::Udf(handle) => udfs.call(handle, args, ctx),
         }
     }
 }
@@ -678,7 +680,7 @@ impl<'a> Binder<'a> {
         let mut operands_const = true;
         bound.for_each_operand(&mut |e| operands_const &= matches!(e, BoundExpr::Const(_)));
         if pure && operands_const {
-            let exec = Executor::new(self.planner.engine);
+            let exec = Executor::new(self.planner.engine, self.planner.ctx);
             if let Ok(v) = exec.eval_bound(&bound, &Frame::empty()) {
                 return BoundExpr::Const(v);
             }
@@ -915,14 +917,14 @@ impl Executor<'_> {
                         for (value, arg) in values.iter_mut().zip(args) {
                             *value = self.eval_bound(arg, f)?;
                         }
-                        func.call(self.engine().udfs(), values)
+                        func.call(self.engine().udfs(), values, self.ctx())
                     }
                     None => {
                         let values = args
                             .iter()
                             .map(|a| self.eval_bound(a, f))
                             .collect::<Result<Vec<_>>>()?;
-                        func.call(self.engine().udfs(), &values)
+                        func.call(self.engine().udfs(), &values, self.ctx())
                     }
                 }
             }
@@ -1265,7 +1267,8 @@ mod tests {
         let crate::plan::Plan::SeqScan(scan) = p.input.as_ref() else {
             panic!("expected a scan: {plan:?}");
         };
-        let planner = Planner::new(&e);
+        let ctx = StmtCtx::new();
+        let planner = Planner::new(&e, &ctx);
         let binder = Binder::new(&planner, &scan.schema, "test");
         let bound = binder.bind_all(scan.residual.iter()).unwrap();
         let BoundExpr::Binary { right, .. } = &bound[0] else {

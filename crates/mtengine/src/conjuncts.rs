@@ -996,7 +996,8 @@ mod tests {
     /// constant, over an empty engine (what the planner passes in).
     fn with_fold(check: impl FnOnce(&dyn Fn(&Expr) -> Option<Value>)) {
         let engine = crate::Engine::new(crate::EngineConfig::default());
-        let executor = crate::exec::Executor::new(&engine);
+        let ctx = crate::stats::StmtCtx::new();
+        let executor = crate::exec::Executor::new(&engine, &ctx);
         check(&|e: &Expr| executor.fold_key(e));
     }
 

@@ -45,6 +45,7 @@ use crate::conjuncts::{dict_filter_bitmap, fast_pred_value, CompiledPred};
 use crate::error::{EngineError, EngineErrorKind, Result};
 use crate::exec::{project_stored, Executor};
 use crate::plan::{Plan, Project, SeqScan};
+use crate::stats::StmtCtx;
 use crate::table::{BucketView, ColumnBucket, ColumnVec, Row, SharedRow, Snapshot};
 use crate::{Engine, Value};
 
@@ -231,27 +232,31 @@ impl Engine {
     /// first fetch and under the same shared borrow that opened the cursor.
     /// Streaming fetches then never observe rows committed after this call;
     /// plans that cannot stream materialize *now* (still under the caller's
-    /// lock), so their result is the open-time state by construction.
-    pub fn pin_cursor(&self, plan: &Plan, params: &[Value], state: &mut CursorState) -> Result<()> {
+    /// lock), so their result is the open-time state by construction. The
+    /// work is charged to `ctx`.
+    pub fn pin_cursor(
+        &self,
+        plan: &Plan,
+        params: &[Value],
+        state: &mut CursorState,
+        ctx: &StmtCtx,
+    ) -> Result<()> {
         // Pin the *committed* floor, not the live epoch: while a
         // multi-statement transaction is open its statements carry epochs
         // above the floor, and a cursor must never observe rows a ROLLBACK
         // (or a crash before COMMIT) takes back. With no open transaction
         // the floor equals the live epoch.
         let epoch = self.committed_epoch();
-        if crate::verify::verify_enabled(&self.config) {
-            // Snapshot discipline: every scan of the pinned plan must still
-            // have an addressable watermark at the pin epoch.
-            let opts = crate::verify::VerifyOptions {
-                param_count: Some(params.len()),
-                pinned_epoch: Some(epoch),
-            };
-            crate::verify::verify_plan_with(self, plan, opts)?;
-            self.counters.add_plans_verified(1);
-        }
+        // Snapshot discipline: every scan of the pinned plan must still have
+        // an addressable watermark at the pin epoch.
+        let opts = crate::verify::VerifyOptions {
+            param_count: Some(params.len()),
+            pinned_epoch: Some(epoch),
+        };
+        crate::verify::verify_for_statement(self, plan, opts, ctx)?;
         state.snapshot = Some(epoch);
         if state.mode.is_none() && stream_shape(plan).is_none() {
-            let mut executor = Executor::with_params(self, params.to_vec());
+            let mut executor = Executor::with_params(self, ctx, params.to_vec());
             // Bound the materializing execution at the pin epoch: even under
             // the caller's shared borrow, morsel workers must never size
             // their row ranges past the open-time watermark.
@@ -268,17 +273,19 @@ impl Engine {
     /// Fetch the next batch (at most `max_rows` rows) of the cursor over
     /// `plan`. The same `plan` and `params` must be passed on every fetch of
     /// one cursor; the state carries only positions and buffered rows, so
-    /// the borrow of the engine ends with each call.
+    /// the borrow of the engine ends with each call. The batch's work is
+    /// charged to `ctx`.
     pub fn fetch_cursor_batch(
         &self,
         plan: &Plan,
         params: &[Value],
         state: &mut CursorState,
         max_rows: usize,
+        ctx: &StmtCtx,
     ) -> Result<CursorBatch> {
         let max_rows = max_rows.max(1);
         let snapshot = state.snapshot;
-        let executor = Executor::with_params(self, params.to_vec());
+        let executor = Executor::with_params(self, ctx, params.to_vec());
         let mode = match state.mode.as_mut() {
             Some(mode) => mode,
             None => {
@@ -315,7 +322,7 @@ impl Engine {
                          (a different plan was passed to a later fetch)",
                     ));
                 };
-                fetch_streaming(&executor, self, &shape, pos, snapshot, max_rows)
+                fetch_streaming(&executor, &shape, pos, snapshot, max_rows)
             }
         }
     }
@@ -328,7 +335,6 @@ impl Engine {
 /// bucket rows are never materialized.
 fn fetch_streaming(
     executor: &Executor,
-    engine: &Engine,
     shape: &StreamShape,
     pos: &mut StreamPos,
     snapshot: Option<u64>,
@@ -408,7 +414,10 @@ fn fetch_streaming(
     if !pos.counted_partitions {
         let scanned = selected.len() as u64;
         let total = view.partition_count() as u64;
-        engine.note_partitions(scanned, total.saturating_sub(scanned));
+        executor.ctx().charge(|s| {
+            s.partitions_scanned += scanned;
+            s.partitions_pruned += total.saturating_sub(scanned);
+        });
         pos.counted_partitions = true;
     }
     // Dictionary bitmaps are keyed by bucket *index*, which is only stable
@@ -539,103 +548,15 @@ fn fetch_streaming(
     }
 
     pos.compiled = Some(filters);
-    engine.note_rows_scanned(visited);
-    engine.note_vectorized(0, materialized);
-    engine.note_dict_kernel_rows(dict_rows);
+    executor.ctx().charge(|s| {
+        s.rows_scanned += visited;
+        s.late_materialized += materialized;
+        s.dict_kernel_rows += dict_rows;
+    });
     Ok(CursorBatch {
         rows: out,
         done: pos.done,
     })
-}
-
-/// A borrowing row iterator over a plan — the engine-level streaming
-/// interface (`mtbase`'s `Cursor` provides the lock-friendly counterpart on
-/// top of [`CursorState`]).
-///
-/// ```
-/// use mtengine::{Engine, EngineConfig, Value};
-///
-/// let mut engine = Engine::new(EngineConfig::default());
-/// engine.create_table("t", &["a"]);
-/// engine
-///     .insert_values("t", (0..10).map(|i| vec![Value::Int(i)]).collect())
-///     .unwrap();
-/// let plan = engine
-///     .plan_query(&mtsql::parse_query("SELECT a FROM t WHERE a >= $1").unwrap())
-///     .unwrap();
-/// let rows: Vec<_> = engine
-///     .row_iter(&plan, vec![Value::Int(7)])
-///     .collect::<Result<Vec<_>, _>>()
-///     .unwrap();
-/// assert_eq!(rows.len(), 3);
-/// ```
-pub struct RowIter<'e> {
-    engine: &'e Engine,
-    plan: &'e Plan,
-    params: Vec<Value>,
-    state: CursorState,
-    batch: std::vec::IntoIter<Row>,
-    batch_size: usize,
-    done: bool,
-}
-
-impl<'e> RowIter<'e> {
-    pub(crate) fn new(engine: &'e Engine, plan: &'e Plan, params: Vec<Value>) -> Self {
-        RowIter {
-            engine,
-            plan,
-            params,
-            state: CursorState::new(),
-            batch: Vec::new().into_iter(),
-            batch_size: DEFAULT_BATCH_ROWS,
-            done: false,
-        }
-    }
-
-    /// Override the internal batch size (rows fetched per engine call).
-    pub fn with_batch_size(mut self, rows: usize) -> Self {
-        self.batch_size = rows.max(1);
-        self
-    }
-
-    /// Whether the underlying cursor streams (never holds the full result).
-    /// `None` until the first row was pulled.
-    pub fn is_streaming(&self) -> Option<bool> {
-        self.state.is_streaming()
-    }
-}
-
-impl Iterator for RowIter<'_> {
-    type Item = Result<Row>;
-
-    fn next(&mut self) -> Option<Result<Row>> {
-        loop {
-            if let Some(row) = self.batch.next() {
-                return Some(Ok(row));
-            }
-            if self.done {
-                return None;
-            }
-            match self.engine.fetch_cursor_batch(
-                self.plan,
-                &self.params,
-                &mut self.state,
-                self.batch_size,
-            ) {
-                Ok(batch) => {
-                    self.done = batch.done;
-                    if batch.rows.is_empty() && self.done {
-                        return None;
-                    }
-                    self.batch = batch.rows.into_iter();
-                }
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -661,6 +582,25 @@ mod tests {
         e.plan_query(&mtsql::parse_query(sql).unwrap()).unwrap()
     }
 
+    /// Drain a fresh cursor over `p` in `batch`-row fetches as one
+    /// statement, whose counters then reach `e.stats()`.
+    fn drain(e: &Engine, p: &Plan, params: &[Value], batch: usize) -> (Vec<Row>, CursorState) {
+        let ctx = StmtCtx::new();
+        let mut state = CursorState::new();
+        let mut rows = Vec::new();
+        loop {
+            let fetched = e
+                .fetch_cursor_batch(p, params, &mut state, batch, &ctx)
+                .unwrap();
+            rows.extend(fetched.rows);
+            if fetched.done {
+                break;
+            }
+        }
+        e.finish_statement(&ctx);
+        (rows, state)
+    }
+
     #[test]
     fn streaming_matches_batch_execution() {
         let e = engine_with_rows(1000);
@@ -673,11 +613,7 @@ mod tests {
         ] {
             let p = plan(&e, sql);
             let batch = e.execute_plan(&p, &[]).unwrap();
-            let streamed: Vec<Row> = e
-                .row_iter(&p, Vec::new())
-                .with_batch_size(13)
-                .collect::<Result<Vec<_>>>()
-                .unwrap();
+            let (streamed, _) = drain(&e, &p, &[], 13);
             assert_eq!(streamed, batch.rows, "{sql}");
         }
     }
@@ -696,10 +632,9 @@ mod tests {
         let subquery = plan(&e, "SELECT v FROM t WHERE v = (SELECT MAX(v) FROM t)");
         assert!(!plan_streams(&subquery));
 
-        let mut iter = e.row_iter(&blocking, Vec::new());
-        let first = iter.next().unwrap().unwrap();
-        assert_eq!(first, vec![Value::Int(99)]);
-        assert_eq!(iter.is_streaming(), Some(false));
+        let (rows, state) = drain(&e, &blocking, &[], DEFAULT_BATCH_ROWS);
+        assert_eq!(rows[0], vec![Value::Int(99)]);
+        assert_eq!(state.is_streaming(), Some(false));
     }
 
     #[test]
@@ -709,7 +644,9 @@ mod tests {
         let mut state = CursorState::new();
         let mut total = 0;
         loop {
-            let batch = e.fetch_cursor_batch(&p, &[], &mut state, 10).unwrap();
+            let batch = e
+                .fetch_cursor_batch(&p, &[], &mut state, 10, &StmtCtx::new())
+                .unwrap();
             assert!(batch.rows.len() <= 10, "batch overflowed");
             assert_eq!(state.buffered_rows(), 0, "streaming must not buffer");
             total += batch.rows.len();
@@ -726,11 +663,15 @@ mod tests {
         let e = engine_with_rows(25);
         let p = plan(&e, "SELECT v FROM t ORDER BY v");
         let mut state = CursorState::new();
-        let first = e.fetch_cursor_batch(&p, &[], &mut state, 10).unwrap();
+        let first = e
+            .fetch_cursor_batch(&p, &[], &mut state, 10, &StmtCtx::new())
+            .unwrap();
         assert_eq!(first.rows.len(), 10);
         assert!(!first.done);
         assert_eq!(state.buffered_rows(), 15);
-        let rest = e.fetch_cursor_batch(&p, &[], &mut state, 100).unwrap();
+        let rest = e
+            .fetch_cursor_batch(&p, &[], &mut state, 100, &StmtCtx::new())
+            .unwrap();
         assert_eq!(rest.rows.len(), 15);
         assert!(rest.done);
     }
@@ -740,10 +681,7 @@ mod tests {
         let e = engine_with_rows(1000);
         e.reset_stats();
         let p = plan(&e, "SELECT v FROM t WHERE ttid = $1");
-        let rows: Vec<Row> = e
-            .row_iter(&p, vec![Value::Int(2)])
-            .collect::<Result<Vec<_>>>()
-            .unwrap();
+        let (rows, _) = drain(&e, &p, &[Value::Int(2)], DEFAULT_BATCH_ROWS);
         assert_eq!(rows.len(), 250);
         let stats = e.stats();
         assert_eq!(
@@ -784,11 +722,7 @@ mod tests {
             let p = plan(&e, sql);
             let batch = e.execute_plan(&p, &[]).unwrap();
             e.reset_stats();
-            let streamed: Vec<Row> = e
-                .row_iter(&p, Vec::new())
-                .with_batch_size(17)
-                .collect::<Result<Vec<_>>>()
-                .unwrap();
+            let (streamed, _) = drain(&e, &p, &[], 17);
             assert_eq!(streamed, batch.rows, "{sql}");
             assert!(
                 e.stats().dict_kernel_rows > 0,
@@ -803,16 +737,20 @@ mod tests {
         let mut e = engine_with_rows(100);
         let p = plan(&e, "SELECT v FROM t WHERE v >= 0");
         let mut pinned = CursorState::new();
-        e.pin_cursor(&p, &[], &mut pinned).unwrap();
+        e.pin_cursor(&p, &[], &mut pinned, &StmtCtx::new()).unwrap();
         let mut live = CursorState::new();
-        let first = e.fetch_cursor_batch(&p, &[], &mut pinned, 10).unwrap();
+        let first = e
+            .fetch_cursor_batch(&p, &[], &mut pinned, 10, &StmtCtx::new())
+            .unwrap();
         assert_eq!(first.rows.len(), 10);
         // A concurrent INSERT lands between batches.
         e.insert_values("t", vec![vec![Value::Int(1), Value::Int(1000)]])
             .unwrap();
         let mut total = first.rows.len();
         loop {
-            let batch = e.fetch_cursor_batch(&p, &[], &mut pinned, 10).unwrap();
+            let batch = e
+                .fetch_cursor_batch(&p, &[], &mut pinned, 10, &StmtCtx::new())
+                .unwrap();
             assert!(batch.rows.iter().all(|r| r[0] != Value::Int(1000)));
             total += batch.rows.len();
             if batch.done {
@@ -823,7 +761,9 @@ mod tests {
         // An unpinned cursor opened before the INSERT reads live state.
         let mut live_total = 0;
         loop {
-            let batch = e.fetch_cursor_batch(&p, &[], &mut live, 32).unwrap();
+            let batch = e
+                .fetch_cursor_batch(&p, &[], &mut live, 32, &StmtCtx::new())
+                .unwrap();
             live_total += batch.rows.len();
             if batch.done {
                 break;
@@ -837,10 +777,13 @@ mod tests {
         let mut e = engine_with_rows(50);
         let p = plan(&e, "SELECT v FROM t WHERE v >= 0");
         let mut state = CursorState::new();
-        e.pin_cursor(&p, &[], &mut state).unwrap();
-        e.fetch_cursor_batch(&p, &[], &mut state, 5).unwrap();
+        e.pin_cursor(&p, &[], &mut state, &StmtCtx::new()).unwrap();
+        e.fetch_cursor_batch(&p, &[], &mut state, 5, &StmtCtx::new())
+            .unwrap();
         e.execute("DELETE FROM t WHERE v < 10").unwrap();
-        let err = e.fetch_cursor_batch(&p, &[], &mut state, 5).unwrap_err();
+        let err = e
+            .fetch_cursor_batch(&p, &[], &mut state, 5, &StmtCtx::new())
+            .unwrap_err();
         assert_eq!(err.kind(), EngineErrorKind::SnapshotInvalidated);
     }
 
@@ -849,11 +792,13 @@ mod tests {
         let mut e = engine_with_rows(20);
         let p = plan(&e, "SELECT v FROM t ORDER BY v DESC");
         let mut state = CursorState::new();
-        e.pin_cursor(&p, &[], &mut state).unwrap();
+        e.pin_cursor(&p, &[], &mut state, &StmtCtx::new()).unwrap();
         assert_eq!(state.buffered_rows(), 20, "must materialize at open");
         e.insert_values("t", vec![vec![Value::Int(0), Value::Int(999)]])
             .unwrap();
-        let batch = e.fetch_cursor_batch(&p, &[], &mut state, 100).unwrap();
+        let batch = e
+            .fetch_cursor_batch(&p, &[], &mut state, 100, &StmtCtx::new())
+            .unwrap();
         assert!(batch.done);
         assert_eq!(batch.rows.len(), 20);
         assert_eq!(batch.rows[0], vec![Value::Int(19)]);
@@ -863,11 +808,7 @@ mod tests {
     fn limit_is_respected_across_batches() {
         let e = engine_with_rows(1000);
         let p = plan(&e, "SELECT v FROM t WHERE v >= 0 LIMIT 30");
-        let rows: Vec<Row> = e
-            .row_iter(&p, Vec::new())
-            .with_batch_size(7)
-            .collect::<Result<Vec<_>>>()
-            .unwrap();
+        let (rows, _) = drain(&e, &p, &[], 7);
         assert_eq!(rows.len(), 30);
     }
 }

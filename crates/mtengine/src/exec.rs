@@ -46,6 +46,7 @@ use crate::conjuncts::{
 use crate::error::{err, EngineError, Result};
 use crate::plan::{BoundJoin, JoinVariant, Plan, Planner, Project, SeqScan, SortKey};
 use crate::schema::Schema;
+use crate::stats::StmtCtx;
 use crate::table::{BucketView, Row, SharedRow, Snapshot, Table};
 use crate::value::{add_months, parse_date, Value};
 use crate::Engine;
@@ -165,14 +166,15 @@ pub(crate) fn build_morsels(selected: &[Selected]) -> Vec<Morsel> {
 /// as they become available — consumption overlaps the workers' evaluation
 /// and no more results are held than the workers run ahead. Workers *pull*
 /// morsels from a shared index — a slow morsel never stalls the rest of the
-/// pool — and each evaluates through its own [`Executor`] (the engine is
-/// shared and `Sync`; executor-local caches are not). The first failure in
-/// morsel order — of `work` or of `consume` — is the one reported, exactly
-/// the one a serial run would have hit first, and stops the pool; a
-/// panicking worker surfaces as a typed error.
+/// pool — and each evaluates through its own [`Executor`] charging its own
+/// [`StmtCtx`] (the engine is shared and `Sync`; executor-local caches and
+/// contexts are not). When the pool joins, the coordinator folds every
+/// worker's context into its own and charges the morsels dispatched. The
+/// first failure in morsel order — of `work` or of `consume` — is the one
+/// reported, exactly the one a serial run would have hit first, and stops
+/// the pool; a panicking worker surfaces as a typed error.
 pub(crate) fn run_morsel_pool<T, F, C>(
-    engine: &Engine,
-    params: &[Value],
+    coordinator: &Executor,
     threads: usize,
     morsels: &[Morsel],
     work: F,
@@ -184,6 +186,7 @@ where
     C: FnMut(T) -> Result<()>,
 {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtomicOrdering};
+    let (engine, params) = (coordinator.engine, coordinator.params.as_slice());
     let next = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
     let (tx, rx) = std::sync::mpsc::channel::<(usize, Result<T>)>();
@@ -192,7 +195,8 @@ where
             .map(|_| {
                 let (next, stop, work, tx) = (&next, &stop, &work, tx.clone());
                 scope.spawn(move || {
-                    let worker = Executor::with_params(engine, params.to_vec());
+                    let ctx = StmtCtx::new();
+                    let worker = Executor::with_params(engine, &ctx, params.to_vec());
                     while !stop.load(AtomicOrdering::Relaxed) {
                         let i = next.fetch_add(1, AtomicOrdering::Relaxed);
                         let Some(morsel) = morsels.get(i) else { break };
@@ -200,6 +204,7 @@ where
                             break;
                         }
                     }
+                    ctx.stats()
                 })
             })
             .collect();
@@ -222,7 +227,13 @@ where
                 break;
             }
         }
-        let panicked = handles.into_iter().filter_map(|h| h.join().err()).count();
+        let mut panicked = 0;
+        for handle in handles {
+            match handle.join() {
+                Ok(worker) => coordinator.ctx.charge(|s| *s += worker),
+                Err(_) => panicked += 1,
+            }
+        }
         (consumed, outcome, panicked)
     });
     if panicked > 0 {
@@ -240,10 +251,14 @@ where
             format!("morsel {consumed} was never completed by any worker"),
         ));
     }
+    coordinator.ctx.charge(|s| {
+        s.morsels_dispatched += morsels.len() as u64;
+        s.morsel_workers += threads as u64;
+    });
     Ok(())
 }
 
-/// Per-scan accounting fed into the engine counters afterwards.
+/// Per-scan accounting charged to the statement afterwards.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct ScanTally {
     /// Rows visited (loose-row loops) or covered by column kernels.
@@ -345,9 +360,11 @@ impl<'a> Env<'a> {
     }
 }
 
-/// Per-query executor borrowing the engine (tables, UDFs, statistics).
+/// Per-query executor borrowing the engine (tables, UDFs) and the context
+/// of the statement it runs for, which it charges.
 pub struct Executor<'e> {
     engine: &'e Engine,
+    ctx: &'e StmtCtx,
     /// Bound parameter values; `Expr::Param(i)` evaluates to `params[i]`.
     /// Empty for statements without parameters — evaluating an unbound
     /// parameter is an error, and constant folding over an unbound parameter
@@ -369,16 +386,17 @@ pub struct Executor<'e> {
 }
 
 impl<'e> Executor<'e> {
-    /// Create an executor for one top-level query.
-    pub fn new(engine: &'e Engine) -> Self {
-        Executor::with_params(engine, Vec::new())
+    /// Create an executor for one top-level query, charging `ctx`.
+    pub fn new(engine: &'e Engine, ctx: &'e StmtCtx) -> Self {
+        Executor::with_params(engine, ctx, Vec::new())
     }
 
     /// Create an executor with bound parameter values (`Expr::Param(i)`
-    /// evaluates to `params[i]`).
-    pub fn with_params(engine: &'e Engine, params: Vec<Value>) -> Self {
+    /// evaluates to `params[i]`), charging `ctx`.
+    pub fn with_params(engine: &'e Engine, ctx: &'e StmtCtx, params: Vec<Value>) -> Self {
         Executor {
             engine,
+            ctx,
             params,
             subquery_cache: RefCell::new(Vec::new()),
             snapshot: None,
@@ -395,8 +413,9 @@ impl<'e> Executor<'e> {
         self.engine
     }
 
-    pub(crate) fn params(&self) -> &[Value] {
-        &self.params
+    /// The context of the statement this executor charges.
+    pub(crate) fn ctx(&self) -> &'e StmtCtx {
+        self.ctx
     }
 
     /// The value bound to parameter `$index + 1`.
@@ -612,14 +631,17 @@ impl<'e> Executor<'e> {
         Ok(table)
     }
 
-    /// Charge a finished scan to the engine counters.
+    /// Charge a finished scan to the statement.
     pub(crate) fn note_scan(&self, input: &ScanInput, tally: ScanTally) {
         let (scanned, pruned) = input.buckets;
-        self.engine.note_rows_scanned(tally.visited);
-        self.engine.note_partitions(scanned, pruned);
-        self.engine
-            .note_vectorized(tally.vectorized, tally.materialized);
-        self.engine.note_dict_kernel_rows(tally.dict);
+        self.ctx.charge(|s| {
+            s.rows_scanned += tally.visited;
+            s.partitions_scanned += scanned;
+            s.partitions_pruned += pruned;
+            s.rows_vectorized += tally.vectorized;
+            s.late_materialized += tally.materialized;
+            s.dict_kernel_rows += tally.dict;
+        });
     }
 
     /// Hand `each` the scan's loose rows — an unpartitioned table's rows, or
@@ -748,16 +770,12 @@ impl<'e> Executor<'e> {
             return Ok(());
         };
         run_morsel_pool(
-            self.engine,
-            &self.params,
+            self,
             threads,
             &morsels,
             |worker, m| work(worker, selected[m.bucket], m.start..m.end, None),
             consume,
-        )?;
-        self.engine
-            .note_morsel_scan(morsels.len() as u64, threads as u64);
-        Ok(())
+        )
     }
 
     /// Scan the selected buckets ([`Executor::scan_parts`]) and pass each
@@ -883,7 +901,7 @@ impl<'e> Executor<'e> {
     /// scan filter would (functions and UDFs over literals included). `None`
     /// for anything reading a column.
     pub(crate) fn fold_key(&self, expr: &Expr) -> Option<Value> {
-        let planner = Planner::new(self.engine);
+        let planner = Planner::new(self.engine, self.ctx);
         let bound = planner
             .bind_expr(expr, &Schema::new(), "partition key")
             .ok()?;
@@ -1099,7 +1117,7 @@ impl<'e> Executor<'e> {
                 (build, map)
             }
         };
-        self.engine.note_subquery_unnested(1);
+        self.ctx.charge(|s| s.subqueries_unnested += 1);
 
         if let Plan::SeqScan(scan) = left {
             if let Some(rel) = self.key_join_scan(scan, join, variant, &build, &map, outer)? {
@@ -1439,14 +1457,16 @@ pub(crate) fn bound_arity(node: &str, exprs: usize, bound: usize) -> Result<()> 
 }
 
 /// Sort shared rows in place by pre-resolved key columns: comparisons borrow
-/// the row values directly — no per-row key extraction or cloning.
+/// the row values directly — no per-row key extraction or cloning. Keys
+/// compare by [`Value::sort_cmp`], a total order: NULLs sort last ascending
+/// and first descending.
 fn sort_rows(rows: &mut [SharedRow], keys: &[SortKey]) {
     if keys.is_empty() {
         return;
     }
     rows.sort_by(|a, b| {
         for key in keys {
-            let cmp = a[key.col].compare(&b[key.col]).unwrap_or(Ordering::Equal);
+            let cmp = a[key.col].sort_cmp(&b[key.col]);
             let cmp = if key.asc { cmp } else { cmp.reverse() };
             if cmp != Ordering::Equal {
                 return cmp;

@@ -77,11 +77,10 @@
 //! ([`Engine::execute_plan`]) with different bound parameter values —
 //! `Expr::Param` placeholders evaluate against the executor's bound slice,
 //! and partition-key predicates over parameters (`ttid = $1`) re-resolve
-//! their pruning key sets at execution time. [`Engine::row_iter`] (and the
-//! lower-level [`Engine::fetch_cursor_batch`]) stream pipeline-able plans
-//! batch-at-a-time instead of materializing the full result — see the
-//! [`cursor`] module. The MTBase middleware builds its prepared-statement
-//! API on exactly these entry points.
+//! their pruning key sets at execution time. [`Engine::fetch_cursor_batch`]
+//! streams pipeline-able plans batch-at-a-time instead of materializing the
+//! full result — see the [`cursor`] module. The MTBase middleware builds its
+//! prepared-statement API on exactly these entry points.
 //!
 //! # Observability
 //!
@@ -92,7 +91,15 @@
 //! workers, workers spawned, and per-morsel aggregate batches folded into
 //! the final aggregate), `rows_vectorized` / `late_materialized` (bucket-scan
 //! accounting: rows covered by column kernels vs. rows actually built) and
-//! the UDF call/cache counters. Pruning can be disabled per engine
+//! the UDF call/cache counters. Each statement charges them to its own
+//! [`stats::StmtCtx`], passed through planning, verification and
+//! execution: entry points taking a `&StmtCtx` (such as
+//! [`Engine::plan_query_in`] and [`Engine::execute_plan_in`]) charge the
+//! caller's, whose creator hands it to [`Engine::finish_statement`] when
+//! the statement ends; [`Engine::query`], [`Engine::execute`],
+//! [`Engine::plan_query`] and [`Engine::execute_plan`] run as statements of
+//! their own. [`Engine::stats`] reads the lifetime totals. Pruning can be
+//! disabled per engine
 //! (`EngineConfig::partition_pruning`) to recover the full-scan baseline
 //! for comparisons; results must be identical either way.
 //!
@@ -134,15 +141,16 @@ use std::path::Path;
 use std::sync::Arc;
 
 use mtsql::ast::{InsertSource, Query, Statement};
+use parking_lot::Mutex;
 
 use crate::bound::Frame;
 use crate::exec::{Executor, Relation};
 use crate::schema::Schema;
-use crate::stats::{EngineCounters, StatsSnapshot};
+use crate::stats::{StatsSnapshot, StmtCtx};
 use crate::table::{Database, Row, SharedRow, Snapshot};
 use crate::udf::{UdfImpl, UdfRegistry};
 
-pub use crate::cursor::{CursorBatch, CursorState, RowIter, DEFAULT_BATCH_ROWS};
+pub use crate::cursor::{CursorBatch, CursorState, DEFAULT_BATCH_ROWS};
 pub use crate::error::{EngineError, EngineErrorKind, Result};
 pub use crate::lock::{LockManager, LockTarget};
 pub use crate::txn::Transaction;
@@ -334,7 +342,9 @@ impl ResultSet {
 pub struct Engine {
     db: Database,
     udfs: UdfRegistry,
-    counters: EngineCounters,
+    /// Lifetime totals of every finished statement context
+    /// ([`Engine::finish_statement`]) plus transaction outcomes.
+    totals: Mutex<StatsSnapshot>,
     config: EngineConfig,
     /// The write-ahead log, present on durable engines ([`Engine::open`]).
     /// Shared (`Arc`) so commit waiters can park on [`wal::WalHandle::wait_durable`]
@@ -354,7 +364,7 @@ impl Engine {
         Engine {
             db: Database::new(),
             udfs: UdfRegistry::new(config.cache_immutable_udfs),
-            counters: EngineCounters::new(),
+            totals: Mutex::new(StatsSnapshot::default()),
             config,
             wal: None,
             recovered_meta: Vec::new(),
@@ -628,9 +638,9 @@ impl Engine {
 
     /// Evaluate rows of column-free expressions (e.g. the VALUES lists of an
     /// INSERT) to concrete values in one engine call — no per-row probe
-    /// queries.
-    pub fn eval_values(&self, rows: &[Vec<mtsql::ast::Expr>]) -> Result<Vec<Row>> {
-        self.values_rows(rows, None)
+    /// queries — charging `ctx`.
+    pub fn eval_values(&self, rows: &[Vec<mtsql::ast::Expr>], ctx: &StmtCtx) -> Result<Vec<Row>> {
+        self.values_rows(rows, None, ctx)
     }
 
     /// [`Engine::eval_values`], with sub-queries reading at `txn`'s
@@ -640,9 +650,10 @@ impl Engine {
         &self,
         rows: &[Vec<mtsql::ast::Expr>],
         txn: Option<&txn::Transaction>,
+        ctx: &StmtCtx,
     ) -> Result<Vec<Row>> {
-        let planner = plan::Planner::new(self);
-        let executor = self.dml_executor(txn);
+        let planner = plan::Planner::new(self, ctx);
+        let executor = self.dml_executor(txn, ctx);
         let empty = Schema::new();
         let value = |e| {
             let bound = planner.bind_expr(e, &empty, "VALUES")?;
@@ -693,90 +704,37 @@ impl Engine {
         Ok(())
     }
 
-    /// Note scanned rows (called by the executor).
-    pub(crate) fn note_rows_scanned(&self, n: u64) {
-        self.counters.add_rows_scanned(n);
-    }
-
-    /// Note one base-table scan's bucket accounting (called by the executor).
-    pub(crate) fn note_partitions(&self, scanned: u64, pruned: u64) {
-        self.counters.add_partitions(scanned, pruned);
-    }
-
-    /// Note one pooled scan's morsel accounting (called by the executor).
-    pub(crate) fn note_morsel_scan(&self, morsels: u64, workers: u64) {
-        self.counters.add_morsel_scan(morsels, workers);
-    }
-
-    /// Note per-morsel aggregate batches folded in from pool workers.
-    pub(crate) fn note_partial_agg_merges(&self, n: u64) {
-        self.counters.add_partial_agg_merges(n);
-    }
-
-    /// Note one scan's vectorized-evaluation accounting.
-    pub(crate) fn note_vectorized(&self, rows: u64, materialized: u64) {
-        if rows > 0 || materialized > 0 {
-            self.counters.add_vectorized(rows, materialized);
-        }
-    }
-
-    /// Note rows processed through dictionary code space (kernel, grouping
-    /// or decode — see [`stats::StatsSnapshot::dict_kernel_rows`]).
-    pub(crate) fn note_dict_kernel_rows(&self, rows: u64) {
-        if rows > 0 {
-            self.counters.add_dict_kernel_rows(rows);
-        }
-    }
-
-    /// Note correlated sub-queries executed as unnested join plans (one per
-    /// semi-/anti-/aggregate-join node executed — counted at execution time
-    /// so prepared-plan cache hits still report engagement).
-    pub(crate) fn note_subquery_unnested(&self, n: u64) {
-        if n > 0 {
-            self.counters.add_subqueries_unnested(n);
-        }
-    }
-
-    /// Note one prepared-plan cache lookup outcome (called by the MTBase
-    /// middleware, which owns the cache; the counter lives here so it resets
-    /// and snapshots together with the execution statistics).
-    pub fn note_prepared_cache(&self, hit: bool) {
-        self.counters.add_prepared_cache(hit);
-    }
-
-    /// Snapshot the execution statistics.
+    /// The lifetime totals of every finished statement plus the live
+    /// gauges (`dict_columns`, `wal_commits`, `wal_fsyncs`).
     pub fn stats(&self) -> StatsSnapshot {
-        let udf = self.udfs.stats();
         StatsSnapshot {
-            rows_scanned: self.counters.rows_scanned(),
-            partitions_scanned: self.counters.partitions_scanned(),
-            partitions_pruned: self.counters.partitions_pruned(),
-            morsels_dispatched: self.counters.morsels_dispatched(),
-            morsel_workers: self.counters.morsel_workers(),
-            partial_agg_merges: self.counters.partial_agg_merges(),
-            rows_vectorized: self.counters.rows_vectorized(),
-            late_materialized: self.counters.late_materialized(),
-            dict_kernel_rows: self.counters.dict_kernel_rows(),
-            subqueries_unnested: self.counters.subqueries_unnested(),
             dict_columns: self.db.tables().map(|t| t.dict_column_count() as u64).sum(),
-            udf_calls: udf.calls,
-            udf_cache_hits: udf.cache_hits,
-            prepared_cache_hits: self.counters.prepared_cache_hits(),
-            prepared_cache_misses: self.counters.prepared_cache_misses(),
-            plans_verified: self.counters.plans_verified(),
-            txn_commits: self.counters.txn_commits(),
-            txn_rollbacks: self.counters.txn_rollbacks(),
-            // Gauges from the WAL writer (like `dict_columns`, not reset by
-            // `reset_stats` — `delta_from` handles windowing).
             wal_commits: self.wal.as_ref().map_or(0, |w| w.commits()),
             wal_fsyncs: self.wal.as_ref().map_or(0, |w| w.fsyncs()),
+            ..*self.totals.lock()
         }
     }
 
-    /// Reset statistics and UDF caches (between measured runs).
+    /// Reset the lifetime totals (not the gauges) and the UDF result caches
+    /// (between measured runs).
     pub fn reset_stats(&self) {
-        self.counters.reset();
-        self.udfs.reset();
+        *self.totals.lock() = StatsSnapshot::default();
+        self.udfs.clear_cache();
+    }
+
+    /// Add a finished statement's context to the lifetime totals — once per
+    /// statement, by whoever created the context.
+    pub fn finish_statement(&self, ctx: &StmtCtx) {
+        *self.totals.lock() += ctx.stats();
+    }
+
+    /// Run `f` as a statement of its own: a fresh context, added to the
+    /// lifetime totals when `f` returns.
+    fn standalone<T>(&self, f: impl FnOnce(&StmtCtx) -> T) -> T {
+        let ctx = StmtCtx::new();
+        let out = f(&ctx);
+        self.finish_statement(&ctx);
+        out
     }
 
     // ------------------------------------------------------------------
@@ -792,77 +750,81 @@ impl Engine {
     /// Parse and execute a read-only query.
     pub fn query(&self, sql: &str) -> Result<ResultSet> {
         let query = mtsql::parse_query(sql)?;
-        self.execute_query(&query)
+        self.standalone(|ctx| self.execute_query(&query, ctx))
     }
 
-    /// Execute a parsed query: plan it and run the plan against the live
-    /// table state.
-    pub fn execute_query(&self, query: &Query) -> Result<ResultSet> {
-        let plan = plan::Planner::new(self).plan_query(query)?;
-        self.run_plan(&plan, &[], None)
+    /// Execute a parsed query for the statement `ctx`: plan it and run the
+    /// plan against the live table state.
+    pub fn execute_query(&self, query: &Query, ctx: &StmtCtx) -> Result<ResultSet> {
+        let plan = plan::Planner::new(self, ctx).plan_query(query)?;
+        self.run_plan(&plan, &[], None, ctx)
     }
 
-    /// Lower a parsed query to its physical plan without executing it. The
-    /// plan is plain owned data (no engine borrows), so callers may cache it
-    /// and re-execute via [`Engine::execute_plan`] — the prepared-statement
-    /// path of the MTBase middleware.
+    /// [`Engine::plan_query_in`] as a statement of its own.
     pub fn plan_query(&self, query: &Query) -> Result<plan::Plan> {
-        let plan = plan::Planner::new(self).plan_query(query)?;
-        if verify::verify_enabled(&self.config) {
-            let opts = verify::VerifyOptions {
-                param_count: Some(mtsql::visit::param_count_query(query)),
-                ..Default::default()
-            };
-            verify::verify_plan_with(self, &plan, opts)?;
-            self.counters.add_plans_verified(1);
-        }
+        self.standalone(|ctx| self.plan_query_in(query, ctx))
+    }
+
+    /// Lower a parsed query to its physical plan without executing it,
+    /// charging `ctx`. The plan is plain owned data (no engine borrows), so
+    /// callers may cache it and re-execute via [`Engine::execute_plan_in`]
+    /// — the prepared-statement path of the MTBase middleware.
+    pub fn plan_query_in(&self, query: &Query, ctx: &StmtCtx) -> Result<plan::Plan> {
+        let plan = plan::Planner::new(self, ctx).plan_query(query)?;
+        let opts = verify::VerifyOptions {
+            param_count: Some(mtsql::visit::param_count_query(query)),
+            ..Default::default()
+        };
+        verify::verify_for_statement(self, &plan, opts, ctx)?;
         Ok(plan)
     }
 
+    /// [`Engine::execute_plan_in`] outside any transaction, as a statement
+    /// of its own.
+    pub fn execute_plan(&self, plan: &plan::Plan, params: &[Value]) -> Result<ResultSet> {
+        self.standalone(|ctx| self.execute_plan_in(plan, params, None, ctx))
+    }
+
     /// Execute a previously lowered plan with the given bound parameter
-    /// values (empty for parameter-free statements). While a transaction is
-    /// open somewhere on the engine, the statement runs against the
+    /// values (empty for parameter-free statements), charging `ctx`. Inside
+    /// the open transaction `txn` the plan reads the committed floor plus the
+    /// transaction's own statement epochs (read-your-writes without
+    /// observing other open transactions' staged rows). Outside one, while a
+    /// transaction is open somewhere on the engine, it runs against the
     /// committed-epoch snapshot so uncommitted (and later rolled-back) rows
     /// are never observed; with no open transaction the snapshot equals the
     /// live state and the read is unbounded (the common, zero-cost path).
-    pub fn execute_plan(&self, plan: &plan::Plan, params: &[Value]) -> Result<ResultSet> {
-        let uncommitted = self.db.has_uncommitted();
-        let floor = uncommitted.then(|| Snapshot::At(self.db.committed_epoch()));
-        self.run_plan(plan, params, floor)
-    }
-
-    /// Like [`Engine::execute_plan`] but pinned for the session that *owns*
-    /// the open transaction `txn`: the committed floor plus the
-    /// transaction's own statement epochs (read-your-writes without
-    /// observing other open transactions' staged rows).
-    pub fn execute_plan_txn(
+    pub fn execute_plan_in(
         &self,
         plan: &plan::Plan,
         params: &[Value],
-        txn: &txn::Transaction,
+        txn: Option<&txn::Transaction>,
+        ctx: &StmtCtx,
     ) -> Result<ResultSet> {
-        let snapshot = txn.snapshot(self.db.committed_epoch());
-        self.run_plan(plan, params, Some(snapshot))
+        let floor = self.db.committed_epoch();
+        let snapshot = match txn {
+            Some(txn) => Some(txn.snapshot(floor)),
+            None => self.db.has_uncommitted().then_some(Snapshot::At(floor)),
+        };
+        self.run_plan(plan, params, snapshot, ctx)
     }
 
     /// The one executor entry: verify `plan` (when enabled) — sub-plans
     /// with it — and run it with `params` bound, every scan bounded at
-    /// `snapshot` (`None` reads the live state).
+    /// `snapshot` (`None` reads the live state), charging `ctx`.
     fn run_plan(
         &self,
         plan: &plan::Plan,
         params: &[Value],
         snapshot: Option<Snapshot>,
+        ctx: &StmtCtx,
     ) -> Result<ResultSet> {
-        if verify::verify_enabled(&self.config) {
-            let opts = verify::VerifyOptions {
-                param_count: Some(params.len()),
-                ..Default::default()
-            };
-            verify::verify_plan_with(self, plan, opts)?;
-            self.counters.add_plans_verified(1);
-        }
-        let mut executor = Executor::with_params(self, params.to_vec());
+        let opts = verify::VerifyOptions {
+            param_count: Some(params.len()),
+            ..Default::default()
+        };
+        verify::verify_for_statement(self, plan, opts, ctx)?;
+        let mut executor = Executor::with_params(self, ctx, params.to_vec());
         if let Some(snapshot) = snapshot {
             executor.pin(snapshot);
         }
@@ -870,17 +832,10 @@ impl Engine {
         Ok(ResultSet::from_relation(rel))
     }
 
-    /// Stream a previously lowered plan row-by-row (see [`cursor::RowIter`]).
-    /// Pipeline-able plans never materialize the full result set; blocking
-    /// plans materialize internally and expose the same pull interface.
-    pub fn row_iter<'e>(&'e self, plan: &'e plan::Plan, params: Vec<Value>) -> RowIter<'e> {
-        RowIter::new(self, plan, params)
-    }
-
     /// Lower a query to its physical plan and render it as an `EXPLAIN`
     /// result: one `QUERY PLAN` column, one row per plan line.
     pub fn explain_query(&self, query: &Query) -> Result<ResultSet> {
-        let plan = plan::Planner::new(self).plan_query(query)?;
+        let plan = self.standalone(|ctx| plan::Planner::new(self, ctx).plan_query(query))?;
         Ok(self.explain_plan(&plan))
     }
 
@@ -905,10 +860,18 @@ impl Engine {
         }
     }
 
-    /// Execute a parsed statement (queries, DDL and DML).
+    /// Execute a parsed statement (queries, DDL and DML) as a statement of
+    /// its own.
     pub fn execute_statement(&mut self, stmt: &Statement) -> Result<ResultSet> {
+        let ctx = StmtCtx::new();
+        let result = self.run_statement(stmt, &ctx);
+        self.finish_statement(&ctx);
+        result
+    }
+
+    fn run_statement(&mut self, stmt: &Statement, ctx: &StmtCtx) -> Result<ResultSet> {
         match stmt {
-            Statement::Select(q) => self.execute_query(q),
+            Statement::Select(q) => self.execute_query(q, ctx),
             Statement::Explain(q) => self.explain_query(q),
             Statement::CreateTable(ct) => {
                 let columns: Vec<String> = ct.columns.iter().map(|c| c.name.clone()).collect();
@@ -965,7 +928,7 @@ impl Engine {
             Statement::Insert(insert) => {
                 // `build_insert_rows` validates arity and fills defaults, so
                 // the rows logged here are exactly the rows applied below.
-                let rows = self.build_insert_rows(insert, None)?;
+                let rows = self.build_insert_rows(insert, None, ctx)?;
                 let count = rows.len() as i64;
                 if self.wal.is_some() {
                     self.log(&[wal::Record::InsertRows {
@@ -980,7 +943,7 @@ impl Engine {
                 })
             }
             Statement::Update(update) => {
-                let new_rows = self.compute_update_rows(update, None)?;
+                let new_rows = self.compute_update_rows(update, None, ctx)?;
                 let changed = new_rows.iter().filter(|(m, _)| *m).count() as i64;
                 let rows = new_rows.into_iter().map(|(_, r)| r).collect();
                 self.replace_rows(&update.table, rows)?;
@@ -990,7 +953,7 @@ impl Engine {
                 })
             }
             Statement::Delete(delete) => {
-                let (keep, removed) = self.compute_delete_rows(delete, None)?;
+                let (keep, removed) = self.compute_delete_rows(delete, None, ctx)?;
                 self.replace_rows(&delete.table, keep)?;
                 Ok(ResultSet {
                     columns: vec!["rows_deleted".to_string()],
@@ -1017,6 +980,7 @@ impl Engine {
         &self,
         insert: &mtsql::ast::Insert,
         txn: Option<&txn::Transaction>,
+        ctx: &StmtCtx,
     ) -> Result<Vec<Row>> {
         let table = self.db.table(&insert.table)?;
         let target_columns: Vec<String> = if insert.columns.is_empty() {
@@ -1036,11 +1000,11 @@ impl Engine {
         // Sources inside a transaction read at the transaction's snapshot,
         // like every other in-transaction query.
         let source_rows: Vec<Row> = match &insert.source {
-            InsertSource::Values(rows) => self.values_rows(rows, txn)?,
+            InsertSource::Values(rows) => self.values_rows(rows, txn, ctx)?,
             InsertSource::Query(q) => {
-                let plan = plan::Planner::new(self).plan_query(q)?;
+                let plan = plan::Planner::new(self, ctx).plan_query(q)?;
                 let snapshot = txn.map(|t| t.snapshot(self.db.committed_epoch()));
-                self.run_plan(&plan, &[], snapshot)?.rows
+                self.run_plan(&plan, &[], snapshot, ctx)?.rows
             }
         };
 

@@ -56,6 +56,7 @@ use crate::conjuncts::{
 use crate::error::Result;
 use crate::exec::Executor;
 use crate::schema::Schema;
+use crate::stats::StmtCtx;
 use crate::Engine;
 
 /// One ORDER BY key of a [`Plan::Sort`]: a column index into the input rows
@@ -334,6 +335,8 @@ impl Plan {
 /// Lowers queries into [`Plan`]s against one engine's catalog and config.
 pub struct Planner<'e> {
     pub(crate) engine: &'e Engine,
+    /// The statement being planned: constant folding can call UDFs.
+    pub(crate) ctx: &'e StmtCtx,
     /// The input schemas of the operators enclosing the query being planned,
     /// innermost first — what [`crate::bound::Slot::Outer`] slots index.
     /// Empty for a top-level statement.
@@ -344,10 +347,11 @@ pub struct Planner<'e> {
 }
 
 impl<'e> Planner<'e> {
-    /// A planner for the engine's current catalog.
-    pub fn new(engine: &'e Engine) -> Self {
+    /// A planner for the engine's current catalog, charging `ctx`.
+    pub fn new(engine: &'e Engine, ctx: &'e StmtCtx) -> Self {
         Planner {
             engine,
+            ctx,
             scopes: Vec::new(),
             reach: Cell::new(0),
         }
@@ -360,6 +364,7 @@ impl<'e> Planner<'e> {
         scopes.extend(self.scopes.iter().cloned());
         Planner {
             engine: self.engine,
+            ctx: self.ctx,
             scopes,
             reach: Cell::new(0),
         }
@@ -746,7 +751,7 @@ impl<'e> Planner<'e> {
                 // constant evaluation (functions and UDFs over literals
                 // included), so the planner prunes everything the scan
                 // filter would recognise as constant.
-                let folder = Executor::new(self.engine);
+                let folder = Executor::new(self.engine, self.ctx);
                 let fold = |e: &Expr| folder.fold_key(e);
                 for c in &pushed {
                     if let Some(keys) = partition_keys_of_conjunct(c, &schema, pidx, &fold) {
@@ -1333,7 +1338,9 @@ fn render(engine: &Engine, plan: &Plan, depth: usize, out: &mut String) {
             // as column kernels, rows late-materialize. A hybrid scan runs
             // the compiled conjuncts vectorized and interprets the rest on
             // the surviving rows.
-            let compiles_fast = Executor::new(engine).scan_compiles_fast(scan);
+            // Rendering runs no statement: constants the compile check
+            // evaluates charge a scratch context.
+            let compiles_fast = Executor::new(engine, &StmtCtx::new()).scan_compiles_fast(scan);
             if let Ok(table) = engine.database().table(&scan.table) {
                 if table.partition_count() > 0 {
                     if compiles_fast {
@@ -1520,7 +1527,7 @@ mod tests {
     }
 
     fn plan_of(e: &Engine, sql: &str) -> Plan {
-        Planner::new(e)
+        Planner::new(e, &StmtCtx::new())
             .plan_query(&mtsql::parse_query(sql).unwrap())
             .unwrap()
     }

@@ -7,10 +7,17 @@
 //! partition pruning observable: `rows_scanned` counts only the rows a scan
 //! actually visited, while `partitions_pruned` counts the foreign-tenant
 //! buckets it skipped without touching their rows.
+//!
+//! Every statement counts its own work in a [`StmtCtx`], passed by reference
+//! through planning, verification and execution, so its numbers are exact
+//! however many statements run beside it. A finished context is added to the
+//! engine's lifetime totals once ([`crate::Engine::finish_statement`]);
+//! [`crate::Engine::stats`] reads those totals plus the live gauges.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Point-in-time snapshot of engine counters.
+/// Counters of one statement ([`StmtCtx::stats`]) or the engine's lifetime
+/// totals ([`crate::Engine::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Rows read from base tables (after partition pruning).
@@ -55,9 +62,10 @@ pub struct StatsSnapshot {
     /// [`crate::EngineConfig::decorrelation`] is off or a query's
     /// sub-queries were not rewritable.
     pub subqueries_unnested: u64,
-    /// Columns currently dictionary-encoded across all tables (a live gauge
-    /// computed at snapshot time, not an accumulating counter: one per
-    /// (table, column) pair with at least one dictionary-encoded bucket).
+    /// Columns currently dictionary-encoded across all tables: a live gauge
+    /// [`crate::Engine::stats`] computes, not an accumulating counter (one
+    /// per (table, column) pair with at least one dictionary-encoded
+    /// bucket). Zero in a statement's own counters.
     pub dict_columns: u64,
     /// UDF invocations that executed the function body.
     pub udf_calls: u64,
@@ -74,14 +82,18 @@ pub struct StatsSnapshot {
     /// execution. Zero when [`crate::EngineConfig::verify_plans`] is off.
     pub plans_verified: u64,
     /// Multi-statement transactions published ([`crate::Engine::txn_publish`]).
+    /// A transaction outlives its statements, so this is an engine-lifetime
+    /// count only; a statement's own counters leave it zero.
     pub txn_commits: u64,
     /// Multi-statement transactions rolled back — explicit `ROLLBACK` plus
-    /// commit failures undone via the undo log.
+    /// commit failures undone via the undo log. Engine-lifetime only, like
+    /// [`StatsSnapshot::txn_commits`].
     pub txn_rollbacks: u64,
     /// WAL commit markers appended (one per logged transaction — implicit
-    /// single-statement and explicit multi-statement alike). A gauge read
-    /// from the WAL writer, *not* cleared by [`crate::Engine::reset_stats`];
-    /// window with [`StatsSnapshot::delta_from`].
+    /// single-statement and explicit multi-statement alike). A gauge
+    /// [`crate::Engine::stats`] reads from the WAL writer: *not* cleared by
+    /// [`crate::Engine::reset_stats`], and zero in a statement's own
+    /// counters.
     pub wal_commits: u64,
     /// fsync (`sync_data`) calls issued by the WAL writer. With concurrent
     /// committers, `wal_fsyncs / wal_commits` drops below one (group
@@ -91,240 +103,77 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
+    /// Field-wise `f(self.field, other.field)`.
+    fn zip(&self, o: &StatsSnapshot, f: impl Fn(u64, u64) -> u64) -> StatsSnapshot {
+        StatsSnapshot {
+            rows_scanned: f(self.rows_scanned, o.rows_scanned),
+            partitions_scanned: f(self.partitions_scanned, o.partitions_scanned),
+            partitions_pruned: f(self.partitions_pruned, o.partitions_pruned),
+            morsels_dispatched: f(self.morsels_dispatched, o.morsels_dispatched),
+            morsel_workers: f(self.morsel_workers, o.morsel_workers),
+            partial_agg_merges: f(self.partial_agg_merges, o.partial_agg_merges),
+            rows_vectorized: f(self.rows_vectorized, o.rows_vectorized),
+            late_materialized: f(self.late_materialized, o.late_materialized),
+            dict_kernel_rows: f(self.dict_kernel_rows, o.dict_kernel_rows),
+            subqueries_unnested: f(self.subqueries_unnested, o.subqueries_unnested),
+            dict_columns: f(self.dict_columns, o.dict_columns),
+            udf_calls: f(self.udf_calls, o.udf_calls),
+            udf_cache_hits: f(self.udf_cache_hits, o.udf_cache_hits),
+            prepared_cache_hits: f(self.prepared_cache_hits, o.prepared_cache_hits),
+            prepared_cache_misses: f(self.prepared_cache_misses, o.prepared_cache_misses),
+            plans_verified: f(self.plans_verified, o.plans_verified),
+            txn_commits: f(self.txn_commits, o.txn_commits),
+            txn_rollbacks: f(self.txn_rollbacks, o.txn_rollbacks),
+            wal_commits: f(self.wal_commits, o.wal_commits),
+            wal_fsyncs: f(self.wal_fsyncs, o.wal_fsyncs),
+        }
+    }
+
     /// Field-wise `self - before`, saturating at zero (a concurrent
-    /// `reset_stats` may move counters backwards). Used to attribute the
-    /// shared engine counters to one statement execution.
+    /// `reset_stats` may move counters backwards): a window over two reads
+    /// of [`crate::Engine::stats`]. The `dict_columns` gauge keeps its
+    /// current value. A statement's own numbers are its [`StmtCtx`], never
+    /// such a window — other clients' statements land in it too.
     pub fn delta_from(&self, before: &StatsSnapshot) -> StatsSnapshot {
         StatsSnapshot {
-            rows_scanned: self.rows_scanned.saturating_sub(before.rows_scanned),
-            partitions_scanned: self
-                .partitions_scanned
-                .saturating_sub(before.partitions_scanned),
-            partitions_pruned: self
-                .partitions_pruned
-                .saturating_sub(before.partitions_pruned),
-            morsels_dispatched: self
-                .morsels_dispatched
-                .saturating_sub(before.morsels_dispatched),
-            morsel_workers: self.morsel_workers.saturating_sub(before.morsel_workers),
-            partial_agg_merges: self
-                .partial_agg_merges
-                .saturating_sub(before.partial_agg_merges),
-            rows_vectorized: self.rows_vectorized.saturating_sub(before.rows_vectorized),
-            late_materialized: self
-                .late_materialized
-                .saturating_sub(before.late_materialized),
-            dict_kernel_rows: self
-                .dict_kernel_rows
-                .saturating_sub(before.dict_kernel_rows),
-            subqueries_unnested: self
-                .subqueries_unnested
-                .saturating_sub(before.subqueries_unnested),
-            // A gauge, not a counter: the delta keeps the current value so
-            // per-statement snapshots still report the live encoding state.
             dict_columns: self.dict_columns,
-            udf_calls: self.udf_calls.saturating_sub(before.udf_calls),
-            udf_cache_hits: self.udf_cache_hits.saturating_sub(before.udf_cache_hits),
-            prepared_cache_hits: self
-                .prepared_cache_hits
-                .saturating_sub(before.prepared_cache_hits),
-            prepared_cache_misses: self
-                .prepared_cache_misses
-                .saturating_sub(before.prepared_cache_misses),
-            plans_verified: self.plans_verified.saturating_sub(before.plans_verified),
-            txn_commits: self.txn_commits.saturating_sub(before.txn_commits),
-            txn_rollbacks: self.txn_rollbacks.saturating_sub(before.txn_rollbacks),
-            wal_commits: self.wal_commits.saturating_sub(before.wal_commits),
-            wal_fsyncs: self.wal_fsyncs.saturating_sub(before.wal_fsyncs),
+            ..self.zip(before, u64::saturating_sub)
         }
     }
 }
 
-/// Internal atomic counters owned by the engine.
+impl std::ops::AddAssign for StatsSnapshot {
+    fn add_assign(&mut self, other: StatsSnapshot) {
+        *self = self.zip(&other, |a, b| a + b);
+    }
+}
+
+/// One statement's own counters. The client boundary creates one per
+/// statement and passes it by reference through planning (constant folding
+/// can call UDFs), verification and execution; every executor charges it.
+/// It is not `Sync`: a pool worker charges a context of its own, which the
+/// coordinator folds in when the pool joins.
 #[derive(Debug, Default)]
-pub struct EngineCounters {
-    rows_scanned: AtomicU64,
-    partitions_scanned: AtomicU64,
-    partitions_pruned: AtomicU64,
-    morsels_dispatched: AtomicU64,
-    morsel_workers: AtomicU64,
-    partial_agg_merges: AtomicU64,
-    rows_vectorized: AtomicU64,
-    late_materialized: AtomicU64,
-    dict_kernel_rows: AtomicU64,
-    subqueries_unnested: AtomicU64,
-    prepared_cache_hits: AtomicU64,
-    prepared_cache_misses: AtomicU64,
-    plans_verified: AtomicU64,
-    txn_commits: AtomicU64,
-    txn_rollbacks: AtomicU64,
+pub struct StmtCtx {
+    stats: Cell<StatsSnapshot>,
 }
 
-impl EngineCounters {
-    /// New zeroed counters.
+impl StmtCtx {
+    /// A context with every counter at zero.
     pub fn new() -> Self {
-        Self::default()
+        StmtCtx::default()
     }
 
-    /// Add to the scanned-row counter.
-    pub fn add_rows_scanned(&self, n: u64) {
-        self.rows_scanned.fetch_add(n, Ordering::Relaxed);
+    /// The counters charged so far.
+    pub fn stats(&self) -> StatsSnapshot {
+        self.stats.get()
     }
 
-    /// Record one base-table scan: buckets visited and buckets pruned.
-    pub fn add_partitions(&self, scanned: u64, pruned: u64) {
-        self.partitions_scanned
-            .fetch_add(scanned, Ordering::Relaxed);
-        self.partitions_pruned.fetch_add(pruned, Ordering::Relaxed);
-    }
-
-    /// Current scanned-row count.
-    pub fn rows_scanned(&self) -> u64 {
-        self.rows_scanned.load(Ordering::Relaxed)
-    }
-
-    /// Current visited-bucket count.
-    pub fn partitions_scanned(&self) -> u64 {
-        self.partitions_scanned.load(Ordering::Relaxed)
-    }
-
-    /// Current pruned-bucket count.
-    pub fn partitions_pruned(&self) -> u64 {
-        self.partitions_pruned.load(Ordering::Relaxed)
-    }
-
-    /// Record one pooled scan's morsel accounting: morsels dispatched and
-    /// workers spawned.
-    pub fn add_morsel_scan(&self, morsels: u64, workers: u64) {
-        self.morsels_dispatched
-            .fetch_add(morsels, Ordering::Relaxed);
-        self.morsel_workers.fetch_add(workers, Ordering::Relaxed);
-    }
-
-    /// Current dispatched-morsel count.
-    pub fn morsels_dispatched(&self) -> u64 {
-        self.morsels_dispatched.load(Ordering::Relaxed)
-    }
-
-    /// Current accumulated worker count.
-    pub fn morsel_workers(&self) -> u64 {
-        self.morsel_workers.load(Ordering::Relaxed)
-    }
-
-    /// Record partial aggregate states merged into a final aggregate.
-    pub fn add_partial_agg_merges(&self, n: u64) {
-        self.partial_agg_merges.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current partial-aggregate merge count.
-    pub fn partial_agg_merges(&self) -> u64 {
-        self.partial_agg_merges.load(Ordering::Relaxed)
-    }
-
-    /// Record one scan's vectorized-evaluation accounting: rows covered by
-    /// column kernels and rows late-materialized after qualifying.
-    pub fn add_vectorized(&self, rows: u64, materialized: u64) {
-        self.rows_vectorized.fetch_add(rows, Ordering::Relaxed);
-        self.late_materialized
-            .fetch_add(materialized, Ordering::Relaxed);
-    }
-
-    /// Current vectorized-row count.
-    pub fn rows_vectorized(&self) -> u64 {
-        self.rows_vectorized.load(Ordering::Relaxed)
-    }
-
-    /// Current late-materialized row count.
-    pub fn late_materialized(&self) -> u64 {
-        self.late_materialized.load(Ordering::Relaxed)
-    }
-
-    /// Record rows processed through dictionary code space.
-    pub fn add_dict_kernel_rows(&self, rows: u64) {
-        self.dict_kernel_rows.fetch_add(rows, Ordering::Relaxed);
-    }
-
-    /// Current dictionary code-space row count.
-    pub fn dict_kernel_rows(&self) -> u64 {
-        self.dict_kernel_rows.load(Ordering::Relaxed)
-    }
-
-    /// Record correlated sub-queries executed as unnested join plans.
-    pub fn add_subqueries_unnested(&self, n: u64) {
-        self.subqueries_unnested.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current unnested sub-query count.
-    pub fn subqueries_unnested(&self) -> u64 {
-        self.subqueries_unnested.load(Ordering::Relaxed)
-    }
-
-    /// Record one prepared-plan cache lookup outcome.
-    pub fn add_prepared_cache(&self, hit: bool) {
-        if hit {
-            self.prepared_cache_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.prepared_cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Current prepared-plan cache hit count.
-    pub fn prepared_cache_hits(&self) -> u64 {
-        self.prepared_cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Current prepared-plan cache miss count.
-    pub fn prepared_cache_misses(&self) -> u64 {
-        self.prepared_cache_misses.load(Ordering::Relaxed)
-    }
-
-    /// Record plans accepted by the static verifier.
-    pub fn add_plans_verified(&self, n: u64) {
-        self.plans_verified.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current verified-plan count.
-    pub fn plans_verified(&self) -> u64 {
-        self.plans_verified.load(Ordering::Relaxed)
-    }
-
-    /// Record one transaction published.
-    pub fn add_txn_commit(&self) {
-        self.txn_commits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Current published-transaction count.
-    pub fn txn_commits(&self) -> u64 {
-        self.txn_commits.load(Ordering::Relaxed)
-    }
-
-    /// Record one transaction rolled back.
-    pub fn add_txn_rollback(&self) {
-        self.txn_rollbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Current rolled-back-transaction count.
-    pub fn txn_rollbacks(&self) -> u64 {
-        self.txn_rollbacks.load(Ordering::Relaxed)
-    }
-
-    /// Reset all counters.
-    pub fn reset(&self) {
-        self.rows_scanned.store(0, Ordering::Relaxed);
-        self.partitions_scanned.store(0, Ordering::Relaxed);
-        self.partitions_pruned.store(0, Ordering::Relaxed);
-        self.morsels_dispatched.store(0, Ordering::Relaxed);
-        self.morsel_workers.store(0, Ordering::Relaxed);
-        self.partial_agg_merges.store(0, Ordering::Relaxed);
-        self.rows_vectorized.store(0, Ordering::Relaxed);
-        self.late_materialized.store(0, Ordering::Relaxed);
-        self.dict_kernel_rows.store(0, Ordering::Relaxed);
-        self.subqueries_unnested.store(0, Ordering::Relaxed);
-        self.prepared_cache_hits.store(0, Ordering::Relaxed);
-        self.prepared_cache_misses.store(0, Ordering::Relaxed);
-        self.plans_verified.store(0, Ordering::Relaxed);
-        self.txn_commits.store(0, Ordering::Relaxed);
-        self.txn_rollbacks.store(0, Ordering::Relaxed);
+    /// Charge counters: `f` updates them in place.
+    pub fn charge(&self, f: impl FnOnce(&mut StatsSnapshot)) {
+        let mut stats = self.stats.get();
+        f(&mut stats);
+        self.stats.set(stats);
     }
 }
 
@@ -333,18 +182,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_and_reset() {
-        let c = EngineCounters::new();
-        c.add_rows_scanned(10);
-        c.add_rows_scanned(5);
-        c.add_partitions(1, 9);
-        c.add_partitions(2, 8);
-        assert_eq!(c.rows_scanned(), 15);
-        assert_eq!(c.partitions_scanned(), 3);
-        assert_eq!(c.partitions_pruned(), 17);
-        c.reset();
-        assert_eq!(c.rows_scanned(), 0);
-        assert_eq!(c.partitions_scanned(), 0);
-        assert_eq!(c.partitions_pruned(), 0);
+    fn contexts_charge_fold_and_window() {
+        let ctx = StmtCtx::new();
+        ctx.charge(|s| s.rows_scanned += 10);
+        ctx.charge(|s| s.rows_scanned += 5);
+        let worker = StmtCtx::new();
+        worker.charge(|s| {
+            s.partitions_scanned += 3;
+            s.partitions_pruned += 17;
+        });
+        ctx.charge(|s| *s += worker.stats());
+        let stats = ctx.stats();
+        assert_eq!(stats.rows_scanned, 15);
+        assert_eq!(stats.partitions_scanned, 3);
+        assert_eq!(stats.partitions_pruned, 17);
+
+        let before = StatsSnapshot {
+            rows_scanned: 20,
+            dict_columns: 9,
+            ..StatsSnapshot::default()
+        };
+        let delta = stats.delta_from(&before);
+        assert_eq!(delta.rows_scanned, 0, "saturates at zero");
+        assert_eq!(delta.partitions_pruned, 17);
+        assert_eq!(delta.dict_columns, 0, "the gauge keeps its current value");
     }
 }

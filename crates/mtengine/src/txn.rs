@@ -50,6 +50,7 @@ use crate::error::{err, EngineError, Result};
 use crate::exec::Executor;
 use crate::plan::Planner;
 use crate::schema::Schema;
+use crate::stats::StmtCtx;
 use crate::table::{Row, SharedRow, Snapshot};
 use crate::wal::Record;
 use crate::{Engine, ResultSet, Value};
@@ -144,20 +145,22 @@ impl Engine {
     /// the transaction-scoped snapshot (the transaction sees its own writes
     /// but not other open transactions' staged rows). Everything else —
     /// DDL, DCL — is rejected: those statements commit their own WAL
-    /// transaction and cannot be staged or rolled back here.
+    /// transaction and cannot be staged or rolled back here. The work is
+    /// charged to `ctx`.
     pub fn txn_execute_statement(
         &mut self,
         txn: &mut Transaction,
         stmt: &Statement,
+        ctx: &StmtCtx,
     ) -> Result<ResultSet> {
         match stmt {
             Statement::Select(q) => {
-                let plan = Planner::new(self).plan_query(q)?;
-                self.execute_plan_txn(&plan, &[], txn)
+                let plan = Planner::new(self, ctx).plan_query(q)?;
+                self.execute_plan_in(&plan, &[], Some(txn), ctx)
             }
             Statement::Explain(q) => self.explain_query(q),
             Statement::Insert(insert) => {
-                let rows = self.build_insert_rows(insert, Some(txn))?;
+                let rows = self.build_insert_rows(insert, Some(txn), ctx)?;
                 let count = rows.len() as i64;
                 self.txn_insert_rows(txn, &insert.table, rows)?;
                 txn.statements += 1;
@@ -167,7 +170,7 @@ impl Engine {
                 })
             }
             Statement::Update(update) => {
-                let new_rows = self.compute_update_rows(update, Some(txn))?;
+                let new_rows = self.compute_update_rows(update, Some(txn), ctx)?;
                 let changed = new_rows.iter().filter(|(m, _)| *m).count() as i64;
                 let rows: Vec<SharedRow> = new_rows.into_iter().map(|(_, r)| r).collect();
                 self.txn_replace_rows(txn, &update.table, rows)?;
@@ -178,7 +181,7 @@ impl Engine {
                 })
             }
             Statement::Delete(delete) => {
-                let (keep, removed) = self.compute_delete_rows(delete, Some(txn))?;
+                let (keep, removed) = self.compute_delete_rows(delete, Some(txn), ctx)?;
                 self.txn_replace_rows(txn, &delete.table, keep)?;
                 txn.statements += 1;
                 Ok(ResultSet {
@@ -328,7 +331,7 @@ impl Engine {
             }
         }
         self.db.resolve_epochs(&txn.epochs);
-        self.counters.add_txn_commit();
+        self.totals.get_mut().txn_commits += 1;
     }
 
     /// Roll the transaction back: replay the undo log in reverse, restoring
@@ -366,13 +369,17 @@ impl Engine {
             }
         }
         self.db.resolve_epochs(&txn.epochs);
-        self.counters.add_txn_rollback();
+        self.totals.get_mut().txn_rollbacks += 1;
     }
 
     /// An executor for the expressions of a DML statement: pinned at the
     /// transaction's snapshot inside one, reading live state otherwise.
-    pub(crate) fn dml_executor(&self, txn: Option<&Transaction>) -> Executor<'_> {
-        let mut executor = Executor::new(self);
+    pub(crate) fn dml_executor<'a>(
+        &'a self,
+        txn: Option<&Transaction>,
+        ctx: &'a StmtCtx,
+    ) -> Executor<'a> {
+        let mut executor = Executor::new(self, ctx);
         if let Some(txn) = txn {
             executor.pin(txn.snapshot(self.db.committed_epoch()));
         }
@@ -385,10 +392,11 @@ impl Engine {
         &self,
         table: &str,
         selection: Option<&mtsql::Expr>,
+        ctx: &StmtCtx,
     ) -> Result<(Schema, Vec<BoundExpr>)> {
         let t = self.db.table(table)?;
         let schema = Schema::qualified(&t.name, &t.columns);
-        let planner = Planner::new(self);
+        let planner = Planner::new(self, ctx);
         let selection = selection
             .iter()
             .map(|p| planner.bind_expr(p, &schema, "DML"))
@@ -406,10 +414,11 @@ impl Engine {
         &self,
         update: &Update,
         txn: Option<&Transaction>,
+        ctx: &StmtCtx,
     ) -> Result<Vec<(bool, SharedRow)>> {
-        let (schema, selection) = self.dml_scope(&update.table, update.selection.as_ref())?;
+        let (schema, selection) = self.dml_scope(&update.table, update.selection.as_ref(), ctx)?;
         let table = self.db.table(&update.table)?;
-        let planner = Planner::new(self);
+        let planner = Planner::new(self, ctx);
         let assignments = update
             .assignments
             .iter()
@@ -420,7 +429,7 @@ impl Engine {
                 Ok((idx, planner.bind_expr(expr, &schema, "DML")?))
             })
             .collect::<Result<Vec<_>>>()?;
-        let executor = self.dml_executor(txn);
+        let executor = self.dml_executor(txn, ctx);
         let mut new_rows: Vec<(bool, SharedRow)> = Vec::new();
         for row in table.rows() {
             let frame = Frame::row(&row, None);
@@ -443,9 +452,10 @@ impl Engine {
         &self,
         delete: &Delete,
         txn: Option<&Transaction>,
+        ctx: &StmtCtx,
     ) -> Result<(Vec<SharedRow>, i64)> {
-        let (_, selection) = self.dml_scope(&delete.table, delete.selection.as_ref())?;
-        let executor = self.dml_executor(txn);
+        let (_, selection) = self.dml_scope(&delete.table, delete.selection.as_ref(), ctx)?;
+        let executor = self.dml_executor(txn, ctx);
         let mut keep: Vec<SharedRow> = Vec::new();
         let mut removed = 0i64;
         for row in self.db.table(&delete.table)?.rows() {
@@ -493,7 +503,8 @@ mod tests {
         let epoch_before = e.current_epoch();
         let mut txn = e.begin_transaction();
         let stmt = mtsql::parse_statement("INSERT INTO t VALUES (1, 12), (3, 30)").unwrap();
-        e.txn_execute_statement(&mut txn, &stmt).unwrap();
+        e.txn_execute_statement(&mut txn, &stmt, &StmtCtx::new())
+            .unwrap();
         assert_eq!(all_rows(&e).len(), 5, "the transaction sees its writes");
         assert_eq!(e.committed_epoch(), epoch_before, "floor held down");
         e.txn_rollback(txn);
@@ -510,8 +521,10 @@ mod tests {
         let mut txn = e.begin_transaction();
         let ins = mtsql::parse_statement("INSERT INTO t VALUES (2, 21)").unwrap();
         let upd = mtsql::parse_statement("UPDATE t SET v = v + 100 WHERE ttid = 1").unwrap();
-        e.txn_execute_statement(&mut txn, &ins).unwrap();
-        e.txn_execute_statement(&mut txn, &upd).unwrap();
+        e.txn_execute_statement(&mut txn, &ins, &StmtCtx::new())
+            .unwrap();
+        e.txn_execute_statement(&mut txn, &upd, &StmtCtx::new())
+            .unwrap();
         let mid = all_rows(&e);
         assert!(mid.contains(&vec![Value::Int(1), Value::Int(110)]));
         assert!(mid.contains(&vec![Value::Int(2), Value::Int(21)]));
@@ -525,7 +538,9 @@ mod tests {
         let before = all_rows(&e);
         let mut txn = e.begin_transaction();
         let del = mtsql::parse_statement("DELETE FROM t WHERE ttid = 1").unwrap();
-        let rs = e.txn_execute_statement(&mut txn, &del).unwrap();
+        let rs = e
+            .txn_execute_statement(&mut txn, &del, &StmtCtx::new())
+            .unwrap();
         assert_eq!(rs.rows, vec![vec![Value::Int(2)]]);
         assert_eq!(all_rows(&e).len(), 1);
         e.txn_rollback(txn);
@@ -537,7 +552,8 @@ mod tests {
         let mut e = engine_with_rows();
         let mut txn = e.begin_transaction();
         let stmt = mtsql::parse_statement("INSERT INTO t VALUES (1, 12)").unwrap();
-        e.txn_execute_statement(&mut txn, &stmt).unwrap();
+        e.txn_execute_statement(&mut txn, &stmt, &StmtCtx::new())
+            .unwrap();
         assert!(e.committed_epoch() < e.current_epoch());
         assert!(e.txn_append(&mut txn).unwrap().is_none(), "not durable");
         e.txn_publish(txn);
@@ -553,7 +569,9 @@ mod tests {
         let mut e = engine_with_rows();
         let mut txn = e.begin_transaction();
         let stmt = mtsql::parse_statement("DROP TABLE t").unwrap();
-        let err = e.txn_execute_statement(&mut txn, &stmt).unwrap_err();
+        let err = e
+            .txn_execute_statement(&mut txn, &stmt, &StmtCtx::new())
+            .unwrap_err();
         assert!(err.message.contains("inside a transaction"), "{err}");
         e.txn_rollback(txn);
     }
@@ -571,7 +589,8 @@ mod tests {
         let plan = e.plan_query(&q).unwrap();
         let mut txn = e.begin_transaction();
         let upd = mtsql::parse_statement("UPDATE t SET v = v + 100 WHERE ttid = 1").unwrap();
-        e.txn_execute_statement(&mut txn, &upd).unwrap();
+        e.txn_execute_statement(&mut txn, &upd, &StmtCtx::new())
+            .unwrap();
         assert_eq!(e.execute_plan(&plan, &[]).unwrap().rows, before);
         e.txn_publish(txn);
         let after = e.execute_plan(&plan, &[]).unwrap().rows;
@@ -587,7 +606,8 @@ mod tests {
         let plan = e.plan_query(&q).unwrap();
         let mut txn = e.begin_transaction();
         let del = mtsql::parse_statement("DELETE FROM t").unwrap();
-        e.txn_execute_statement(&mut txn, &del).unwrap();
+        e.txn_execute_statement(&mut txn, &del, &StmtCtx::new())
+            .unwrap();
         // Mid-transaction: the table's live storage is empty, the shadow
         // still serves the committed rows.
         assert_eq!(e.execute_plan(&plan, &[]).unwrap().rows, before);
@@ -606,7 +626,8 @@ mod tests {
         let pinned = e.committed_epoch();
         let mut txn = e.begin_transaction();
         let upd = mtsql::parse_statement("UPDATE t SET v = 0 WHERE ttid = 1").unwrap();
-        e.txn_execute_statement(&mut txn, &upd).unwrap();
+        e.txn_execute_statement(&mut txn, &upd, &StmtCtx::new())
+            .unwrap();
         {
             let t = e.database().table("t").unwrap();
             assert!(t.has_rewrite_shadow());
@@ -629,14 +650,22 @@ mod tests {
         let mut t2 = e.begin_transaction();
         let i1 = mtsql::parse_statement("INSERT INTO t VALUES (1, 12)").unwrap();
         let i2 = mtsql::parse_statement("INSERT INTO t VALUES (2, 21)").unwrap();
-        e.txn_execute_statement(&mut t1, &i1).unwrap();
-        e.txn_execute_statement(&mut t2, &i2).unwrap();
+        e.txn_execute_statement(&mut t1, &i1, &StmtCtx::new())
+            .unwrap();
+        e.txn_execute_statement(&mut t2, &i2, &StmtCtx::new())
+            .unwrap();
         let q = mtsql::parse_query("SELECT ttid, v FROM t ORDER BY ttid, v").unwrap();
         let plan = e.plan_query(&q).unwrap();
-        let r1 = e.execute_plan_txn(&plan, &[], &t1).unwrap().rows;
+        let r1 = e
+            .execute_plan_in(&plan, &[], Some(&t1), &StmtCtx::new())
+            .unwrap()
+            .rows;
         assert!(r1.contains(&vec![Value::Int(1), Value::Int(12)]));
         assert!(!r1.contains(&vec![Value::Int(2), Value::Int(21)]));
-        let r2 = e.execute_plan_txn(&plan, &[], &t2).unwrap().rows;
+        let r2 = e
+            .execute_plan_in(&plan, &[], Some(&t2), &StmtCtx::new())
+            .unwrap()
+            .rows;
         assert!(r2.contains(&vec![Value::Int(2), Value::Int(21)]));
         assert!(!r2.contains(&vec![Value::Int(1), Value::Int(12)]));
         e.txn_rollback(t1);

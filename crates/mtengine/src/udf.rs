@@ -3,16 +3,17 @@
 //! Conversion functions are the hot path of MTBase query execution; the paper
 //! distinguishes DBMSs that cache results of deterministic (`IMMUTABLE`) UDFs
 //! (PostgreSQL) from ones that cannot (the commercial "System C"). The
-//! registry reproduces both behaviours behind a configuration flag and counts
-//! calls so experiments can report the analytic effect of each optimization.
+//! registry reproduces both behaviours behind a configuration flag and
+//! charges every invocation to the calling statement's [`StmtCtx`], so
+//! experiments can report the analytic effect of each optimization.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
 use crate::error::{err, Result};
+use crate::stats::StmtCtx;
 use crate::value::Value;
 
 /// Signature of a native scalar UDF implementation.
@@ -28,15 +29,6 @@ pub struct Udf {
     pub immutable: bool,
     /// Native implementation.
     pub implementation: UdfImpl,
-}
-
-/// Counters describing UDF activity; cheap to snapshot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UdfStats {
-    /// Number of calls that actually executed the function body.
-    pub calls: u64,
-    /// Number of calls answered from the immutable-result cache.
-    pub cache_hits: u64,
 }
 
 /// A resolved UDF: the registry slot a bound call site invokes without a
@@ -58,8 +50,6 @@ pub struct UdfRegistry {
     /// Lower-cased name → slot.
     by_name: HashMap<String, usize>,
     cache_enabled: bool,
-    calls: AtomicU64,
-    cache_hits: AtomicU64,
 }
 
 impl UdfRegistry {
@@ -70,8 +60,6 @@ impl UdfRegistry {
             slots: Vec::new(),
             by_name: HashMap::new(),
             cache_enabled,
-            calls: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
         }
     }
 
@@ -110,22 +98,23 @@ impl UdfRegistry {
     }
 
     /// Invoke a resolved UDF, consulting its immutable-result cache when
-    /// allowed. A hit probes with the borrowed arguments (no key is built)
-    /// under a shared lock — pool workers hitting the cache do not exclude
-    /// each other — and no lock is ever held across the function body.
-    pub fn call(&self, handle: UdfHandle, args: &[Value]) -> Result<Value> {
+    /// allowed, and charge `ctx` with the call or the cache hit. A hit
+    /// probes with the borrowed arguments (no key is built) under a shared
+    /// lock — pool workers hitting the cache do not exclude each other — and
+    /// no lock is ever held across the function body.
+    pub fn call(&self, handle: UdfHandle, args: &[Value], ctx: &StmtCtx) -> Result<Value> {
         let Some(slot) = self.slots.get(handle.0) else {
             return err(format!("stale UDF handle {}", handle.0));
         };
         if !(self.cache_enabled && slot.udf.immutable) {
-            self.calls.fetch_add(1, Ordering::Relaxed);
+            ctx.charge(|s| s.udf_calls += 1);
             return (slot.udf.implementation)(args);
         }
         if let Some(hit) = slot.cache.read().get(args) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+            ctx.charge(|s| s.udf_cache_hits += 1);
             return Ok(hit.clone());
         }
-        self.calls.fetch_add(1, Ordering::Relaxed);
+        ctx.charge(|s| s.udf_calls += 1);
         let result = (slot.udf.implementation)(args)?;
         slot.cache.write().insert(args.to_vec(), result.clone());
         Ok(result)
@@ -133,25 +122,15 @@ impl UdfRegistry {
 
     /// Resolve and invoke in one step (the middleware's write-path
     /// conversions).
-    pub fn call_by_name(&self, name: &str, args: &[Value]) -> Result<Value> {
+    pub fn call_by_name(&self, name: &str, args: &[Value], ctx: &StmtCtx) -> Result<Value> {
         match self.resolve(name) {
-            Some(handle) => self.call(handle, args),
+            Some(handle) => self.call(handle, args, ctx),
             None => err(format!("unknown function `{name}`")),
         }
     }
 
-    /// Snapshot the counters.
-    pub fn stats(&self) -> UdfStats {
-        UdfStats {
-            calls: self.calls.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Reset counters and cache (call between measured query runs).
-    pub fn reset(&self) {
-        self.calls.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
+    /// Clear the immutable-result caches (call between measured query runs).
+    pub fn clear_cache(&self) {
         for slot in &self.slots {
             slot.cache.write().clear();
         }
@@ -166,7 +145,7 @@ impl UdfRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn make_counting_udf(counter: Arc<AtomicUsize>) -> UdfImpl {
         Arc::new(move |args: &[Value]| {
@@ -180,30 +159,32 @@ mod tests {
         let mut reg = UdfRegistry::new(false);
         let hits = Arc::new(AtomicUsize::new(0));
         reg.register("double", true, make_counting_udf(hits.clone()));
-        let v = reg.call_by_name("DOUBLE", &[Value::Int(21)]).unwrap();
+        let ctx = StmtCtx::new();
+        let v = reg.call_by_name("DOUBLE", &[Value::Int(21)], &ctx).unwrap();
         assert_eq!(v, Value::Float(42.0));
-        assert_eq!(reg.stats().calls, 1);
-        assert_eq!(reg.stats().cache_hits, 0);
+        assert_eq!(ctx.stats().udf_calls, 1);
+        assert_eq!(ctx.stats().udf_cache_hits, 0);
     }
 
     #[test]
     fn handles_survive_later_registrations_and_replacement() {
         let mut reg = UdfRegistry::new(true);
+        let ctx = StmtCtx::new();
         reg.register("first", true, Arc::new(|_: &[Value]| Ok(Value::Int(1))));
         let first = reg.resolve("FIRST").unwrap();
         reg.register("second", true, Arc::new(|_: &[Value]| Ok(Value::Int(2))));
-        assert_eq!(reg.call(first, &[]).unwrap(), Value::Int(1));
+        assert_eq!(reg.call(first, &[], &ctx).unwrap(), Value::Int(1));
         // Re-registering replaces the function (and its cache) in place.
         reg.register("first", true, Arc::new(|_: &[Value]| Ok(Value::Int(10))));
         assert_eq!(reg.resolve("first"), Some(first));
-        assert_eq!(reg.call(first, &[]).unwrap(), Value::Int(10));
+        assert_eq!(reg.call(first, &[], &ctx).unwrap(), Value::Int(10));
         assert!(reg.resolve("third").is_none());
     }
 
     #[test]
     fn unknown_function_errors() {
         let reg = UdfRegistry::new(false);
-        assert!(reg.call_by_name("nope", &[]).is_err());
+        assert!(reg.call_by_name("nope", &[], &StmtCtx::new()).is_err());
     }
 
     #[test]
@@ -211,13 +192,14 @@ mod tests {
         let mut reg = UdfRegistry::new(true);
         let executions = Arc::new(AtomicUsize::new(0));
         reg.register("double", true, make_counting_udf(executions.clone()));
+        let ctx = StmtCtx::new();
         for _ in 0..5 {
-            reg.call_by_name("double", &[Value::Int(3)]).unwrap();
+            reg.call_by_name("double", &[Value::Int(3)], &ctx).unwrap();
         }
         assert_eq!(executions.load(Ordering::SeqCst), 1);
-        let stats = reg.stats();
-        assert_eq!(stats.calls, 1);
-        assert_eq!(stats.cache_hits, 4);
+        let stats = ctx.stats();
+        assert_eq!(stats.udf_calls, 1);
+        assert_eq!(stats.udf_cache_hits, 4);
     }
 
     #[test]
@@ -225,11 +207,12 @@ mod tests {
         let mut reg = UdfRegistry::new(false);
         let executions = Arc::new(AtomicUsize::new(0));
         reg.register("double", true, make_counting_udf(executions.clone()));
+        let ctx = StmtCtx::new();
         for _ in 0..5 {
-            reg.call_by_name("double", &[Value::Int(3)]).unwrap();
+            reg.call_by_name("double", &[Value::Int(3)], &ctx).unwrap();
         }
         assert_eq!(executions.load(Ordering::SeqCst), 5);
-        assert_eq!(reg.stats().cache_hits, 0);
+        assert_eq!(ctx.stats().udf_cache_hits, 0);
     }
 
     #[test]
@@ -237,21 +220,24 @@ mod tests {
         let mut reg = UdfRegistry::new(true);
         let executions = Arc::new(AtomicUsize::new(0));
         reg.register("volatile_fn", false, make_counting_udf(executions.clone()));
+        let ctx = StmtCtx::new();
         for _ in 0..3 {
-            reg.call_by_name("volatile_fn", &[Value::Int(3)]).unwrap();
+            reg.call_by_name("volatile_fn", &[Value::Int(3)], &ctx)
+                .unwrap();
         }
         assert_eq!(executions.load(Ordering::SeqCst), 3);
     }
 
     #[test]
-    fn reset_clears_cache_and_counters() {
+    fn clear_cache_reexecutes_the_next_call() {
         let mut reg = UdfRegistry::new(true);
         let executions = Arc::new(AtomicUsize::new(0));
         reg.register("double", true, make_counting_udf(executions.clone()));
-        reg.call_by_name("double", &[Value::Int(3)]).unwrap();
-        reg.reset();
-        assert_eq!(reg.stats(), UdfStats::default());
-        reg.call_by_name("double", &[Value::Int(3)]).unwrap();
+        let ctx = StmtCtx::new();
+        reg.call_by_name("double", &[Value::Int(3)], &ctx).unwrap();
+        reg.clear_cache();
+        reg.call_by_name("double", &[Value::Int(3)], &ctx).unwrap();
         assert_eq!(executions.load(Ordering::SeqCst), 2);
+        assert_eq!(ctx.stats().udf_calls, 2);
     }
 }

@@ -101,6 +101,35 @@ impl Value {
         }
     }
 
+    /// The total order `ORDER BY` sorts by. It agrees with
+    /// [`Value::compare`] on every pair that orders and ranks the rest:
+    /// NULL above every value (so last ascending and first descending, as
+    /// in PostgreSQL), NaN above every number, dates and booleans among the
+    /// numbers by numeric value (as `compare` orders them against integers,
+    /// which keeps the order transitive), and numbers before strings.
+    pub(crate) fn sort_cmp(&self, other: &Value) -> Ordering {
+        let number = |v: &Value| match v {
+            Value::Date(d) => Some(f64::from(*d)),
+            v => v.as_f64(),
+        };
+        let rank = |v: &Value| match v {
+            Value::Str(_) => 1,
+            Value::Null => 2,
+            _ => 0,
+        };
+        match (self, other) {
+            (Value::Int(a), Value::Int(b)) => a.cmp(b),
+            (Value::Date(a), Value::Date(b)) => a.cmp(b),
+            (Value::Str(a), Value::Str(b)) => a.cmp(b),
+            _ => match (number(self), number(other)) {
+                (Some(a), Some(b)) => a
+                    .partial_cmp(&b)
+                    .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan())),
+                _ => rank(self).cmp(&rank(other)),
+            },
+        }
+    }
+
     /// SQL equality (NULL never equals anything).
     pub fn sql_eq(&self, other: &Value) -> Option<bool> {
         self.compare(other).map(|o| o == Ordering::Equal)

@@ -74,6 +74,7 @@ use crate::error::{EngineError, EngineErrorKind};
 use crate::exec::Executor;
 use crate::plan::{HashAggregate, JoinVariant, Plan, Project, SeqScan};
 use crate::schema::Schema;
+use crate::stats::StmtCtx;
 use crate::table::ColumnVec;
 use crate::{Engine, EngineConfig};
 
@@ -232,14 +233,41 @@ pub fn verify_plan(engine: &Engine, plan: &Plan) -> Result<VerifyReport, PlanErr
 }
 
 /// Verify a plan under explicit options (parameter counts, pinned cursor
-/// epochs).
+/// epochs), outside any statement: constants the compiled-filter checks
+/// evaluate charge a scratch context.
 pub fn verify_plan_with(
     engine: &Engine,
     plan: &Plan,
     opts: VerifyOptions,
 ) -> Result<VerifyReport, PlanError> {
+    verify_in(engine, plan, opts, &StmtCtx::new())
+}
+
+/// The statement gate: when the verifier is enabled ([`verify_enabled`]),
+/// verify `plan` for the statement `ctx` counts and charge it one verified
+/// plan.
+pub(crate) fn verify_for_statement(
+    engine: &Engine,
+    plan: &Plan,
+    opts: VerifyOptions,
+    ctx: &StmtCtx,
+) -> crate::Result<()> {
+    if verify_enabled(&engine.config()) {
+        verify_in(engine, plan, opts, ctx)?;
+        ctx.charge(|s| s.plans_verified += 1);
+    }
+    Ok(())
+}
+
+fn verify_in(
+    engine: &Engine,
+    plan: &Plan,
+    opts: VerifyOptions,
+    ctx: &StmtCtx,
+) -> Result<VerifyReport, PlanError> {
     let mut v = Verifier {
         engine,
+        ctx,
         opts,
         report: VerifyReport::default(),
         per_bucket_legal: false,
@@ -286,6 +314,9 @@ impl TypeClass {
 
 struct Verifier<'e> {
     engine: &'e Engine,
+    /// The statement whose plan is checked: the compiled-filter check
+    /// evaluates constants, UDF calls included.
+    ctx: &'e StmtCtx,
     opts: VerifyOptions,
     report: VerifyReport,
     /// Set by a `HashAggregate` for the walk of its direct input: the one
@@ -639,7 +670,7 @@ impl Verifier<'_> {
 
         // The compiled filter: fast forms carry in-bounds column indices and
         // the compiler never emits the executor-injected key-set kernel.
-        let executor = Executor::new(self.engine);
+        let executor = Executor::new(self.engine, self.ctx);
         let bounds = SlotBounds::input(scan.schema.len());
         let (pruning, residual) = (&scan.bound.pruning, &scan.bound.residual);
         self.check_bound(
@@ -1295,7 +1326,9 @@ mod tests {
         schema: Schema,
     ) -> Plan {
         let mut plan = Plan::hash_join(left, right, keys, residual, kind, schema);
-        crate::plan::Planner::new(engine).bind(&mut plan).unwrap();
+        crate::plan::Planner::new(engine, &crate::stats::StmtCtx::new())
+            .bind(&mut plan)
+            .unwrap();
         plan
     }
 

@@ -26,6 +26,10 @@
 //!    offline; every `[dependencies]` entry in every manifest must be a
 //!    `path = ...` or `workspace = true` reference (the workspace-level
 //!    table itself must be all `path` entries).
+//! 5. **No `.delta_from(` in `crates/mtengine` and `crates/mtbase`
+//!    non-test code.** A statement's numbers are its own `StmtCtx`; a
+//!    window subtracting two reads of the engine's lifetime totals also
+//!    counts every statement that ran beside it.
 //!
 //! Exit status is the number of findings (0 = clean), each printed as
 //! `file:line: [rule] message` so editors can jump to them.
@@ -163,8 +167,9 @@ fn allowed(lines: &[&str], idx: usize) -> bool {
     }
 }
 
-/// Rules 1 and 2 over one `mtengine` source file. Test modules start at a
-/// `#[cfg(test)]` line and, by repo convention, run to end-of-file.
+/// Rules 1, 2 and 5 over one `mtengine` / `mtbase` source file. Test
+/// modules start at a `#[cfg(test)]` line and, by repo convention, run to
+/// end-of-file.
 fn lint_engine_file(file: &Path, findings: &mut Vec<Finding>) {
     let Ok(text) = std::fs::read_to_string(file) else {
         return;
@@ -202,6 +207,16 @@ fn lint_engine_file(file: &Path, findings: &mut Vec<Finding>) {
                 line: idx + 1,
                 rule: "no-kernel-clock",
                 message: "Instant::now in engine code; timing belongs in the bench harness"
+                    .to_string(),
+            });
+        }
+        if raw.contains(".delta_from(") {
+            findings.push(Finding {
+                file: file.to_path_buf(),
+                line: idx + 1,
+                rule: "no-stats-window",
+                message: "delta_from window over engine totals; charge and read the \
+                          statement's StmtCtx instead"
                     .to_string(),
             });
         }
@@ -351,6 +366,28 @@ mod tests {
         lint_engine_file(&file, &mut findings);
         let rules: Vec<&str> = findings.iter().map(|f| f.rule).collect();
         assert_eq!(rules, ["no-panic", "no-panic", "no-kernel-clock"]);
+    }
+
+    #[test]
+    fn stats_window_rule_flags_delta_from_calls_only() {
+        let dir = std::env::temp_dir().join("xtask-lint-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("window.rs");
+        std::fs::write(
+            &file,
+            "pub fn delta_from(&self, before: &S) -> S { todo() }\n\
+             fn f() {\n\
+             \x20   // a comment may name .delta_from( freely\n\
+             \x20   let d = server.stats().delta_from(&before);\n\
+             }\n\
+             #[cfg(test)]\n\
+             mod tests { fn g() { a.delta_from(&b); } }\n",
+        )
+        .unwrap();
+        let mut findings = Vec::new();
+        lint_engine_file(&file, &mut findings);
+        let found: Vec<(&str, usize)> = findings.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(found, [("no-stats-window", 4)]);
     }
 
     #[test]

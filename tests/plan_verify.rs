@@ -56,7 +56,7 @@ fn hash_join(
     schema: Schema,
 ) -> Plan {
     let mut plan = Plan::hash_join(left, right, keys, residual, kind, schema);
-    Planner::new(engine)
+    Planner::new(engine, &mtengine::stats::StmtCtx::new())
         .bind(&mut plan)
         .expect("hand-built join binds");
     plan

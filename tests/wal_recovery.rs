@@ -616,7 +616,7 @@ fn failed_append_leaves_memory_unapplied() {
         let mut txn = engine.begin_transaction();
         let stmt = mtsql::parse_statement("INSERT INTO t VALUES (2, 20)").expect("parse");
         engine
-            .txn_execute_statement(&mut txn, &stmt)
+            .txn_execute_statement(&mut txn, &stmt, &mtengine::stats::StmtCtx::new())
             .expect("staged insert");
         engine.set_failpoint_clock(FailpointClock::crash_at(1, CrashMode::PreFsyncLoss));
         engine
